@@ -33,7 +33,6 @@ from .graph import (
     embed_solution_sets,
     enumerate_classes,
     lambda3_bound,
-    mixing_check,
     mixing_random_pairs,
     pair_edge_count,
     spectrum,

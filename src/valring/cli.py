@@ -99,15 +99,20 @@ class RunConfig:
             raise ParseError("caps must be positive")
         if not 0 <= self.seed < 2**64:
             raise ParseError("seed must fit in 64 bits")
+        if not all(math.isfinite(c) for c in self.constants):
+            raise ParseError("--constants must be finite numbers")
 
     @classmethod
     def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        sizes = tuple(int(t) for t in ns.sizes.split(",")) if getattr(ns, "sizes", None) else ()
-        constants = (
-            tuple(float(t) for t in ns.constants.split(","))
-            if getattr(ns, "constants", None)
-            else (1.0, 1.0, 1.0)
-        )
+        try:
+            sizes = tuple(int(t) for t in ns.sizes.split(",")) if getattr(ns, "sizes", None) else ()
+            constants = (
+                tuple(float(t) for t in ns.constants.split(","))
+                if getattr(ns, "constants", None)
+                else (1.0, 1.0, 1.0)
+            )
+        except ValueError:
+            raise ParseError("--sizes and --constants take comma-separated numbers") from None
         if len(constants) != 3:
             raise ParseError("--constants needs exactly c1,c2,c3")
         action = getattr(ns, "action", None)
@@ -413,7 +418,7 @@ def _to_csv(payload: dict) -> str:
 def _emit(payload: dict, cfg_out: Optional[str], fmt: str) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         text = _to_csv(payload)
     if cfg_out:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 # tolerance for all floating-point spectral comparisons
@@ -37,26 +36,11 @@ class Caps:
 DEFAULT_CAPS = Caps()
 
 
-def thread_count() -> int:
-    """Worker count for parallel scans, from VALRING_THREADS if set.
-
-    Output bytes never depend on this value; it only sets pool width.
-    """
-    raw = os.environ.get("VALRING_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n >= 1:
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def derive_seed(master: int, *parts: int) -> int:
     """Mix a master seed with task coordinates into a child seed.
 
     splitmix64-style finalizer; pure integer ops, so identical on every
-    platform regardless of thread scheduling.
+    platform and independent of the order in which tasks run.
     """
     h = master & 0xFFFFFFFFFFFFFFFF
     for part in parts:

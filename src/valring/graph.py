@@ -42,6 +42,7 @@ from .errors import (
     AllNonUnits,
     BadArity,
     BadIndex,
+    BadSize,
     TooLarge,
     TooLargeForSpectrum,
 )
@@ -60,7 +61,6 @@ __all__ = [
     "spectrum",
     "edge_count",
     "pair_edge_count",
-    "mixing_check",
     "mixing_random_pairs",
     "EmbeddedSets",
     "embed_solution_sets",
@@ -294,34 +294,6 @@ def resolve_lambda3(
         return lambda3_bound(graph.ring, graph.d), "theoretical"
 
 
-def mixing_check(
-    graph: OrthGraph,
-    left_ids: Sequence[int],
-    right_ids: Sequence[int],
-    lambda3: Optional[float] = None,
-    spectral_cap: int = DEFAULT_CAPS.spectral_cap,
-) -> dict:
-    """Expander mixing inequality for one pair of vertex subsets."""
-    li = _as_vertex_array(graph, left_ids)
-    ri = _as_vertex_array(graph, right_ids)
-    lam, kind = resolve_lambda3(graph, lambda3, spectral_cap)
-    edges = edge_count(graph, li, ri)
-    main = graph.degree * len(li) * len(ri) / graph.n_classes
-    residual = abs(edges - main)
-    bound = lam * math.sqrt(len(li) * len(ri))
-    return {
-        "left_size": int(li.size),
-        "right_size": int(ri.size),
-        "edges": edges,
-        "main_term": main,
-        "residual": residual,
-        "bound": bound,
-        "lambda3": lam,
-        "lambda3_kind": kind,
-        "passes": bool(residual <= bound + SPECTRAL_TOL),
-    }
-
-
 def mixing_random_pairs(
     graph: OrthGraph,
     trials: int,
@@ -334,6 +306,8 @@ def mixing_random_pairs(
     Returns a summary with the number of violations (which the theorem
     says must be zero) and the worst residual/bound ratio observed.
     """
+    if trials < 0:
+        raise BadSize(f"need trials >= 0, got {trials}")
     n = graph.n_classes
     rng = random.Random(seed)
     lam, kind = resolve_lambda3(graph, lambda3, spectral_cap)
@@ -382,7 +356,6 @@ class EmbeddedSets:
         v_rows: Optional[np.ndarray],
         u_count: int,
         v_count: int,
-        audit: str,
     ):
         self.ring = ring
         self.n = n
@@ -391,7 +364,12 @@ class EmbeddedSets:
         self.v_rows = v_rows
         self.u_count = u_count
         self.v_count = v_count
-        self.audit = audit  # "ok" when dedup confirmed injectivity, else "skipped"
+
+    @property
+    def audit(self) -> str:
+        """Return "ok" when both sides were built (building checks
+        injectivity), "skipped" when the size cap left them out."""
+        return "ok" if self.u_rows is not None else "skipped"
 
     def __repr__(self) -> str:
         return (
@@ -407,14 +385,14 @@ def _sum_of_squares(ring: Ring, cols: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _finish_side(ring: Ring, raw: np.ndarray, expect: int) -> tuple[np.ndarray, str]:
+def _finish_side(ring: Ring, raw: np.ndarray, expect: int) -> np.ndarray:
     rows = canonicalize_rows(ring, raw)
     rows = np.unique(rows, axis=0)
     if len(rows) != expect:
         raise AssertionError(
             "embedding lost injectivity: distinct tuples collided in one class"
         )
-    return rows, "ok"
+    return rows
 
 
 def embed_solution_sets(
@@ -439,7 +417,7 @@ def embed_solution_sets(
     u_count = s.card ** (n - 1) * sq.card
     v_count = a.card ** (n - 1) * tgt.card
     if max(u_count, v_count) > caps.max_embed_size:
-        return EmbeddedSets(ring, n, d, None, None, u_count, v_count, "skipped")
+        return EmbeddedSets(ring, n, d, None, None, u_count, v_count)
 
     minus2 = np.int64(ring.from_int(-2))
     g = _grid([s.indices()] * (n - 1) + [sq.indices()])
@@ -456,10 +434,9 @@ def embed_solution_sets(
     v_cols.append(ring.sub_many(_sum_of_squares(ring, cs), ts))
     v_raw = np.stack(v_cols, axis=1) if len(h) else np.empty((0, d), np.int64)
 
-    u_rows, audit_u = _finish_side(ring, u_raw, u_count)
-    v_rows, audit_v = _finish_side(ring, v_raw, v_count)
-    audit = "ok" if audit_u == audit_v == "ok" else "skipped"
-    return EmbeddedSets(ring, n, d, u_rows, v_rows, u_count, v_count, audit)
+    u_rows = _finish_side(ring, u_raw, u_count)
+    v_rows = _finish_side(ring, v_raw, v_count)
+    return EmbeddedSets(ring, n, d, u_rows, v_rows, u_count, v_count)
 
 
 def embed_energy_sets(
@@ -481,7 +458,7 @@ def embed_energy_sets(
     sq = square_set(a)
     side = s.card ** (n - 1) * a.card ** (n - 1) * sq.card
     if side > caps.max_embed_size:
-        return EmbeddedSets(ring, n, d, None, None, side, side, "skipped")
+        return EmbeddedSets(ring, n, d, None, None, side, side)
 
     minus2 = np.int64(ring.from_int(-2))
     two = np.int64(ring.from_int(2))
@@ -507,7 +484,6 @@ def embed_energy_sets(
     v_cols.append(np.ones(len(h), dtype=np.int64))
     v_raw = np.stack(v_cols, axis=1) if len(h) else np.empty((0, d), np.int64)
 
-    u_rows, audit_u = _finish_side(ring, u_raw, side)
-    v_rows, audit_v = _finish_side(ring, v_raw, side)
-    audit = "ok" if audit_u == audit_v == "ok" else "skipped"
-    return EmbeddedSets(ring, n, d, u_rows, v_rows, side, side, audit)
+    u_rows = _finish_side(ring, u_raw, side)
+    v_rows = _finish_side(ring, v_raw, side)
+    return EmbeddedSets(ring, n, d, u_rows, v_rows, side, side)

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from statistics import median
 from typing import Optional, Sequence, Union
 
-from .config import Caps, DEFAULT_CAPS, SPECTRAL_TOL, derive_seed, thread_count
+from .config import Caps, DEFAULT_CAPS, SPECTRAL_TOL, derive_seed
 from .errors import BadSize, NotUnits
 from .graph import (
     build_graph,
@@ -107,6 +106,8 @@ def _prepare(a: ElementSet, warnings: list) -> ElementSet:
             f"|A| = {a.card} is below the recommended floor 2*q^(r-1) = {floor}"
         )
     restricted = restrict_to_units(a)
+    if not restricted.card:
+        raise NotUnits(f"A has no unit of {a.ring.descriptor} left to count")
     if restricted.card < a.card:
         warnings.append(
             f"dropped {a.card - restricted.card} non-unit elements before counting"
@@ -148,188 +149,125 @@ def _step(passed: Optional[bool], mode: str, detail: str) -> dict:
     return {"passed": passed, "mode": mode, "detail": detail}
 
 
-def _common_sizes(a_in: ElementSet, a: ElementSet, n: int):
+def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
+    """The counting argument both theorems share, for one statistic.
+
+    thm1 bounds the solution count N in dimension n + 1; thm2 bounds the
+    collision energy E in dimension 2n and adds Cauchy-Schwarz.  Either
+    statistic is embedded as e(U, V) in the orthogonality graph, which
+    is priced by the best available route and held against the mixing
+    bound.  The embedding and counting functions are looked up when the
+    replay runs, not bound when the module loads, so a wrapper installed
+    on the module attribute sees every call.
+    """
+    ring = a_in.ring
+    q, r = ring.q, ring.r
+    warnings: list = []
+    a = _prepare(a_in, warnings)
+    k = a.card
     s = sumset(a, a)
     sq = square_set(a)
-    tgt = iterated_sumset(sq, n) if sq.card else ElementSet.empty(a.ring)
+    tgt = iterated_sumset(sq, n)
     sizes = {
         "a": a_in.card,
-        "a_units": a.card,
+        "a_units": k,
         "a_plus_a": s.card,
         "a_sq": sq.card,
         "n_a_sq": tgt.card,
     }
-    return s, sq, tgt, sizes
+
+    sol = count_form_solutions(a, n, caps)
+    lower = sq.card * k ** (2 * n - 2)
+    steps = {
+        "solution_lower_bound": _step(
+            sol >= lower, "exact", f"N = {sol} >= |A^2|*|A|^(2n-2) = {lower}"
+        )
+    }
+    if kind == "thm1":
+        d, name, sym = n + 1, "solutions", "N"
+        stat, energy, hypothesis = sol, None, None
+        embed = embed_solution_sets
+        rhs = min(
+            q ** (r / n) * k ** ((n - 1) / n),
+            k ** ((3 * n - 2) / n) / q ** ((n - 1) * (2 * r - 1) / n),
+        )
+    else:
+        d, name, sym = 2 * n, "energy", "E"
+        stat = energy = form_energy(a, n, caps)
+        steps["cauchy_schwarz"] = _step(
+            sol * sol <= tgt.card * energy,
+            "exact",
+            f"N^2 = {sol * sol} vs |nA^2|*E = {tgt.card * energy}",
+        )
+        embed = embed_energy_sets
+        rhs = q ** (r / (2 * n - 1)) * k ** ((2 * n - 2) / (2 * n - 1))
+        hyp_lhs = s.card ** (n - 1) * k**n
+        hyp_rhs = q ** (r + (n - 1) * (2 * r - 1))
+        hypothesis = {"lhs": hyp_lhs, "rhs": hyp_rhs, "met": hyp_lhs >= hyp_rhs}
+    counts = {
+        "solutions": sol,
+        "energy": energy,
+        "solution_density": sol / k ** (2 * n - 1),
+    }
+
+    emb = embed(a, n, caps)
+    route = _edge_route(ring, d, emb, caps)
+    edges, bound = route["edges"], route["edge_bound"]
+    if edges is not None:
+        steps[f"{name}_le_edges"] = _step(
+            stat <= edges, "exact", f"{sym} = {stat} vs e(U,V) = {edges}"
+        )
+        steps["edges_le_mixing_bound"] = _step(
+            edges <= bound + SPECTRAL_TOL,
+            "exact",
+            f"e(U,V) = {edges} vs bound = {bound:.6f}",
+        )
+    else:
+        steps[f"{name}_le_edges"] = _step(None, "skipped", "no edge count available")
+        steps[f"{name}_le_mixing_bound"] = _step(
+            stat <= bound + SPECTRAL_TOL,
+            "bound-only",
+            f"{sym} = {stat} vs bound = {bound:.6f}",
+        )
+
+    lhs = max(tgt.card, s.card)
+    hard = all(st["passed"] for st in steps.values() if st["passed"] is not None)
+    return PipelineReport(
+        kind=kind,
+        ring=ring.descriptor,
+        n=n,
+        d=d,
+        sizes=sizes,
+        counts=counts,
+        embed={
+            "u_size": emb.u_count,
+            "v_size": emb.v_count,
+            "audit": emb.audit,
+            **route,
+        },
+        mixing={
+            key: route[key] for key in ("main_term", "lambda3", "lambda3_kind", "edge_bound")
+        },
+        steps=steps,
+        ratio={"lhs": lhs, "rhs": rhs, "ratio": lhs / rhs},
+        hypothesis=hypothesis,
+        warnings=warnings,
+        hard_pass=hard,
+    )
 
 
 def verify_thm1_pipeline(
     a_in: ElementSet, n: int, caps: Caps = DEFAULT_CAPS
 ) -> PipelineReport:
     """Replay the solution-count argument in dimension n + 1."""
-    ring = a_in.ring
-    warnings: list = []
-    a = _prepare(a_in, warnings)
-    s, sq, tgt, sizes = _common_sizes(a_in, a, n)
-    k = a.card
-
-    sol = count_form_solutions(a, n, caps)
-    lower = sq.card * k ** (2 * n - 2)
-    counts = {
-        "solutions": sol,
-        "energy": None,
-        "solution_density": (sol / k ** (2 * n - 1)) if k else None,
-    }
-    steps = {
-        "solution_lower_bound": _step(
-            sol >= lower, "exact", f"N = {sol} >= |A^2|*|A|^(2n-2) = {lower}"
-        )
-    }
-
-    emb = embed_solution_sets(a, n, caps)
-    route = _edge_route(ring, n + 1, emb, caps)
-    edges = route["edges"]
-    if edges is not None:
-        steps["solutions_le_edges"] = _step(
-            sol <= edges, "exact", f"N = {sol} vs e(U,V) = {edges}"
-        )
-        steps["edges_le_mixing_bound"] = _step(
-            edges <= route["edge_bound"] + SPECTRAL_TOL,
-            "exact",
-            f"e(U,V) = {edges} vs bound = {route['edge_bound']:.6f}",
-        )
-    else:
-        steps["solutions_le_edges"] = _step(None, "skipped", "no edge count available")
-        steps["solutions_le_mixing_bound"] = _step(
-            sol <= route["edge_bound"] + SPECTRAL_TOL,
-            "bound-only",
-            f"N = {sol} vs bound = {route['edge_bound']:.6f}",
-        )
-
-    q, r = ring.q, ring.r
-    rhs = (
-        min(
-            q ** (r / n) * k ** ((n - 1) / n),
-            k ** ((3 * n - 2) / n) / q ** ((n - 1) * (2 * r - 1) / n),
-        )
-        if k
-        else 0.0
-    )
-    lhs = max(tgt.card, s.card)
-    ratio = {"lhs": lhs, "rhs": rhs, "ratio": (lhs / rhs) if rhs > 0 else None}
-
-    embed_info = {
-        "u_size": emb.u_count,
-        "v_size": emb.v_count,
-        "audit": emb.audit,
-        **route,
-    }
-    hard = all(st["passed"] for st in steps.values() if st["passed"] is not None)
-    return PipelineReport(
-        kind="thm1",
-        ring=ring.descriptor,
-        n=n,
-        d=n + 1,
-        sizes=sizes,
-        counts=counts,
-        embed=embed_info,
-        mixing={
-            "main_term": route["main_term"],
-            "lambda3": route["lambda3"],
-            "lambda3_kind": route["lambda3_kind"],
-            "edge_bound": route["edge_bound"],
-        },
-        steps=steps,
-        ratio=ratio,
-        hypothesis=None,
-        warnings=warnings,
-        hard_pass=hard,
-    )
+    return _replay("thm1", a_in, n, caps)
 
 
 def verify_thm2_pipeline(
     a_in: ElementSet, n: int, caps: Caps = DEFAULT_CAPS
 ) -> PipelineReport:
     """Replay the energy argument in dimension 2n."""
-    ring = a_in.ring
-    warnings: list = []
-    a = _prepare(a_in, warnings)
-    s, sq, tgt, sizes = _common_sizes(a_in, a, n)
-    k = a.card
-
-    sol = count_form_solutions(a, n, caps)
-    energy = form_energy(a, n, caps)
-    lower = sq.card * k ** (2 * n - 2)
-    counts = {
-        "solutions": sol,
-        "energy": energy,
-        "solution_density": (sol / k ** (2 * n - 1)) if k else None,
-    }
-    steps = {
-        "solution_lower_bound": _step(
-            sol >= lower, "exact", f"N = {sol} >= |A^2|*|A|^(2n-2) = {lower}"
-        ),
-        "cauchy_schwarz": _step(
-            sol * sol <= tgt.card * energy,
-            "exact",
-            f"N^2 = {sol * sol} vs |nA^2|*E = {tgt.card * energy}",
-        ),
-    }
-
-    emb = embed_energy_sets(a, n, caps)
-    route = _edge_route(ring, 2 * n, emb, caps)
-    edges = route["edges"]
-    if edges is not None:
-        steps["energy_le_edges"] = _step(
-            energy <= edges, "exact", f"E = {energy} vs e(U,V) = {edges}"
-        )
-        steps["edges_le_mixing_bound"] = _step(
-            edges <= route["edge_bound"] + SPECTRAL_TOL,
-            "exact",
-            f"e(U,V) = {edges} vs bound = {route['edge_bound']:.6f}",
-        )
-    else:
-        steps["energy_le_edges"] = _step(None, "skipped", "no edge count available")
-        steps["energy_le_mixing_bound"] = _step(
-            energy <= route["edge_bound"] + SPECTRAL_TOL,
-            "bound-only",
-            f"E = {energy} vs bound = {route['edge_bound']:.6f}",
-        )
-
-    q, r = ring.q, ring.r
-    rhs = q ** (r / (2 * n - 1)) * k ** ((2 * n - 2) / (2 * n - 1)) if k else 0.0
-    lhs = max(s.card, tgt.card)
-    ratio = {"lhs": lhs, "rhs": rhs, "ratio": (lhs / rhs) if rhs > 0 else None}
-    hyp_lhs = s.card ** (n - 1) * k**n
-    hyp_rhs = q ** (r + (n - 1) * (2 * r - 1))
-    hypothesis = {"lhs": hyp_lhs, "rhs": hyp_rhs, "met": hyp_lhs >= hyp_rhs}
-
-    embed_info = {
-        "u_size": emb.u_count,
-        "v_size": emb.v_count,
-        "audit": emb.audit,
-        **route,
-    }
-    hard = all(st["passed"] for st in steps.values() if st["passed"] is not None)
-    return PipelineReport(
-        kind="thm2",
-        ring=ring.descriptor,
-        n=n,
-        d=2 * n,
-        sizes=sizes,
-        counts=counts,
-        embed=embed_info,
-        mixing={
-            "main_term": route["main_term"],
-            "lambda3": route["lambda3"],
-            "lambda3_kind": route["lambda3_kind"],
-            "edge_bound": route["edge_bound"],
-        },
-        steps=steps,
-        ratio=ratio,
-        hypothesis=hypothesis,
-        warnings=warnings,
-        hard_pass=hard,
-    )
+    return _replay("thm2", a_in, n, caps)
 
 
 # -- square halving -------------------------------------------------------------
@@ -485,30 +423,22 @@ def bound_ratio_scan(
     """Sample unit subsets at each size; tabulate LHS/RHS ratios per theorem.
 
     Deterministic in (ring, sizes, trials, seed, constants): each trial
-    derives its own child seed, so thread scheduling cannot reorder or
-    alter anything.
+    draws its set from its own child seed, derived from the master seed
+    and the trial's (size, trial) coordinates.
     """
+    if trials < 1:
+        raise BadSize(f"need trials >= 1, got {trials}")
     unit_total = ring.unit_count
     for k in sizes:
         if not 1 <= k <= unit_total:
             raise BadSize(f"size {k} outside [1, {unit_total}] for {ring.descriptor}")
-    tasks = [
-        (si, t, derive_seed(seed, si, t))
-        for si in range(len(sizes))
-        for t in range(trials)
-    ]
-    results: dict = {}
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futs = {
-            pool.submit(_scan_trial, ring, sizes[si], child, constants): (si, t)
-            for si, t, child in tasks
-        }
-        for fut, key in futs.items():
-            results[key] = fut.result()
 
     rows = []
     for si, k in enumerate(sizes):
-        per = [results[(si, t)] for t in range(trials)]
+        per = [
+            _scan_trial(ring, k, derive_seed(seed, si, t), constants)
+            for t in range(trials)
+        ]
         regimes = {"1": 0, "2": 0, "3": 0, "none": 0}
         for rec in per:
             regimes[str(rec["regime"]) if rec["regime"] else "none"] += 1
@@ -548,8 +478,12 @@ def _objective(ring: Ring, members: Sequence[int]) -> int:
     return max(sumset(a, a).card, sumset(sq, sq).card)
 
 
+# a chain ends early after this many swaps in a row without a strict gain
+_STALL_CAP = 60
+
+
 def _search_chain(
-    ring: Ring, units: Sequence[int], k: int, budget: int, chain_seed: int, stall_cap: int
+    ring: Ring, units: Sequence[int], k: int, budget: int, chain_seed: int
 ) -> tuple[int, list, list]:
     rng = random.Random(chain_seed)
     cur = sorted(rng.sample(list(units), k))
@@ -574,7 +508,7 @@ def _search_chain(
         else:
             stall += 1
         trace.append(best_obj)
-        if stall >= stall_cap:
+        if stall >= _STALL_CAP:
             break
     return best_obj, best, trace
 
@@ -585,16 +519,17 @@ def extremal_search(
     iters: int,
     seed: int,
     chain_len: int = 250,
-    stall_cap: int = 60,
 ) -> dict:
     """Hill-climb for unit k-subsets minimizing max{|A+A|, |A^2+A^2|}.
 
-    The iteration budget is split into independent restart chains (one
-    fresh random start each) that run in parallel; a chain also ends
-    early once it plateaus.  Swaps that do not increase the objective
-    are accepted.  The reported trace is the best objective so far in
-    chain order, hence non-increasing.
+    The iteration budget is split into independent restart chains, run
+    one after another, each from a fresh random start drawn from its own
+    child seed; a chain also ends early once it plateaus.  Swaps that do
+    not increase the objective are accepted.  The reported trace is the
+    best objective so far in chain order, hence non-increasing.
     """
+    if iters < 0:
+        raise BadSize(f"need iters >= 0, got {iters}")
     units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
     if not 1 <= k <= len(units):
         raise BadSize(f"size {k} outside [1, {len(units)}] for {ring.descriptor}")
@@ -614,14 +549,10 @@ def extremal_search(
         }
     n_chains = max(1, math.ceil(iters / chain_len))
     budgets = [min(chain_len, iters - i * chain_len) for i in range(n_chains)]
-    with ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        futs = [
-            pool.submit(
-                _search_chain, ring, units, k, budgets[i], derive_seed(seed, i), stall_cap
-            )
-            for i in range(n_chains)
-        ]
-        chains = [f.result() for f in futs]
+    chains = [
+        _search_chain(ring, units, k, budgets[i], derive_seed(seed, i))
+        for i in range(n_chains)
+    ]
 
     trace: list = []
     best_obj, best_set = None, None

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valring import (
     BadIndex,
@@ -221,3 +225,84 @@ def test_run_hpv_set_count(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["error"]["type"] == "ParseError"
+
+
+# ---------------------------------------------------------------------------
+# bad inputs end in a typed error or a usage error, never in a traceback
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "ratios", "--ring", "z:5:2", "--sizes", "4", "--trials", "0"],
+        ["graph", "mixing", "--ring", "z:3:2", "--d", "3", "--trials", "-3"],
+        ["search", "extremal", "--ring", "z:5:2", "--sizes", "4", "--iters", "-5"],
+    ],
+)
+def test_run_rejects_bad_counts(argv, capsys):
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadSize"
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2"])
+def test_run_verify_rejects_set_without_units(theorem, capsys):
+    assert run(["verify", theorem, "--ring", "z:3:2", "--set", "0,3", "--n", "2"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotUnits"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "x"])
+def test_run_rejects_bad_constants(value, capsys):
+    argv = ["classify", "--ring", "z:3:2", "--set", "units", "--constants", f"1,1,{value}"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ParseError" in captured.err
+
+
+_INT = st.integers(-3, 4).map(str)
+_CONSTANT = st.sampled_from(["1", "0.5", "0", "-2", "nan", "inf", "-inf"])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from([
+        ["scan", "ratios"], ["search", "extremal"], ["graph", "mixing"],
+        ["classify"], ["verify", "thm1"], ["verify", "thm2"],
+    ]))
+    argv = command + ["--ring", draw(st.sampled_from(["z:3:2", "z:5:1", "f:9:1"]))]
+    group = command[0]
+    if group in ("scan", "search"):
+        argv += ["--sizes", ",".join(draw(st.lists(_INT, min_size=1, max_size=3)))]
+        argv += ["--seed", draw(_INT)]
+    if group in ("scan", "graph"):
+        argv += ["--trials", draw(_INT)]
+    if group == "search":
+        argv += ["--iters", draw(_INT)]
+    if group == "graph":
+        argv += ["--d", draw(_INT), "--seed", draw(_INT)]
+    if group in ("classify", "verify"):
+        argv += ["--set", draw(st.sampled_from(["units", "1,2", "0,3", "0", "random:2:1"]))]
+    if group == "verify":
+        # n = 4 is left out: its direct routes over f:9:1 count ~10^7 pairs
+        argv += ["--n", str(draw(st.integers(-3, 3)))]
+    if group in ("graph", "verify"):
+        argv += ["--spectral-cap", draw(_INT)]
+    if group in ("scan", "classify"):
+        argv += ["--constants", ",".join(draw(st.lists(_CONSTANT, min_size=3, max_size=3)))]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=30)
+@given(_fuzz_argv())
+def test_run_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    assert "Traceback" not in err.getvalue()

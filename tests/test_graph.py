@@ -25,7 +25,6 @@ from valring import (
     form_energy,
     lambda3_bound,
     make_ring,
-    mixing_check,
     mixing_random_pairs,
     pair_edge_count,
     sample_unit_subset,
@@ -226,17 +225,15 @@ def test_pair_edge_count_cap(z9):
 # mixing
 
 
-def test_mixing_check_report(z9):
+def test_mixing_random_pairs_lambda3_kind(z9):
     g = build_graph(z9, 3)
-    rep = mixing_check(g, range(20), range(40, 80))
-    assert rep["passes"]
+    rep = mixing_random_pairs(g, 20, seed=3)
+    assert rep["violations"] == 0
     assert rep["lambda3_kind"] == "computed"
-    assert rep["edges"] >= 0
-    assert rep["residual"] <= rep["bound"] + 1e-6
     # a supplied lambda3 wins over the computed one
-    rep2 = mixing_check(g, range(20), range(40, 80), lambda3=99.0)
+    rep2 = mixing_random_pairs(g, 20, seed=3, lambda3=99.0)
     assert rep2["lambda3_kind"] == "given"
-    assert rep2["bound"] > rep["bound"]
+    assert rep2["max_ratio"] < rep["max_ratio"]
 
 
 @pytest.mark.parametrize("maker,d", [((3, 1, 2, "zpr"), 3), ((3, 2, 1, "fqtr"), 3)])
