@@ -104,17 +104,14 @@ def canonicalize(ring: Ring, coords: Sequence[Union[int, Element]]) -> tuple[int
             c = c.index
         ring._check_index(int(c))
         idx.append(int(c))
-    pivot = next((k for k, c in enumerate(idx) if ring.is_unit(c)), None)
-    if pivot is None:
-        raise AllNonUnits("vector has no unit coordinate")
-    inv = ring.inv(idx[pivot])
-    return tuple(ring.mul(inv, c) for c in idx)
+    row = canonicalize_rows(ring, np.array([idx], dtype=np.int64))
+    return tuple(int(c) for c in row[0])
 
 
 def canonicalize_rows(ring: Ring, rows: np.ndarray) -> np.ndarray:
     """Vectorized canonicalization of an (N, d) index array."""
     rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
+    if len(rows) == 0:
         return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
     unit = rows % ring.q != 0
     if not unit.any(axis=1).all():
@@ -303,28 +300,35 @@ def mixing_random_pairs(
 ) -> dict:
     """Mixing inequality on seeded random subset pairs, batched.
 
-    Returns a summary with the number of violations (which the theorem
-    says must be zero) and the worst residual/bound ratio observed.
+    Trials are drawn in order and evaluated in chunks of at most
+    _CHUNK_CELLS indicator cells per side, so memory stays bounded
+    whatever the trial count.  Returns a summary with the number of
+    violations (which the theorem says must be zero) and the worst
+    residual/bound ratio observed.
     """
     if trials < 0:
         raise BadSize(f"need trials >= 0, got {trials}")
     n = graph.n_classes
     rng = random.Random(seed)
     lam, kind = resolve_lambda3(graph, lambda3, spectral_cap)
+    adjacency = graph.biadjacency.astype(np.float64)
     sizes_l = np.empty(trials, dtype=np.int64)
     sizes_r = np.empty(trials, dtype=np.int64)
-    xmat = np.zeros((n, trials), dtype=np.float64)
-    ymat = np.zeros((n, trials), dtype=np.float64)
+    edges = np.empty(trials, dtype=np.float64)
     verts = range(n)
-    for t in range(trials):
-        kx = rng.randint(1, n)
-        ky = rng.randint(1, n)
-        xmat[rng.sample(verts, kx), t] = 1.0
-        ymat[rng.sample(verts, ky), t] = 1.0
-        sizes_l[t] = kx
-        sizes_r[t] = ky
-    my = graph.biadjacency.astype(np.float64) @ ymat
-    edges = (xmat * my).sum(axis=0)
+    step = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, trials, step):
+        width = min(step, trials - lo)
+        xmat = np.zeros((n, width), dtype=np.float64)
+        ymat = np.zeros((n, width), dtype=np.float64)
+        for t in range(width):
+            kx = rng.randint(1, n)
+            ky = rng.randint(1, n)
+            xmat[rng.sample(verts, kx), t] = 1.0
+            ymat[rng.sample(verts, ky), t] = 1.0
+            sizes_l[lo + t] = kx
+            sizes_r[lo + t] = ky
+        edges[lo : lo + width] = (xmat * (adjacency @ ymat)).sum(axis=0)
     main = graph.degree * sizes_l * sizes_r / n
     residual = np.abs(edges - main)
     bounds = lam * np.sqrt((sizes_l * sizes_r).astype(np.float64))

@@ -24,8 +24,29 @@ full coefficient vector, so addition is digitwise and never carries.
 
 The :class:`Ring` methods ending in ``_many`` operate on numpy arrays
 of indices with broadcasting and are the backbone of the set-operation
-and graph modules.  Rings and elements are immutable; everything here
-is safe to share across threads.
+and graph modules; the scalar methods (``add``, ``mul``, ``inv``,
+``valuation``, ...) wrap them.  ZPR arithmetic is integer arithmetic
+modulo p**r.  FQTR arithmetic has two paths:
+
+* Cayley tables, for rings of at most ``_TABLE_MAX_SIZE`` elements: a
+  size x size add table, a size x size mul table and a negation vector,
+  so each of ``add_many``, ``mul_many`` and ``neg_many`` is one gather
+  and ``sub_many`` is two (``add[a, neg[b]]``).  A ring builds its
+  tables on its first FQTR arithmetic call, once; :func:`make_ring`
+  caches rings, so one build serves every later caller in the process.
+  The tables pay off when one process does repeated arithmetic on one
+  ring; the cap keeps the build cheap enough that a one-shot call on a
+  small ring does not lose time to it.
+* The digit path, which splits every index into its r*s base-p digits:
+  addition is digitwise mod p and multiplication is a truncated
+  convolution of z-adic digits over the residue field.  It computes
+  the pieces the tables are assembled from and serves every ring above
+  the cap.
+
+Rings and elements are immutable apart from those lazily built caches
+(the Cayley tables and the inverse table).  Each build is idempotent:
+two threads that race on one ring both compute the same arrays and one
+assignment wins, so a ring is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -33,7 +54,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -60,6 +81,14 @@ __all__ = [
     "factor_prime_power",
     "smallest_irreducible",
 ]
+
+# FQTR rings of at most this many elements add, subtract, negate and
+# multiply by Cayley-table gathers; larger rings stay on the digit path.
+# Measured crossover: a one-shot `verify thm1 --set 1,2 --n 2` in a fresh
+# process runs as fast as on the digit path up to 125 elements, and
+# 2-8 ms slower from 169 (f:13:2) to 343 (f:7:3), where the table build
+# costs more than the few products the call needs.
+_TABLE_MAX_SIZE = 125
 
 
 class RingFamily(enum.Enum):
@@ -189,8 +218,20 @@ def smallest_irreducible(p: int, s: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+class _CayleyTables(NamedTuple):
+    add: np.ndarray  # (size, size): add[a, b] = a + b
+    mul: np.ndarray  # (size, size): mul[a, b] = a * b
+    neg: np.ndarray  # (size,): neg[a] = -a
+
+
 class Ring:
     """One finite valuation ring; construct through :func:`make_ring`.
+
+    An FQTR ring of at most ``_TABLE_MAX_SIZE`` elements does its
+    arithmetic by gathers from Cayley tables that it assembles from
+    digit-path products on its first arithmetic call; a larger one stays
+    on the digit path.  Both paths give int64 results of the broadcast shape
+    of the inputs.
 
     Attributes
     ----------
@@ -235,6 +276,7 @@ class Ring:
             self._build_field_tables()
         self._key = (family, p, s, r, self.modulus_coeffs)
         self._inverse_table: Optional[np.ndarray] = None
+        self._cayley_tables: Optional[_CayleyTables] = None
 
     # -- residue field scalar ops (encoded values in [0, q)) ---------------
 
@@ -284,13 +326,6 @@ class Ring:
         assert acc == 1, "generator order must be q - 1"
         self._exp, self._log = exp, log
 
-    def _field_inv_scalar(self, a: int) -> int:
-        if a == 0:
-            raise NotAUnit("0 has no inverse in the residue field")
-        if self.s == 1:
-            return pow(a, self.p - 2, self.p)
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
-
     # -- digit views --------------------------------------------------------
 
     def _qdigits(self, a: np.ndarray) -> np.ndarray:
@@ -332,36 +367,23 @@ class Ring:
         dy = (y[..., None] // self._p_pows) % self.p
         return (((dx + dy) % self.p) * self._p_pows).sum(axis=-1)
 
-    def add_many(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (a + b) % self.size
+    # -- FQTR digit path: builds the Cayley tables, serves rings above the cap
+
+    def _add_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         da = (a[..., None] // self._pp_full) % self.p
         db = (b[..., None] // self._pp_full) % self.p
         return (((da + db) % self.p) * self._pp_full).sum(axis=-1)
 
-    def neg_many(self, a) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (self.size - a) % self.size
+    def _neg_digits(self, a: np.ndarray) -> np.ndarray:
         da = (a[..., None] // self._pp_full) % self.p
         return (((self.p - da) % self.p) * self._pp_full).sum(axis=-1)
 
-    def sub_many(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (a - b) % self.size
+    def _sub_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         da = (a[..., None] // self._pp_full) % self.p
         db = (b[..., None] // self._pp_full) % self.p
         return (((da - db) % self.p) * self._pp_full).sum(axis=-1)
 
-    def mul_many(self, a, b) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (a * b) % self.size
+    def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.broadcast_arrays(a, b)
         ca = self._qdigits(a)
         cb = self._qdigits(b)
@@ -372,6 +394,82 @@ class Ring:
                 prod = self._field_mul_vec(ca[..., i], cb[..., j])
                 out[..., i + j] = self._field_add_vec(out[..., i + j], prod)
         return (out * self._q_pows).sum(axis=-1)
+
+    def _cayley(self) -> Optional[_CayleyTables]:
+        """The FQTR Cayley tables, built on first use; None above the cap.
+
+        An index splits into its low and high base-p digits, ``a = lo +
+        split * hi``.  Addition never carries, so the two halves add
+        independently, and multiplication distributes over the split, so
+        ``a * b`` is a sum of products of halves.  The digit path only
+        adds and multiplies halves, a few times size cells, and gathers
+        assemble the size x size tables from those.
+        """
+        if self._cayley_tables is None and self.size <= _TABLE_MAX_SIZE:
+            size = self.size
+            split = self.p ** (self.r * self.s // 2)
+            idx = np.arange(size, dtype=np.int64)
+            lo, hi = idx % split, idx // split
+            halves = (idx[:split], split * idx[: size // split])
+            add_halves = [self._add_digits(h[:, None], h) for h in halves]
+            add = add_halves[0][lo][:, lo] + add_halves[1][hi][:, hi]
+
+            def add_gather(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+                return np.take(add, x * size + y)
+
+            # by_half[k][a, j] = a * halves[k][j]
+            by_half = [
+                add_gather(
+                    self._mul_digits(halves[0][:, None], h)[lo],
+                    self._mul_digits(halves[1][:, None], h)[hi],
+                )
+                for h in halves
+            ]
+            mul = add_gather(by_half[0][:, lo], by_half[1][:, hi])
+            neg = self._neg_digits(idx)
+            for t in (add, mul, neg):
+                t.flags.writeable = False
+            self._cayley_tables = _CayleyTables(add, mul, neg)
+        return self._cayley_tables
+
+    def add_many(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.family is RingFamily.ZPR:
+            return (a + b) % self.size
+        tables = self._cayley()
+        if tables is None:
+            return self._add_digits(a, b)
+        return tables.add[a, b]
+
+    def neg_many(self, a) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        if self.family is RingFamily.ZPR:
+            return (self.size - a) % self.size
+        tables = self._cayley()
+        if tables is None:
+            return self._neg_digits(a)
+        return tables.neg[a]
+
+    def sub_many(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.family is RingFamily.ZPR:
+            return (a - b) % self.size
+        tables = self._cayley()
+        if tables is None:
+            return self._sub_digits(a, b)
+        return tables.add[a, tables.neg[b]]
+
+    def mul_many(self, a, b) -> np.ndarray:
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.family is RingFamily.ZPR:
+            return (a * b) % self.size
+        tables = self._cayley()
+        if tables is None:
+            return self._mul_digits(a, b)
+        return tables.mul[a, b]
 
     def valuation_many(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -396,37 +494,25 @@ class Ring:
     def valuation(self, a: int) -> int:
         """z-adic valuation: r for zero, else the first nonzero digit."""
         self._check_index(a)
-        if a == 0:
-            return self.r
-        k = 0
-        while a % self.q == 0:
-            a //= self.q
-            k += 1
-        return k
+        return int(self.valuation_many(a))
 
     def is_unit(self, a: int) -> bool:
         self._check_index(a)
         return a % self.q != 0
 
     def inv(self, a: int) -> int:
-        """Inverse of a unit via Newton lifting from the residue field.
-
-        y <- y * (2 - a*y) doubles z-adic precision each round, so
-        ceil(log2(r)) rounds after the exact residue-field inverse
-        suffice.  The result is checked before returning.
-        """
+        """Inverse of a unit, looked up in :meth:`inverse_table`."""
         if not self.is_unit(a):
             raise NotAUnit(f"{a} is not a unit in {self.descriptor}")
-        y = self._field_inv_scalar(a % self.q)
-        two = self.from_int(2)
-        for _ in range((self.r - 1).bit_length()):
-            y = self.mul(y, self.sub(two, self.mul(a, y)))
-        if self.mul(a, y) != self.from_int(1):
-            raise AssertionError("Newton inversion failed to converge")
-        return y
+        return int(self.inverse_table()[a])
 
     def inverse_table(self) -> np.ndarray:
-        """Index -> inverse index for units, 0 elsewhere.  Cached."""
+        """Index -> inverse index for units, 0 elsewhere.  Cached.
+
+        Newton lifting from the residue field: y <- y * (2 - a*y) doubles
+        the z-adic precision each round, so ceil(log2(r)) rounds after the
+        exact residue-field inverse suffice.  The result is checked.
+        """
         if self._inverse_table is None:
             units = self.indices(ElementFilter.UNITS)
             c0 = units % self.q

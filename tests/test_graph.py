@@ -1,10 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valring import graph as graph_module
 from valring import (
     AllNonUnits,
     BadIndex,
@@ -112,6 +114,13 @@ def test_canonicalize_is_scale_invariant(u, vec):
     assert canonicalize(ring, rep) == rep
 
 
+def _canonicalize_reference(ring, vec):
+    """Scale by the inverse of the first unit coordinate, found by search."""
+    pivot = next(c for c in vec if ring.is_unit(c))
+    inv = next(y for y in range(ring.size) if ring.mul(pivot, y) == ring.one.index)
+    return tuple(ring.mul(inv, c) for c in vec)
+
+
 def test_canonicalize_rows_matches_scalar(f9t2):
     rows = []
     for v in itertools.product(range(0, 81, 7), repeat=2):
@@ -120,7 +129,10 @@ def test_canonicalize_rows_matches_scalar(f9t2):
     rows = np.array(rows, dtype=np.int64)
     out = canonicalize_rows(f9t2, rows)
     for r_in, r_out in zip(rows, out):
-        assert tuple(int(c) for c in r_out) == canonicalize(f9t2, tuple(int(c) for c in r_in))
+        vec = tuple(int(c) for c in r_in)
+        expected = _canonicalize_reference(f9t2, vec)
+        assert tuple(int(c) for c in r_out) == expected
+        assert canonicalize(f9t2, vec) == expected
 
 
 def test_enumerate_classes_frozen_f3():
@@ -249,6 +261,15 @@ def test_mixing_random_pairs_deterministic(z9):
     a = mixing_random_pairs(g, 50, seed=11)
     b = mixing_random_pairs(g, 50, seed=11)
     assert a == b
+
+
+@pytest.mark.parametrize("trials_per_chunk", [1, 7, 49])
+def test_mixing_random_pairs_chunks_match_one_chunk(z9, monkeypatch, trials_per_chunk):
+    g = build_graph(z9, 3)
+    whole = mixing_random_pairs(g, 50, seed=11)
+    monkeypatch.setattr(graph_module, "_CHUNK_CELLS", trials_per_chunk * g.n_classes)
+    chunked = mixing_random_pairs(g, 50, seed=11)
+    assert json.dumps(chunked) == json.dumps(whole)
 
 
 # ---------------------------------------------------------------------------

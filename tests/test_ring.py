@@ -3,13 +3,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valring import ring as ring_module
 from valring import (
     BadFamilyCombo,
+    BadIndex,
     Element,
     ElementFilter,
     EvenPrime,
     NotAUnit,
     NonPrime,
+    Ring,
     RingFamily,
     RingMismatch,
     TooLarge,
@@ -150,6 +153,102 @@ def test_fqtr_ring_axioms(triple):
     assert ring.mul(a, ring.one.index) == a
 
 
+# ---------------------------------------------------------------------------
+# arithmetic: F_q[t]/(t^r) Cayley tables against the digit path
+
+# Every FQTR ring that the tests or the benchmark use, whether or not it
+# is under the table cap, and two with an odd number of base-p digits.
+TABLE_RINGS = {
+    "f:3:1": (3, 1, 1),
+    "f:9:1": (3, 2, 1),
+    "f:3:2": (3, 1, 2),
+    "f:9:2": (3, 2, 2),
+    "f:25:1": (5, 2, 1),
+    "f:13:2": (13, 1, 2),
+    "f:5:3": (5, 1, 3),
+    "f:3:5": (3, 1, 5),
+}
+
+
+def _table_and_digit_rings(monkeypatch, p, s, r):
+    """Two fresh copies of one FQTR ring: the first with its Cayley tables
+    built (the cap raised to its size if need be), the second held on the
+    digit path by a zero table cap."""
+    monkeypatch.setattr(ring_module, "_TABLE_MAX_SIZE", (p**s) ** r)
+    tabled = Ring(p, s, r, RingFamily.FQTR)
+    assert tabled._cayley() is not None
+    monkeypatch.setattr(ring_module, "_TABLE_MAX_SIZE", 0)
+    digits = Ring(p, s, r, RingFamily.FQTR)
+    assert digits._cayley() is None
+    return tabled, digits
+
+
+@pytest.mark.parametrize("params", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
+def test_cayley_tables_match_digit_path(monkeypatch, params):
+    tabled, digits = _table_and_digit_rings(monkeypatch, *params)
+    idx = np.arange(tabled.size, dtype=np.int64)
+    a, b = idx[:, None], idx[None, :]
+    for op in ("add_many", "sub_many", "mul_many"):
+        np.testing.assert_array_equal(getattr(tabled, op)(a, b), getattr(digits, op)(a, b))
+    np.testing.assert_array_equal(tabled.neg_many(idx), digits.neg_many(idx))
+    assert (tabled.add_many(tabled.sub_many(a, b), b) == a).all()
+    assert digits._cayley_tables is None
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (5, 7),
+        (np.int64(5), np.int64(7)),
+        (np.arange(4).reshape(4, 1), np.arange(0, 81, 9).reshape(1, 9)),
+        (np.arange(10, 20), np.arange(60, 70)),
+        (np.arange(6), 40),
+        (np.zeros((0, 3), dtype=np.int64), np.arange(3)),
+    ],
+    ids=["int", "int64", "column-by-row", "1-d", "1-d-by-scalar", "empty"],
+)
+def test_both_paths_keep_dtype_and_broadcast_shape(monkeypatch, a, b):
+    tabled, digits = _table_and_digit_rings(monkeypatch, 3, 2, 2)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+    for ring in (tabled, digits):
+        for out in (ring.add_many(a, b), ring.sub_many(a, b), ring.mul_many(a, b)):
+            assert out.dtype == np.int64
+            assert out.shape == shape
+        neg = ring.neg_many(a)
+        assert neg.dtype == np.int64
+        assert neg.shape == np.shape(a)
+    for op in ("add_many", "sub_many", "mul_many"):
+        np.testing.assert_array_equal(getattr(tabled, op)(a, b), getattr(digits, op)(a, b))
+    assert tabled.add(5, 7) == digits.add(5, 7)
+    assert tabled.mul(5, 7) == digits.mul(5, 7)
+
+
+def test_ring_at_table_cap_builds_tables():
+    ring = make_ring(5, 1, 3, "fqtr")  # F_5[t]/(t^3), 125 elements
+    assert ring.size <= ring_module._TABLE_MAX_SIZE
+    assert ring.add(1, 2) == 3
+    assert ring._cayley_tables is not None
+
+
+def test_ring_above_table_cap_stays_on_digit_path():
+    ring = make_ring(7, 2, 2, "fqtr")  # F_49[t]/(t^2), 2401 elements
+    assert ring.size > ring_module._TABLE_MAX_SIZE
+    rng = np.random.default_rng(49)
+    a, b, c = rng.integers(0, ring.size, size=(3, 500))
+    one = ring.one.index
+    assert (ring.add_many(a, b) == ring.add_many(b, a)).all()
+    assert (ring.mul_many(a, b) == ring.mul_many(b, a)).all()
+    assert (ring.add_many(ring.add_many(a, b), c) == ring.add_many(a, ring.add_many(b, c))).all()
+    assert (ring.mul_many(ring.mul_many(a, b), c) == ring.mul_many(a, ring.mul_many(b, c))).all()
+    left = ring.mul_many(a, ring.add_many(b, c))
+    right = ring.add_many(ring.mul_many(a, b), ring.mul_many(a, c))
+    assert (left == right).all()
+    assert (ring.add_many(a, ring.neg_many(a)) == 0).all()
+    assert (ring.add_many(ring.sub_many(a, b), b) == a).all()
+    assert (ring.mul_many(a, one) == a).all()
+    assert ring._cayley_tables is None
+
+
 def test_characteristic(z9, f9t2):
     # Z/9 has characteristic 9, F_9[t]/(t^2) has characteristic 3
     one = z9.one.index
@@ -190,9 +289,13 @@ def test_valuation_level_counts(maker):
     assert int(vals[0]) == ring.r
     for k in range(ring.r + 1):
         assert int((vals >= k).sum()) == ring.ideal_size(k)
-    # scalar route agrees
-    for x in range(0, ring.size, 7):
-        assert ring.valuation(x) == int(vals[x])
+    # both routes agree with repeated division by q
+    for x in range(ring.size):
+        expected, y = 0, x
+        while y and y % ring.q == 0:
+            y //= ring.q
+            expected += 1
+        assert ring.valuation(x) == int(vals[x]) == (expected if x else ring.r)
 
 
 @pytest.mark.parametrize("maker", [(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
@@ -204,6 +307,16 @@ def test_inverse_on_units(maker):
         ring.inv(0)
     with pytest.raises(NotAUnit):
         ring.inv(ring.uniformizer.index)
+
+
+@pytest.mark.parametrize("maker", [(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
+def test_scalar_twins_reject_bad_index(maker):
+    ring = make_ring(*maker)
+    for bad in (-1, ring.size):
+        with pytest.raises(BadIndex):
+            ring.valuation(bad)
+        with pytest.raises(BadIndex):
+            ring.inv(bad)
 
 
 def test_unit_iff_valuation_zero(z25):
