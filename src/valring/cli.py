@@ -8,7 +8,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +26,7 @@ from .verify import (
     verify_thm2_pipeline,
 )
 
-__all__ = ["RunConfig", "parse_ring", "parse_set", "build_parser", "run", "main"]
+__all__ = ["parse_ring", "parse_set", "build_parser", "run", "main"]
 
 SCHEMA_VERSION = 1
 
@@ -76,163 +75,16 @@ def parse_set(ring: Ring, text: str) -> ElementSet:
     return ElementSet.from_indices(ring, indices)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully-parsed invocation; round-trips through `to_argv`."""
-
-    command: str
-    ring: str
-    sets: tuple = ()
-    n: int = 2
-    d: int = 3
-    k_sizes: tuple = ()
-    seed: int = 0
-    trials: int = 100
-    iters: int = 200
-    constants: tuple = (1.0, 1.0, 1.0)
-    spectral_cap: int = DEFAULT_CAPS.spectral_cap
-    out: Optional[str] = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.spectral_cap < 1:
-            raise ParseError("caps must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise ParseError("seed must fit in 64 bits")
-        if not all(math.isfinite(c) for c in self.constants):
-            raise ParseError("--constants must be finite numbers")
-
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        try:
-            sizes = tuple(int(t) for t in ns.sizes.split(",")) if getattr(ns, "sizes", None) else ()
-            constants = (
-                tuple(float(t) for t in ns.constants.split(","))
-                if getattr(ns, "constants", None)
-                else (1.0, 1.0, 1.0)
-            )
-        except ValueError:
-            raise ParseError("--sizes and --constants take comma-separated numbers") from None
-        if len(constants) != 3:
-            raise ParseError("--constants needs exactly c1,c2,c3")
-        action = getattr(ns, "action", None)
-        return cls(
-            command=f"{ns.group} {action}" if action else ns.group,
-            ring=ns.ring,
-            sets=tuple(getattr(ns, "set", None) or ()),
-            n=getattr(ns, "n", 2),
-            d=getattr(ns, "d", 3),
-            k_sizes=sizes,
-            seed=getattr(ns, "seed", 0),
-            trials=getattr(ns, "trials", 100),
-            iters=getattr(ns, "iters", 200),
-            constants=constants,
-            spectral_cap=getattr(ns, "spectral_cap", DEFAULT_CAPS.spectral_cap),
-            out=getattr(ns, "out", None),
-            format=getattr(ns, "format", "json"),
-        )
-
-    def to_argv(self) -> list:
-        argv = self.command.split()
-        argv += ["--ring", self.ring]
-        for s in self.sets:
-            argv += ["--set", s]
-        parts = self.command.split()
-        group = parts[0]
-        action = parts[1] if len(parts) > 1 else None
-        if group == "verify" and action in ("thm1", "thm2"):
-            argv += ["--n", str(self.n)]
-        if group == "graph":
-            argv += ["--d", str(self.d)]
-        if self.k_sizes:
-            argv += ["--sizes", ",".join(str(k) for k in self.k_sizes)]
-        if self.command in ("graph mixing", "scan ratios", "search extremal"):
-            argv += ["--seed", str(self.seed)]
-        if self.command in ("graph mixing", "scan ratios"):
-            argv += ["--trials", str(self.trials)]
-        if self.command == "search extremal":
-            argv += ["--iters", str(self.iters)]
-        if self.command in ("scan ratios", "classify"):
-            argv += ["--constants", ",".join(repr(c) for c in self.constants)]
-        if group in ("graph", "verify") and action != "hpv":
-            argv += ["--spectral-cap", str(self.spectral_cap)]
-        if self.out:
-            argv += ["--out", self.out]
-        argv += ["--format", self.format]
-        return argv
-
-    def canonical(self) -> str:
-        return " ".join(self.to_argv())
+# -- handlers: each takes the parsed namespace and ring, returns (payload, hard_ok)
 
 
-def _add_common(p: argparse.ArgumentParser, *, sets=False, n=False, d=False,
-                seed=False, trials=None, sizes=False, iters=False,
-                constants=False, spectral=False) -> None:
-    p.add_argument("--ring", required=True, help="ring spec: z:<p>:<r> or f:<q>:<r>")
-    if sets:
-        p.add_argument("--set", action="append",
-                       help="set literal: indices, units, all, random:<size>:<seed>")
-    if n:
-        p.add_argument("--n", type=int, default=2)
-    if d:
-        p.add_argument("--d", type=int, default=3)
-    if seed:
-        p.add_argument("--seed", type=int, default=0)
-    if trials is not None:
-        p.add_argument("--trials", type=int, default=trials)
-    if sizes:
-        p.add_argument("--sizes", required=True, help="comma-separated subset sizes")
-    if iters:
-        p.add_argument("--iters", type=int, default=200)
-    if constants:
-        p.add_argument("--constants", default=None, help="c1,c2,c3 (default 1,1,1)")
-    if spectral:
-        p.add_argument("--spectral-cap", dest="spectral_cap", type=int,
-                       default=DEFAULT_CAPS.spectral_cap)
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _one_set(ns: argparse.Namespace, ring: Ring) -> ElementSet:
+    if len(ns.set or ()) != 1:
+        raise ParseError(f"{ns.command} needs exactly one --set")
+    return parse_set(ring, ns.set[0])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(prog="valring")
-    groups = root.add_subparsers(dest="group", required=True)
-
-    ring_g = groups.add_parser("ring").add_subparsers(dest="action", required=True)
-    _add_common(ring_g.add_parser("info"))
-
-    graph_g = groups.add_parser("graph").add_subparsers(dest="action", required=True)
-    _add_common(graph_g.add_parser("build"), d=True, spectral=True)
-    _add_common(graph_g.add_parser("spectrum"), d=True, spectral=True)
-    _add_common(graph_g.add_parser("mixing"), d=True, seed=True, trials=100, spectral=True)
-
-    verify_g = groups.add_parser("verify").add_subparsers(dest="action", required=True)
-    _add_common(verify_g.add_parser("thm1"), sets=True, n=True, spectral=True)
-    _add_common(verify_g.add_parser("thm2"), sets=True, n=True, spectral=True)
-    _add_common(verify_g.add_parser("hpv"), sets=True)
-
-    scan_g = groups.add_parser("scan").add_subparsers(dest="action", required=True)
-    _add_common(scan_g.add_parser("ratios"), seed=True, trials=20, sizes=True, constants=True)
-
-    classify_p = groups.add_parser("classify")
-    _add_common(classify_p, sets=True, constants=True)
-
-    search_g = groups.add_parser("search").add_subparsers(dest="action", required=True)
-    _add_common(search_g.add_parser("extremal"), seed=True, sizes=True, iters=True)
-
-    return root
-
-
-# -- handlers (each returns (payload, hard_ok)) ---------------------------------
-
-
-def _one_set(cfg: RunConfig, ring: Ring) -> ElementSet:
-    if len(cfg.sets) != 1:
-        raise ParseError(f"{cfg.command} needs exactly one --set")
-    return parse_set(ring, cfg.sets[0])
-
-
-def _handle_ring_info(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
+def _handle_ring_info(ns: argparse.Namespace, ring: Ring):
     payload = {
         "kind": "ring_info",
         "ring": ring.descriptor,
@@ -251,37 +103,35 @@ def _handle_ring_info(cfg: RunConfig):
     return payload, True
 
 
-def _handle_graph_build(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    g = build_graph(ring, cfg.d)
+def _handle_graph_build(ns: argparse.Namespace, ring: Ring):
+    g = build_graph(ring, ns.d)
     payload = {
         "kind": "graph",
         "ring": ring.descriptor,
-        "d": cfg.d,
+        "d": ns.d,
         "classes_per_side": g.n_classes,
         "degree": g.degree,
         "edges_total": g.n_classes * g.degree,
-        "lambda3_bound": lambda3_bound(ring, cfg.d),
+        "lambda3_bound": lambda3_bound(ring, ns.d),
         "biregular": True,
     }
-    if cfg.format == "csv":
+    if ns.format == "csv":
         edges = np.argwhere(g.biadjacency)
         payload["edges"] = [[int(i), int(j)] for i, j in edges]
     return payload, True
 
 
-def _handle_graph_spectrum(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    g = build_graph(ring, cfg.d)
-    sv = spectrum(g, cfg.spectral_cap)
-    bound = lambda3_bound(ring, cfg.d)
+def _handle_graph_spectrum(ns: argparse.Namespace, ring: Ring):
+    g = build_graph(ring, ns.d)
+    sv = spectrum(g, ns.spectral_cap)
+    bound = lambda3_bound(ring, ns.d)
     sigma1, sigma2 = float(sv[0]), float(sv[1]) if len(sv) > 1 else 0.0
     s1_ok = abs(sigma1 - g.degree) <= 1e-6 * g.degree
     s2_ok = sigma2 <= bound + 1e-6
     payload = {
         "kind": "spectrum",
         "ring": ring.descriptor,
-        "d": cfg.d,
+        "d": ns.d,
         "classes_per_side": g.n_classes,
         "degree": g.degree,
         "sigma1": sigma1,
@@ -293,35 +143,31 @@ def _handle_graph_spectrum(cfg: RunConfig):
     return payload, bool(s1_ok and s2_ok)
 
 
-def _handle_graph_mixing(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    g = build_graph(ring, cfg.d)
-    rep = mixing_random_pairs(g, cfg.trials, cfg.seed, spectral_cap=cfg.spectral_cap)
-    payload = {"kind": "mixing", "ring": ring.descriptor, "d": cfg.d,
+def _handle_graph_mixing(ns: argparse.Namespace, ring: Ring):
+    g = build_graph(ring, ns.d)
+    rep = mixing_random_pairs(g, ns.trials, ns.seed, spectral_cap=ns.spectral_cap)
+    payload = {"kind": "mixing", "ring": ring.descriptor, "d": ns.d,
                "classes_per_side": g.n_classes, **rep}
     return payload, rep["violations"] == 0
 
 
-def _handle_verify_thm(cfg: RunConfig, which: str):
-    ring = parse_ring(cfg.ring)
-    a = _one_set(cfg, ring)
-    caps = DEFAULT_CAPS.with_(spectral_cap=cfg.spectral_cap)
-    fn = verify_thm1_pipeline if which == "thm1" else verify_thm2_pipeline
-    report = fn(a, cfg.n, caps)
+def _handle_verify_thm(ns: argparse.Namespace, ring: Ring):
+    a = _one_set(ns, ring)
+    caps = DEFAULT_CAPS.with_(spectral_cap=ns.spectral_cap)
+    fn = verify_thm1_pipeline if ns.command == "verify thm1" else verify_thm2_pipeline
+    report = fn(a, ns.n, caps)
     return report.to_dict(), report.hard_pass
 
 
-def _handle_verify_hpv(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    if len(cfg.sets) != 3:
+def _handle_verify_hpv(ns: argparse.Namespace, ring: Ring):
+    if len(ns.set or ()) != 3:
         raise ParseError("verify hpv needs exactly three --set literals (A, B, C)")
-    a, b, c = (parse_set(ring, s) for s in cfg.sets)
+    a, b, c = (parse_set(ring, s) for s in ns.set)
     return verify_hpv(a, b, c), True
 
 
-def _handle_scan(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    table = bound_ratio_scan(ring, list(cfg.k_sizes), cfg.trials, cfg.seed, cfg.constants)
+def _handle_scan(ns: argparse.Namespace, ring: Ring):
+    table = bound_ratio_scan(ring, list(ns.sizes), ns.trials, ns.seed, ns.constants)
     ok = True
     for row in table["rows"]:
         sane = (
@@ -335,41 +181,102 @@ def _handle_scan(cfg: RunConfig):
     return table, ok
 
 
-def _handle_classify(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    a = _one_set(cfg, ring)
-    verdict = classify_regime(a, cfg.constants)
+def _handle_classify(ns: argparse.Namespace, ring: Ring):
+    a = _one_set(ns, ring)
+    verdict = classify_regime(a, ns.constants)
     payload = {"kind": "regime", "ring": ring.descriptor, **verdict.to_dict()}
     return payload, True
 
 
-def _handle_search(cfg: RunConfig):
-    ring = parse_ring(cfg.ring)
-    if not cfg.k_sizes:
+def _handle_search(ns: argparse.Namespace, ring: Ring):
+    if not ns.sizes:
         raise ParseError("search extremal needs --sizes with at least one size")
-    runs = [extremal_search(ring, k, cfg.iters, cfg.seed) for k in cfg.k_sizes]
+    runs = [extremal_search(ring, k, ns.iters, ns.seed) for k in ns.sizes]
     payload = {
         "kind": "extremal_search_batch",
         "ring": ring.descriptor,
-        "iters": cfg.iters,
-        "seed": cfg.seed,
+        "iters": ns.iters,
+        "seed": ns.seed,
         "runs": runs,
     }
     return payload, True
 
 
-_HANDLERS = {
-    "ring info": _handle_ring_info,
-    "graph build": _handle_graph_build,
-    "graph spectrum": _handle_graph_spectrum,
-    "graph mixing": _handle_graph_mixing,
-    "verify thm1": lambda cfg: _handle_verify_thm(cfg, "thm1"),
-    "verify thm2": lambda cfg: _handle_verify_thm(cfg, "thm2"),
-    "verify hpv": _handle_verify_hpv,
-    "scan ratios": _handle_scan,
-    "classify": _handle_classify,
-    "search extremal": _handle_search,
+# -- the command table -----------------------------------------------------------
+
+# Every option a command may take, in --help order.
+_OPTIONS = {
+    "--set": dict(action="append",
+                  help="set literal: indices, units, all, random:<size>:<seed>"),
+    "--n": dict(type=int, default=2),
+    "--d": dict(type=int, default=3),
+    "--seed": dict(type=int, default=0),
+    "--trials": dict(type=int),
+    "--sizes": dict(required=True, help="comma-separated subset sizes"),
+    "--iters": dict(type=int, default=200),
+    "--constants": dict(default="1,1,1", help="c1,c2,c3 (default 1,1,1)"),
+    "--spectral-cap": dict(type=int, default=DEFAULT_CAPS.spectral_cap),
 }
+
+# command -> (handler, options beyond --ring/--out/--format, per-command defaults)
+_COMMANDS = {
+    "ring info": (_handle_ring_info, (), {}),
+    "graph build": (_handle_graph_build, ("--d",), {}),
+    "graph spectrum": (_handle_graph_spectrum, ("--d", "--spectral-cap"), {}),
+    "graph mixing": (_handle_graph_mixing,
+                     ("--d", "--seed", "--trials", "--spectral-cap"), {"trials": 100}),
+    "verify thm1": (_handle_verify_thm, ("--set", "--n", "--spectral-cap"), {}),
+    "verify thm2": (_handle_verify_thm, ("--set", "--n", "--spectral-cap"), {}),
+    "verify hpv": (_handle_verify_hpv, ("--set",), {}),
+    "scan ratios": (_handle_scan,
+                    ("--seed", "--trials", "--sizes", "--constants"), {"trials": 20}),
+    "classify": (_handle_classify, ("--set", "--constants"), {}),
+    "search extremal": (_handle_search, ("--seed", "--sizes", "--iters"), {}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The `valring` parser, built from `_COMMANDS`; `ns.command` names the command."""
+    root = argparse.ArgumentParser(prog="valring")
+    groups = root.add_subparsers(dest="group", required=True)
+    subcommands = {}
+    for command, (_, options, defaults) in _COMMANDS.items():
+        group, _, action = command.partition(" ")
+        if not action:
+            p = groups.add_parser(group)
+        else:
+            if group not in subcommands:
+                subcommands[group] = groups.add_parser(group).add_subparsers(
+                    dest="action", required=True)
+            p = subcommands[group].add_parser(action)
+        p.add_argument("--ring", required=True, help="ring spec: z:<p>:<r> or f:<q>:<r>")
+        for flag, kwargs in _OPTIONS.items():
+            if flag in options:
+                p.add_argument(flag, **kwargs)
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.set_defaults(command=command, **defaults)
+    return root
+
+
+def _check(ns: argparse.Namespace) -> None:
+    """Parse --sizes/--constants into numbers and range-check the numeric options."""
+    try:
+        if "sizes" in ns:
+            ns.sizes = tuple(int(t) for t in ns.sizes.split(",")) if ns.sizes else ()
+        if "constants" in ns:
+            ns.constants = tuple(float(t) for t in ns.constants.split(","))
+    except ValueError:
+        raise ParseError("--sizes and --constants take comma-separated numbers") from None
+    constants = getattr(ns, "constants", (1.0, 1.0, 1.0))
+    if len(constants) != 3:
+        raise ParseError("--constants needs exactly c1,c2,c3")
+    if getattr(ns, "spectral_cap", 1) < 1:
+        raise ParseError("caps must be positive")
+    if not 0 <= getattr(ns, "seed", 0) < 2**64:
+        raise ParseError("seed must fit in 64 bits")
+    if not all(math.isfinite(c) for c in constants):
+        raise ParseError("--constants must be finite numbers")
 
 
 # -- output ----------------------------------------------------------------------
@@ -415,41 +322,39 @@ def _to_csv(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(payload: dict, cfg_out: Optional[str], fmt: str) -> None:
+def _emit(payload: dict, out: Optional[str], fmt: str) -> None:
     payload = {"schema": SCHEMA_VERSION, **payload}
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
     else:
         text = _to_csv(payload)
-    if cfg_out:
-        with open(cfg_out, "w") as fh:
+    if out:
+        with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+_PARSER = build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = RunConfig.from_args(ns)
-    except ValringError as exc:
+        _check(ns)
+    except ParseError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 2
-    handler = _HANDLERS[cfg.command]
+    handler = _COMMANDS[ns.command][0]
     try:
-        payload, ok = handler(cfg)
+        payload, ok = handler(ns, parse_ring(ns.ring))
     except ValringError as exc:
-        _emit(
-            {"error": {"type": type(exc).__name__, "message": str(exc)}},
-            cfg.out,
-            cfg.format,
-        )
+        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, ns.out, ns.format)
         return 1
-    _emit(payload, cfg.out, cfg.format)
+    _emit(payload, ns.out, ns.format)
     return 0 if ok else 1
 
 

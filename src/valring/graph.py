@@ -158,9 +158,10 @@ def _grid(cols: Sequence[np.ndarray]) -> np.ndarray:
 def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """uint8 matrix of [dot(left_i, right_j) == 0], chunk-friendly sizes only."""
     if ring.family.value == "zpr":
-        # exact in float64: d * size**2 stays far below 2**53
-        g = left.astype(np.float64) @ right.astype(np.float64).T
-        return (np.rint(g).astype(np.int64) % ring.size == 0).astype(np.uint8)
+        # exact in int64: |dot| <= d * (size - 1)**2 < d * 2**32, since
+        # size <= max_ring_size = 2**16; integer matmul does not go through BLAS
+        left, right = np.asarray(left, np.int64), np.asarray(right, np.int64)
+        return ((left @ right.T) % ring.size == 0).astype(np.uint8)
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(left.shape[1]):
         prod = ring.mul_many(left[:, k : k + 1], right[:, k][None, :])

@@ -14,12 +14,7 @@ from valring import (
     NotPrimePower,
     ParseError,
 )
-from valring.cli import RunConfig, build_parser, parse_ring, parse_set, run
-
-
-def _cfg(argv):
-    ns = build_parser().parse_args(argv)
-    return RunConfig.from_args(ns)
+from valring.cli import build_parser, parse_ring, parse_set, run
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +69,21 @@ def test_parse_set_bad_index(z9):
 
 
 # ---------------------------------------------------------------------------
-# config round-trips
+# the command table: argv -> namespace, defaults, validation
+
+# options each command takes besides --ring, --out and --format
+_COMMAND_OPTIONS = {
+    "ring info": set(),
+    "graph build": {"d"},
+    "graph spectrum": {"d", "spectral_cap"},
+    "graph mixing": {"d", "seed", "trials", "spectral_cap"},
+    "verify thm1": {"set", "n", "spectral_cap"},
+    "verify thm2": {"set", "n", "spectral_cap"},
+    "verify hpv": {"set"},
+    "scan ratios": {"seed", "trials", "sizes", "constants"},
+    "classify": {"set", "constants"},
+    "search extremal": {"seed", "sizes", "iters"},
+}
 
 
 @pytest.mark.parametrize(
@@ -93,18 +102,54 @@ def test_parse_set_bad_index(z9):
     ],
 )
 def test_config_roundtrip(argv):
-    cfg = _cfg(argv)
-    assert _cfg(cfg.to_argv()) == cfg
-    assert cfg.canonical() == " ".join(cfg.to_argv())
+    """Each command parses into its own options, holding the values given."""
+    ns = build_parser().parse_args(argv)
+    assert ns.command == " ".join(argv[: argv.index("--ring")])
+    pairs = list(zip(argv[argv.index("--ring") :: 2], argv[argv.index("--ring") + 1 :: 2]))
+    for flag, value in pairs:
+        if flag != "--set":
+            assert str(getattr(ns, flag[2:].replace("-", "_"))) == value
+    assert getattr(ns, "set", None) == ([v for f, v in pairs if f == "--set"] or None)
+    options = set(vars(ns)) - {"group", "action", "command", "ring", "out", "format"}
+    assert options == _COMMAND_OPTIONS[ns.command]
 
 
-def test_config_validation():
-    with pytest.raises(ParseError):
-        _cfg(["classify", "--ring", "z:3:2", "--set", "units", "--constants", "1,2"])
-    with pytest.raises(ParseError):
-        RunConfig(command="ring info", ring="z:3:2", seed=2**64)
-    with pytest.raises(ParseError):
-        RunConfig(command="ring info", ring="z:3:2", spectral_cap=0)
+def test_config_validation(capsys):
+    for argv in (
+        ["scan", "ratios", "--ring", "z:5:2", "--sizes", "4", "--seed", str(2**64)],
+        ["graph", "spectrum", "--ring", "z:3:2", "--d", "3", "--spectral-cap", "0"],
+        ["classify", "--ring", "z:3:2", "--set", "units", "--constants", "1,2"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ParseError: ")
+
+
+@pytest.mark.parametrize(
+    "argv,key,value",
+    [
+        (["scan", "ratios", "--ring", "z:5:2", "--sizes", "4"], "trials", 20),
+        (["graph", "mixing", "--ring", "z:3:1", "--d", "2"], "trials", 100),
+        (["search", "extremal", "--ring", "z:5:2", "--sizes", "4"], "iters", 200),
+    ],
+)
+def test_run_per_command_defaults(argv, key, value, capsys):
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)[key] == value
+
+
+def test_run_reuses_parser_without_carry_over(capsys):
+    hpv = ["verify", "hpv", "--ring", "z:3:2", "--set", "units", "--set", "1,2",
+           "--set", "units"]
+    thm1 = ["verify", "thm1", "--ring", "z:3:2", "--set", "1,2", "--n", "2"]
+    for argv in (hpv, thm1):
+        outputs = []
+        for _ in range(2):
+            # a --set left over from the first call would make hpv see six sets
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +191,9 @@ def test_run_usage_errors(capsys):
                 "--seed", str(2**64)]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err
+    # graph build never used --spectral-cap, so it does not take one
+    assert run(["graph", "build", "--ring", "z:3:2", "--spectral-cap", "5"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_run_spectrum_checks(capsys):

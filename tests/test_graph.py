@@ -227,6 +227,29 @@ def test_pair_edge_count_matches_graph(z9):
     assert direct == edge_count(g, li, ri)
 
 
+@pytest.mark.parametrize(
+    "p,r,d,spread",
+    [(5, 2, 4, 25), (3, 4, 3, 81), (65521, 1, 8, 4)],
+)
+def test_pair_edge_count_zpr_matches_ring_arithmetic(p, r, d, spread):
+    ring = make_ring(p, 1, r)
+    rng = np.random.default_rng(p + d)
+    # entries in [size - spread, size - 1]: near the top of the dot-product bound
+    left, right = (ring.size - 1 - rng.integers(0, spread, size=(m, d)) for m in (60, 70))
+    if ring.r == 1:
+        # random pairs over a large field are almost never orthogonal: make
+        # one right row orthogonal to each of the first ten left rows
+        for i in range(10):
+            head = int(ring.mul_many(left[i, :-1], right[i, :-1]).sum())
+            right[i, -1] = -head * pow(int(left[i, -1]), -1, ring.size) % ring.size
+    acc = np.zeros((len(left), len(right)), dtype=np.int64)
+    for k in range(d):
+        acc = ring.add_many(acc, ring.mul_many(left[:, k, None], right[None, :, k]))
+    expected = int((acc == 0).sum())
+    assert expected > 0
+    assert pair_edge_count(ring, left, right) == expected
+
+
 def test_pair_edge_count_cap(z9):
     g = build_graph(z9, 3)
     with pytest.raises(TooLarge):
