@@ -189,8 +189,6 @@ def _handle_classify(ns: argparse.Namespace, ring: Ring):
 
 
 def _handle_search(ns: argparse.Namespace, ring: Ring):
-    if not ns.sizes:
-        raise ParseError("search extremal needs --sizes with at least one size")
     runs = [extremal_search(ring, k, ns.iters, ns.seed) for k in ns.sizes]
     payload = {
         "kind": "extremal_search_batch",
@@ -268,6 +266,8 @@ def _check(ns: argparse.Namespace) -> None:
             ns.constants = tuple(float(t) for t in ns.constants.split(","))
     except ValueError:
         raise ParseError("--sizes and --constants take comma-separated numbers") from None
+    if getattr(ns, "sizes", None) == ():
+        raise ParseError("--sizes needs at least one size")
     constants = getattr(ns, "constants", (1.0, 1.0, 1.0))
     if len(constants) != 3:
         raise ParseError("--constants needs exactly c1,c2,c3")

@@ -1,9 +1,9 @@
 """Subsets of a ring and the counting statistics defined on them.
 
-An :class:`ElementSet` stores a subset of element indices as a single
-Python integer bitmask (bit i set <=> index i belongs), which makes
-equality, hashing, intersection, and membership O(1)-ish and keeps the
-numpy index array as a lazy cache for the vectorized paths.
+An :class:`ElementSet` stores a subset of element indices as one
+read-only boolean mask of length ``ring.size`` (entry i is true <=> index
+i belongs), so membership is one lookup and set algebra one vectorized
+operation; the ascending index array is cached lazily for the other paths.
 
 The statistics both count tuples (x, b_1..b_{n-1}, c_1..c_{n-1}) drawn
 from A^2 x (A+A)^{n-1} x A^{n-1} and fold them through
@@ -12,8 +12,8 @@ from A^2 x (A+A)^{n-1} x A^{n-1} and fold them through
 
 ``count_form_solutions`` counts tuples whose value lands in the n-fold
 sumset of A^2 (a membership test per tuple), ``form_energy`` is the sum
-of squared multiplicities of all values, and the full histogram is
-exposed for consistency checks between the two.
+of squared multiplicities of all values; the pipelines read both from
+one ``form_value_histogram``, and tests check the routes against each other.
 """
 
 from __future__ import annotations
@@ -46,21 +46,23 @@ __all__ = [
 class ElementSet:
     """Immutable subset of one ring's elements."""
 
-    __slots__ = ("ring", "bits", "_indices", "_mask")
+    __slots__ = ("ring", "_mask", "_indices")
 
-    def __init__(self, ring: Ring, bits: int):
-        if bits < 0 or bits >> ring.size:
-            raise BadIndex(f"bitmask has bits outside [0, {ring.size})")
+    def __init__(self, ring: Ring, mask: np.ndarray):
+        """Take ownership of ``mask``: it is made read-only, not copied."""
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (ring.size,):
+            raise BadIndex(f"mask of shape {mask.shape}, need ({ring.size},)")
+        mask.flags.writeable = False
         self.ring = ring
-        self.bits = bits
+        self._mask = mask
         self._indices = None
-        self._mask = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_indices(cls, ring: Ring, indices: Iterable[Union[int, Element]]) -> "ElementSet":
-        bits = 0
+        checked = []
         for i in indices:
             if isinstance(i, Element):
                 if i.ring != ring:
@@ -68,50 +70,46 @@ class ElementSet:
                 i = i.index
             i = int(i)
             ring._check_index(i)
-            bits |= 1 << i
-        return cls(ring, bits)
+            checked.append(i)
+        mask = np.zeros(ring.size, dtype=bool)
+        mask[checked] = True
+        return cls(ring, mask)
 
     @classmethod
     def from_mask(cls, ring: Ring, mask: np.ndarray) -> "ElementSet":
-        packed = np.packbits(mask.astype(np.uint8), bitorder="little").tobytes()
-        return cls(ring, int.from_bytes(packed, "little"))
+        """Copy of a boolean mask; later writes to ``mask`` do not show."""
+        return cls(ring, np.array(mask, dtype=bool))
 
     @classmethod
     def empty(cls, ring: Ring) -> "ElementSet":
-        return cls(ring, 0)
+        return cls(ring, np.zeros(ring.size, dtype=bool))
 
     @classmethod
     def full(cls, ring: Ring) -> "ElementSet":
-        return cls(ring, (1 << ring.size) - 1)
+        return cls(ring, np.ones(ring.size, dtype=bool))
 
     @classmethod
     def units(cls, ring: Ring) -> "ElementSet":
-        return cls.from_indices(ring, ring.indices(ElementFilter.UNITS))
+        # the rule of Ring.indices: index i is a unit iff q does not divide i
+        return cls(ring, np.arange(ring.size) % ring.q != 0)
 
     @classmethod
     def maximal_ideal(cls, ring: Ring) -> "ElementSet":
-        return cls.from_indices(ring, ring.indices(ElementFilter.MAXIMAL_IDEAL))
+        return cls(ring, np.arange(ring.size) % ring.q == 0)
 
     # -- views ---------------------------------------------------------------
 
     @property
     def card(self) -> int:
-        return bin(self.bits).count("1")
+        return int(np.count_nonzero(self._mask))
 
     def indices(self) -> np.ndarray:
         if self._indices is None:
-            self._indices = np.flatnonzero(self.mask()).astype(np.int64)
+            self._indices = np.flatnonzero(self._mask).astype(np.int64, copy=False)
             self._indices.flags.writeable = False
         return self._indices
 
     def mask(self) -> np.ndarray:
-        if self._mask is None:
-            raw = np.frombuffer(
-                self.bits.to_bytes((self.ring.size + 7) // 8, "little"), np.uint8
-            )
-            m = np.unpackbits(raw, bitorder="little")[: self.ring.size].astype(bool)
-            m.flags.writeable = False
-            self._mask = m
         return self._mask
 
     def __contains__(self, item: Union[int, Element]) -> bool:
@@ -119,7 +117,7 @@ class ElementSet:
             if item.ring != self.ring:
                 return False
             item = item.index
-        return 0 <= item < self.ring.size and (self.bits >> item) & 1 == 1
+        return 0 <= item < self.ring.size and bool(self._mask[item])
 
     def __iter__(self) -> Iterator[int]:
         return iter(int(i) for i in self.indices())
@@ -131,23 +129,23 @@ class ElementSet:
         return (
             isinstance(other, ElementSet)
             and self.ring == other.ring
-            and self.bits == other.bits
+            and np.array_equal(self._mask, other._mask)
         )
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.bits))
+        return hash((self.ring, self._mask.tobytes()))
 
     def __and__(self, other: "ElementSet") -> "ElementSet":
         _same_ring(self, other)
-        return ElementSet(self.ring, self.bits & other.bits)
+        return ElementSet(self.ring, self._mask & other._mask)
 
     def __or__(self, other: "ElementSet") -> "ElementSet":
         _same_ring(self, other)
-        return ElementSet(self.ring, self.bits | other.bits)
+        return ElementSet(self.ring, self._mask | other._mask)
 
     def issubset(self, other: "ElementSet") -> bool:
         _same_ring(self, other)
-        return self.bits & ~other.bits == 0
+        return not (self._mask & ~other._mask).any()
 
     def all_units(self) -> bool:
         return self.issubset(ElementSet.units(self.ring))
@@ -184,14 +182,14 @@ def _pairwise_mask(ring: Ring, left: np.ndarray, right: np.ndarray, op) -> np.nd
 
 def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
     _same_ring(a, b)
-    return ElementSet.from_mask(
+    return ElementSet(
         a.ring, _pairwise_mask(a.ring, a.indices(), b.indices(), a.ring.add_many)
     )
 
 
 def productset(a: ElementSet, b: ElementSet) -> ElementSet:
     _same_ring(a, b)
-    return ElementSet.from_mask(
+    return ElementSet(
         a.ring, _pairwise_mask(a.ring, a.indices(), b.indices(), a.ring.mul_many)
     )
 
@@ -202,7 +200,7 @@ def square_set(a: ElementSet) -> ElementSet:
     seen = np.zeros(ring.size, dtype=bool)
     if len(idx):
         seen[ring.mul_many(idx, idx)] = True
-    return ElementSet.from_mask(ring, seen)
+    return ElementSet(ring, seen)
 
 
 def iterated_sumset(a: ElementSet, n: int) -> ElementSet:
@@ -222,13 +220,6 @@ def restrict_to_units(a: ElementSet) -> ElementSet:
 # -- tuple statistics ---------------------------------------------------------
 
 
-def _check_form_args(a: ElementSet, n: int, caps: Caps) -> None:
-    if not a.all_units():
-        raise NotUnits("the base set must consist of units")
-    if not 2 <= n <= caps.max_n:
-        raise BadArity(f"need 2 <= n <= {caps.max_n}, got {n}")
-
-
 def form_tuple_count(a: ElementSet, n: int) -> int:
     """Number of tuples the fold visits: |A^2| * (|A+A|*|A|)**(n-1)."""
     sq = square_set(a)
@@ -238,6 +229,10 @@ def form_tuple_count(a: ElementSet, n: int) -> int:
 
 def _form_values(a: ElementSet, n: int, caps: Caps) -> np.ndarray:
     """Folded values x + sum (b_i - c_i)^2 for every tuple, flattened."""
+    if not a.all_units():
+        raise NotUnits("the base set must consist of units")
+    if not 2 <= n <= caps.max_n:
+        raise BadArity(f"need 2 <= n <= {caps.max_n}, got {n}")
     ring = a.ring
     sq = square_set(a)
     s = sumset(a, a)
@@ -273,7 +268,6 @@ def count_form_solutions(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> in
     Implemented as a membership test per tuple; tests cross-check it
     against the histogram route and a scalar brute-force oracle.
     """
-    _check_form_args(a, n, caps)
     vals = _form_values(a, n, caps)
     target = iterated_sumset(square_set(a), n)
     return int(target.mask()[vals].sum())
@@ -281,14 +275,16 @@ def count_form_solutions(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> in
 
 def form_value_histogram(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Multiplicity of each ring value under the fold (length = ring size)."""
-    _check_form_args(a, n, caps)
     vals = _form_values(a, n, caps)
     return np.bincount(vals, minlength=a.ring.size).astype(np.int64)
+
 
 def form_energy(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> int:
     """Sum of squared multiplicities over all values (collision energy)."""
     hist = form_value_histogram(a, n, caps)
-    return sum(int(c) * int(c) for c in hist if c)
+    # exact in int64: E <= T^2 for T tuples, and T <= max_tuple_count = 5*10^7
+    # gives E <= 2.5*10^15 < 2^63 (a cap below 3*10^9 keeps it exact)
+    return int(hist @ hist)
 
 
 def triple_product_sizes(

@@ -36,8 +36,7 @@ from .graph import (
 from .ring import ElementFilter, Ring
 from .sets import (
     ElementSet,
-    count_form_solutions,
-    form_energy,
+    form_value_histogram,
     iterated_sumset,
     restrict_to_units,
     sample_unit_subset,
@@ -176,7 +175,9 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
         "n_a_sq": tgt.card,
     }
 
-    sol = count_form_solutions(a, n, caps)
+    # one fold gives N (tuples valued in nA^2) and E (int64-exact, see form_energy)
+    hist = form_value_histogram(a, n, caps)
+    sol = int(hist[tgt.mask()].sum())
     lower = sq.card * k ** (2 * n - 2)
     steps = {
         "solution_lower_bound": _step(
@@ -193,7 +194,7 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
         )
     else:
         d, name, sym = 2 * n, "energy", "E"
-        stat = energy = form_energy(a, n, caps)
+        stat = energy = int(hist @ hist)
         steps["cauchy_schwarz"] = _step(
             sol * sol <= tgt.card * energy,
             "exact",

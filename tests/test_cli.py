@@ -307,6 +307,14 @@ def test_run_rejects_bad_constants(value, capsys):
     assert "ParseError" in captured.err
 
 
+@pytest.mark.parametrize("command", [["scan", "ratios"], ["search", "extremal"]])
+def test_run_rejects_empty_sizes(command, capsys):
+    assert run(command + ["--ring", "z:5:2", "--sizes", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ParseError" in captured.err
+
+
 _INT = st.integers(-3, 4).map(str)
 _CONSTANT = st.sampled_from(["1", "0.5", "0", "-2", "nan", "inf", "-inf"])
 

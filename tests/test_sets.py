@@ -34,7 +34,7 @@ def _ids(s):
 
 
 # ---------------------------------------------------------------------------
-# bitmask container semantics
+# mask container semantics
 
 
 def test_constructors_and_card(z9):
@@ -91,6 +91,66 @@ def test_all_units(z9):
     assert ElementSet.from_indices(z9, [1, 8]).all_units()
     assert not ElementSet.from_indices(z9, [1, 3]).all_units()
     assert not ElementSet.empty(z9).all_units() or ElementSet.empty(z9).card == 0
+
+
+@pytest.mark.parametrize("shape", [(8,), (10,), (3, 3), ()])
+def test_mask_of_wrong_shape_raises(z9, shape):
+    with pytest.raises(BadIndex):
+        ElementSet(z9, np.zeros(shape, dtype=bool))
+    with pytest.raises(BadIndex):
+        ElementSet.from_mask(z9, np.zeros(shape, dtype=bool))
+
+
+def test_from_mask_does_not_alias(z9):
+    m = np.zeros(9, dtype=bool)
+    m[2] = True
+    a = ElementSet.from_mask(z9, m)
+    m[5] = True
+    assert list(a) == [2] and 5 not in a
+    assert m.flags.writeable
+
+
+def test_views_are_read_only(z9):
+    a = ElementSet.from_indices(z9, [1, 4])
+    for view in (a.mask(), a.indices()):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0
+
+
+def test_three_constructions_agree(f9t2, z9):
+    a = ElementSet.from_indices(f9t2, [1, 5, 10, 33])
+    b = ElementSet.from_indices(f9t2, [2, 9, 70])
+    ids = sorted({f9t2.add(x, y) for x in a for y in b})
+    m = np.zeros(f9t2.size, dtype=bool)
+    m[ids] = True
+    built = [ElementSet.from_indices(f9t2, ids), ElementSet.from_mask(f9t2, m), sumset(a, b)]
+    for other in built[1:]:
+        assert other == built[0] and hash(other) == hash(built[0])
+    assert list(built[2]) == ids
+    assert z9.element(ids[0]) not in built[0]
+
+
+@st.composite
+def _ring_and_index_lists(draw):
+    ring = make_ring(*draw(st.sampled_from([(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])))
+    index = st.integers(0, ring.size - 1)
+    return ring, draw(st.lists(index, max_size=12)), draw(st.lists(index, max_size=12))
+
+
+@given(_ring_and_index_lists())
+def test_set_ops_match_frozenset(case):
+    ring, ia, ib = case
+    a, b = ElementSet.from_indices(ring, ia), ElementSet.from_indices(ring, ib)
+    fa, fb = frozenset(ia), frozenset(ib)
+    assert list(a & b) == sorted(fa & fb)
+    assert list(a | b) == sorted(fa | fb)
+    assert a.issubset(b) == (fa <= fb) and b.issubset(a) == (fb <= fa)
+    assert (a & b).issubset(a | b)
+    assert a.card == len(a) == len(fa)
+    assert list(a) == sorted(fa)
+    for x in range(-2, ring.size + 2):
+        assert (x in a) == (x in fa)
 
 
 # ---------------------------------------------------------------------------
