@@ -40,7 +40,9 @@ from .graph import (
 from .ring import Element, ElementFilter, Ring, RingFamily, make_ring
 from .sets import (
     ElementSet,
+    FoldSets,
     count_form_solutions,
+    fold_sets,
     form_energy,
     form_tuple_count,
     form_value_histogram,

@@ -19,13 +19,21 @@ The second singular value bound feeds the bipartite expander mixing
 inequality |e(X, Y) - deg*|X|*|Y|/n| <= sigma_2 * sqrt(|X|*|Y|), which
 is what the verification pipelines ultimately lean on.
 
-Two embeddings turn counting statistics into edge counts between vertex
-subsets: one matches the solution count of the quadratic form fold, the
-other matches its collision energy.  Both pin a coordinate to 1, which
-forces distinct parameter tuples onto distinct classes, so the edge
-count equals the statistic exactly.  When the dense biadjacency is out
-of reach, edges between two explicit class lists can still be counted
-directly in chunks.
+Two embeddings turn counting statistics of the quadratic form fold into
+edge counts between vertex subsets, in the style of Vinh (Eur. J.
+Combin. 2011): one matches the solution count, the other the collision
+energy.  One builder makes both from signed blocks.  A row of U is a
+tuple (u_1..u_m, x) and a row of V a tuple (v_1..v_m, t), each u_j and
+v_j drawn from a set per block, with a sign s_j per block; U gets the
+coordinates (-2 s_j u_j, sum s_j u_j^2 + x, 1) and V gets (v_j, 1,
+sum s_j v_j^2 - t), so
+
+    u . v = sum_j s_j (u_j - v_j)^2 + x - t .
+
+The pinned 1 forces distinct tuples onto distinct classes, so the edge
+count equals the statistic exactly; the two public embeddings only pick
+the blocks and signs.  When the dense biadjacency is out of reach, edges
+between two explicit class lists can still be counted directly in chunks.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from .errors import (
     TooLargeForSpectrum,
 )
 from .ring import Element, ElementFilter, Ring
-from .sets import ElementSet, iterated_sumset, square_set, sumset
+from .sets import FoldSets
 
 __all__ = [
     "class_count",
@@ -383,13 +391,6 @@ class EmbeddedSets:
         )
 
 
-def _sum_of_squares(ring: Ring, cols: np.ndarray) -> np.ndarray:
-    acc = np.zeros(len(cols), dtype=np.int64)
-    for k in range(cols.shape[1]):
-        acc = ring.add_many(acc, ring.mul_many(cols[:, k], cols[:, k]))
-    return acc
-
-
 def _finish_side(ring: Ring, raw: np.ndarray, expect: int) -> np.ndarray:
     rows = canonicalize_rows(ring, raw)
     rows = np.unique(rows, axis=0)
@@ -400,95 +401,72 @@ def _finish_side(ring: Ring, raw: np.ndarray, expect: int) -> np.ndarray:
     return rows
 
 
-def embed_solution_sets(
-    a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS
+def _embed_blocks(
+    f: FoldSets,
+    u_blocks: Sequence[np.ndarray],
+    v_blocks: Sequence[np.ndarray],
+    signs: Sequence[int],
+    caps: Caps,
 ) -> EmbeddedSets:
+    """Rows of U over the product of ``u_blocks`` and of V over ``v_blocks``.
+
+    Each block is the index array of one set.  The last block of a side
+    holds x (for U) or t (for V); block j before it carries the sign
+    ``signs[j]``.  The module docstring gives the coordinates.
+    """
+    ring = f.a.ring
+    d = len(signs) + 2
+    u_count = math.prod(len(b) for b in u_blocks)
+    v_count = math.prod(len(b) for b in v_blocks)
+    if max(u_count, v_count) > caps.max_embed_size:
+        return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count)
+
+    u, v = _grid(u_blocks), _grid(v_blocks)
+    u_cols = [
+        ring.mul_many(np.int64(ring.from_int(-2 * s)), u[:, j]) for j, s in enumerate(signs)
+    ]
+    u_cols.append(ring.add_many(_signed_squares(ring, u, signs), u[:, -1]))
+    u_cols.append(np.ones(len(u), dtype=np.int64))
+    v_cols = [v[:, j] for j in range(len(signs))]
+    v_cols.append(np.ones(len(v), dtype=np.int64))
+    v_cols.append(ring.sub_many(_signed_squares(ring, v, signs), v[:, -1]))
+    u_rows = _finish_side(ring, np.stack(u_cols, axis=1), u_count)
+    v_rows = _finish_side(ring, np.stack(v_cols, axis=1), v_count)
+    return EmbeddedSets(ring, f.n, d, u_rows, v_rows, u_count, v_count)
+
+
+def _signed_squares(ring: Ring, cols: np.ndarray, signs: Sequence[int]) -> np.ndarray:
+    """sum_j signs[j] * cols[:, j]**2 over the first len(signs) columns."""
+    acc = np.zeros(len(cols), dtype=np.int64)
+    for j, s in enumerate(signs):
+        square = ring.mul_many(cols[:, j], cols[:, j])
+        acc = ring.add_many(acc, square) if s > 0 else ring.sub_many(acc, square)
+    return acc
+
+
+def embed_solution_sets(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> EmbeddedSets:
     """Vertex sets in dimension n+1 whose edge count is the solution count.
 
-    U is indexed by (b_1..b_{n-1}, x) over (A+A)^{n-1} x A^2 with
-    coordinates (-2b_1, ..., -2b_{n-1}, sum b_i^2 + x, 1); V is indexed
-    by (c_1..c_{n-1}, t) over A^{n-1} x (n-fold sumset of A^2) with
-    coordinates (c_1, ..., c_{n-1}, 1, sum c_i^2 - t).  The pinned 1
-    makes tuple -> class injective, and dot(U, V) = 0 exactly at
-    solutions, so e(U, V) equals the membership count.
+    U = (A+A)^{n-1} x A^2 and V = A^{n-1} x nA^2, all signs +1: a row
+    pair is an edge exactly when x + sum (b_i - c_i)^2 = t lies in nA^2.
     """
-    ring = a.ring
-    if not 2 <= n <= caps.max_n:
-        raise BadArity(f"need 2 <= n <= {caps.max_n}, got {n}")
-    d = n + 1
-    s = sumset(a, a)
-    sq = square_set(a)
-    tgt = iterated_sumset(sq, n) if sq.card else ElementSet.empty(ring)
-    u_count = s.card ** (n - 1) * sq.card
-    v_count = a.card ** (n - 1) * tgt.card
-    if max(u_count, v_count) > caps.max_embed_size:
-        return EmbeddedSets(ring, n, d, None, None, u_count, v_count)
-
-    minus2 = np.int64(ring.from_int(-2))
-    g = _grid([s.indices()] * (n - 1) + [sq.indices()])
-    bs, xs = g[:, : n - 1], g[:, n - 1]
-    u_cols = [ring.mul_many(minus2, bs[:, i]) for i in range(n - 1)]
-    u_cols.append(ring.add_many(_sum_of_squares(ring, bs), xs))
-    u_cols.append(np.ones(len(g), dtype=np.int64))
-    u_raw = np.stack(u_cols, axis=1) if len(g) else np.empty((0, d), np.int64)
-
-    h = _grid([a.indices()] * (n - 1) + [tgt.indices()])
-    cs, ts = h[:, : n - 1], h[:, n - 1]
-    v_cols = [cs[:, i] for i in range(n - 1)]
-    v_cols.append(np.ones(len(h), dtype=np.int64))
-    v_cols.append(ring.sub_many(_sum_of_squares(ring, cs), ts))
-    v_raw = np.stack(v_cols, axis=1) if len(h) else np.empty((0, d), np.int64)
-
-    u_rows = _finish_side(ring, u_raw, u_count)
-    v_rows = _finish_side(ring, v_raw, v_count)
-    return EmbeddedSets(ring, n, d, u_rows, v_rows, u_count, v_count)
+    m = f.n - 1
+    a, plus = f.a.indices(), f.plus.indices()
+    return _embed_blocks(
+        f, [plus] * m + [f.sq.indices()], [a] * m + [f.target.indices()], [1] * m, caps
+    )
 
 
-def embed_energy_sets(
-    a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS
-) -> EmbeddedSets:
+def embed_energy_sets(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> EmbeddedSets:
     """Vertex sets in dimension 2n whose edge count is the collision energy.
 
-    Both sides are indexed by (A+A)^{n-1} x A^{n-1} x A^2.  U gets
-    coordinates (-2b_1.., 2d_1.., 1, sum b^2 - sum d^2 + x); V gets
-    (c_1.., e_1.., sum c^2 - sum e^2 - y, 1) with the sumset entries in
-    the e-block.  dot(U, V) = 0 iff the two folded values agree, so
-    e(U, V) counts value collisions, i.e. the energy.
+    U = (A+A)^{n-1} x A^{n-1} x A^2 and V = A^{n-1} x (A+A)^{n-1} x A^2,
+    signs +1 on the first n-1 blocks and -1 on the next n-1: a row pair
+    is an edge exactly when the folded values x + sum (b_i - c_i)^2 and
+    y + sum (e_i - d_i)^2 of two tuples agree, so e(U, V) is the energy.
     """
-    ring = a.ring
-    if not 2 <= n <= caps.max_n:
-        raise BadArity(f"need 2 <= n <= {caps.max_n}, got {n}")
-    d = 2 * n
-    s = sumset(a, a)
-    sq = square_set(a)
-    side = s.card ** (n - 1) * a.card ** (n - 1) * sq.card
-    if side > caps.max_embed_size:
-        return EmbeddedSets(ring, n, d, None, None, side, side)
-
-    minus2 = np.int64(ring.from_int(-2))
-    two = np.int64(ring.from_int(2))
-    g = _grid([s.indices()] * (n - 1) + [a.indices()] * (n - 1) + [sq.indices()])
-    bs = g[:, : n - 1]
-    ds = g[:, n - 1 : 2 * (n - 1)]
-    xs = g[:, 2 * (n - 1)]
-    u_cols = [ring.mul_many(minus2, bs[:, i]) for i in range(n - 1)]
-    u_cols += [ring.mul_many(two, ds[:, i]) for i in range(n - 1)]
-    u_cols.append(np.ones(len(g), dtype=np.int64))
-    diff = ring.sub_many(_sum_of_squares(ring, bs), _sum_of_squares(ring, ds))
-    u_cols.append(ring.add_many(diff, xs))
-    u_raw = np.stack(u_cols, axis=1) if len(g) else np.empty((0, d), np.int64)
-
-    h = _grid([a.indices()] * (n - 1) + [s.indices()] * (n - 1) + [sq.indices()])
-    cs = h[:, : n - 1]
-    es = h[:, n - 1 : 2 * (n - 1)]
-    ys = h[:, 2 * (n - 1)]
-    v_cols = [cs[:, i] for i in range(n - 1)]
-    v_cols += [es[:, i] for i in range(n - 1)]
-    diff = ring.sub_many(_sum_of_squares(ring, cs), _sum_of_squares(ring, es))
-    v_cols.append(ring.sub_many(diff, ys))
-    v_cols.append(np.ones(len(h), dtype=np.int64))
-    v_raw = np.stack(v_cols, axis=1) if len(h) else np.empty((0, d), np.int64)
-
-    u_rows = _finish_side(ring, u_raw, side)
-    v_rows = _finish_side(ring, v_raw, side)
-    return EmbeddedSets(ring, n, d, u_rows, v_rows, side, side)
+    m = f.n - 1
+    a, plus, sq = f.a.indices(), f.plus.indices(), f.sq.indices()
+    return _embed_blocks(
+        f, [plus] * m + [a] * m + [sq], [a] * m + [plus] * m + [sq], [1] * m + [-1] * m, caps
+    )

@@ -10,16 +10,23 @@ from A^2 x (A+A)^{n-1} x A^{n-1} and fold them through
 
     value = x + sum_i (b_i - c_i)**2 .
 
-``count_form_solutions`` counts tuples whose value lands in the n-fold
-sumset of A^2 (a membership test per tuple), ``form_energy`` is the sum
-of squared multiplicities of all values; the pipelines read both from
-one ``form_value_histogram``, and tests check the routes against each other.
+Every reader of the fold takes one :class:`FoldSets` record, the sets
+A, A+A, A^2 and nA^2 with n, which ``fold_sets`` builds once after
+checking 2 <= n <= ``caps.max_n``; a replay builds it once and hands the
+same record to the fold and to the graph embeddings.  The fold itself
+(``_form_values``) checks that A consists of units and that the tuple
+count fits ``caps.max_tuple_count``.
+
+``count_form_solutions`` counts tuples whose value lands in nA^2 (a
+membership test per tuple), ``form_energy`` is the sum of squared
+multiplicities of all values; the pipelines read both from one
+``form_value_histogram``, and tests check the routes against each other.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
@@ -34,6 +41,8 @@ __all__ = [
     "square_set",
     "iterated_sumset",
     "restrict_to_units",
+    "FoldSets",
+    "fold_sets",
     "count_form_solutions",
     "form_energy",
     "form_value_histogram",
@@ -220,33 +229,45 @@ def restrict_to_units(a: ElementSet) -> ElementSet:
 # -- tuple statistics ---------------------------------------------------------
 
 
-def form_tuple_count(a: ElementSet, n: int) -> int:
-    """Number of tuples the fold visits: |A^2| * (|A+A|*|A|)**(n-1)."""
-    sq = square_set(a)
-    s = sumset(a, a)
-    return sq.card * (s.card * a.card) ** (n - 1)
+class FoldSets(NamedTuple):
+    """The sets the fold reads: A, its arity n, A+A, A^2 and nA^2."""
+
+    a: ElementSet
+    n: int
+    plus: ElementSet
+    sq: ElementSet
+    target: ElementSet
 
 
-def _form_values(a: ElementSet, n: int, caps: Caps) -> np.ndarray:
-    """Folded values x + sum (b_i - c_i)^2 for every tuple, flattened."""
-    if not a.all_units():
-        raise NotUnits("the base set must consist of units")
+def fold_sets(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> FoldSets:
+    """Check 2 <= n <= caps.max_n, then build A^2, A+A and nA^2 once each."""
     if not 2 <= n <= caps.max_n:
         raise BadArity(f"need 2 <= n <= {caps.max_n}, got {n}")
-    ring = a.ring
     sq = square_set(a)
-    s = sumset(a, a)
-    total = sq.card * (s.card * a.card) ** (n - 1)
+    return FoldSets(a, n, sumset(a, a), sq, iterated_sumset(sq, n))
+
+
+def form_tuple_count(f: FoldSets) -> int:
+    """Number of tuples the fold visits: |A^2| * (|A+A|*|A|)**(n-1)."""
+    return f.sq.card * (f.plus.card * f.a.card) ** (f.n - 1)
+
+
+def _form_values(f: FoldSets, caps: Caps) -> np.ndarray:
+    """Folded values x + sum (b_i - c_i)^2 for every tuple, flattened."""
+    if not f.a.all_units():
+        raise NotUnits("the base set must consist of units")
+    total = form_tuple_count(f)
     if total > caps.max_tuple_count:
         raise TooLarge(
             f"{total} tuples exceed cap {caps.max_tuple_count}; shrink A or n"
         )
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    diffs = ring.sub_many(s.indices()[:, None], a.indices()[None, :]).reshape(-1)
+    ring = f.a.ring
+    diffs = ring.sub_many(f.plus.indices()[:, None], f.a.indices()[None, :]).reshape(-1)
     sq_diffs = ring.mul_many(diffs, diffs)
-    vals = sq.indices()
-    for _ in range(n - 1):
+    vals = f.sq.indices()
+    for _ in range(f.n - 1):
         vals = _combine_add(ring, vals, sq_diffs)
     return vals
 
@@ -262,26 +283,24 @@ def _combine_add(ring: Ring, vals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def count_form_solutions(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> int:
-    """Tuples whose folded value lies in the n-fold sumset of A^2.
+def count_form_solutions(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> int:
+    """Tuples whose folded value lies in nA^2.
 
     Implemented as a membership test per tuple; tests cross-check it
     against the histogram route and a scalar brute-force oracle.
     """
-    vals = _form_values(a, n, caps)
-    target = iterated_sumset(square_set(a), n)
-    return int(target.mask()[vals].sum())
+    return int(f.target.mask()[_form_values(f, caps)].sum())
 
 
-def form_value_histogram(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+def form_value_histogram(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
     """Multiplicity of each ring value under the fold (length = ring size)."""
-    vals = _form_values(a, n, caps)
-    return np.bincount(vals, minlength=a.ring.size).astype(np.int64)
+    vals = _form_values(f, caps)
+    return np.bincount(vals, minlength=f.a.ring.size).astype(np.int64)
 
 
-def form_energy(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> int:
+def form_energy(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> int:
     """Sum of squared multiplicities over all values (collision energy)."""
-    hist = form_value_histogram(a, n, caps)
+    hist = form_value_histogram(f, caps)
     # exact in int64: E <= T^2 for T tuples, and T <= max_tuple_count = 5*10^7
     # gives E <= 2.5*10^15 < 2^63 (a cap below 3*10^9 keeps it exact)
     return int(hist @ hist)

@@ -36,12 +36,10 @@ from .graph import (
 from .ring import ElementFilter, Ring
 from .sets import (
     ElementSet,
+    fold_sets,
     form_value_histogram,
-    iterated_sumset,
     restrict_to_units,
     sample_unit_subset,
-    square_set,
-    sumset,
     triple_product_sizes,
 )
 
@@ -155,18 +153,18 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
     collision energy E in dimension 2n and adds Cauchy-Schwarz.  Either
     statistic is embedded as e(U, V) in the orthogonality graph, which
     is priced by the best available route and held against the mixing
-    bound.  The embedding and counting functions are looked up when the
-    replay runs, not bound when the module loads, so a wrapper installed
-    on the module attribute sees every call.
+    bound.  The sets A+A, A^2 and nA^2 are built once, after n is
+    checked, and shared by the fold and the embedding.  The embedding
+    and counting functions are looked up when the replay runs, not bound
+    when the module loads, so a wrapper installed on the module
+    attribute sees every call.
     """
     ring = a_in.ring
     q, r = ring.q, ring.r
     warnings: list = []
     a = _prepare(a_in, warnings)
-    k = a.card
-    s = sumset(a, a)
-    sq = square_set(a)
-    tgt = iterated_sumset(sq, n)
+    f = fold_sets(a, n, caps)
+    k, s, sq, tgt = a.card, f.plus, f.sq, f.target
     sizes = {
         "a": a_in.card,
         "a_units": k,
@@ -176,7 +174,7 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
     }
 
     # one fold gives N (tuples valued in nA^2) and E (int64-exact, see form_energy)
-    hist = form_value_histogram(a, n, caps)
+    hist = form_value_histogram(f, caps)
     sol = int(hist[tgt.mask()].sum())
     lower = sq.card * k ** (2 * n - 2)
     steps = {
@@ -211,7 +209,7 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
         "solution_density": sol / k ** (2 * n - 1),
     }
 
-    emb = embed(a, n, caps)
+    emb = embed(f, caps)
     route = _edge_route(ring, d, emb, caps)
     edges, bound = route["edges"], route["edge_bound"]
     if edges is not None:
@@ -364,11 +362,9 @@ def classify_regime(
     wins.  Bands that are empty for this ring's parameters are reported
     rather than adjusted.
     """
-    ring = a.ring
-    q, r = ring.q, ring.r
-    aa = sumset(a, a)
-    sq = square_set(a)
-    sq2 = sumset(sq, sq) if sq.card else ElementSet.empty(ring)
+    q, r = a.ring.q, a.ring.r
+    f = fold_sets(a, 2)
+    aa, sq2 = f.plus, f.target
     lhs = max(aa.card, sq2.card)
     regime, thresholds, hyp, rhs = _regime_core(q, r, a.card, aa.card, constants)
     empty = []
@@ -393,10 +389,8 @@ def classify_regime(
 
 
 def _scan_trial(ring: Ring, k: int, child_seed: int, constants: Sequence[float]) -> dict:
-    a = sample_unit_subset(ring, k, child_seed)
-    aa = sumset(a, a)
-    sq = square_set(a)
-    sq2 = sumset(sq, sq)
+    f = fold_sets(sample_unit_subset(ring, k, child_seed), 2)
+    aa, sq2 = f.plus, f.target
     lhs = max(aa.card, sq2.card)
     q, r = ring.q, ring.r
     rhs1 = min(q ** (r / 2) * math.sqrt(k), k**2 / q ** ((2 * r - 1) / 2))
@@ -474,9 +468,8 @@ def bound_ratio_scan(
 
 
 def _objective(ring: Ring, members: Sequence[int]) -> int:
-    a = ElementSet.from_indices(ring, members)
-    sq = square_set(a)
-    return max(sumset(a, a).card, sumset(sq, sq).card)
+    f = fold_sets(ElementSet.from_indices(ring, members), 2)
+    return max(f.plus.card, f.target.card)
 
 
 # a chain ends early after this many swaps in a row without a strict gain

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valring.sets
 from valring import (
     BadIndex,
     EvenCharacteristic,
@@ -296,6 +297,30 @@ def test_run_rejects_bad_counts(argv, capsys):
 def test_run_verify_rejects_set_without_units(theorem, capsys):
     assert run(["verify", theorem, "--ring", "z:3:2", "--set", "0,3", "--n", "2"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "NotUnits"
+
+
+def _verify_bad_arity(theorem, n, capsys):
+    argv = ["verify", theorem, "--ring", "z:5:2", "--set", "1,2,3", "--n", n]
+    assert run(argv) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "BadArity"
+    return error["message"]
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2"])
+def test_run_verify_rejects_huge_n(theorem, capsys):
+    assert _verify_bad_arity(theorem, "1000000000", capsys) == "need 2 <= n <= 4, got 1000000000"
+    assert _verify_bad_arity(theorem, "0", capsys) == "need 2 <= n <= 4, got 0"
+
+
+@pytest.mark.parametrize("theorem", ["thm1", "thm2"])
+def test_run_verify_checks_n_before_building_sets(theorem, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a set was built before n was checked")
+
+    monkeypatch.setattr(valring.sets, "sumset", refuse)
+    monkeypatch.setattr(valring.sets, "square_set", refuse)
+    _verify_bad_arity(theorem, "1000000000", capsys)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "x"])

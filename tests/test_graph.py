@@ -24,6 +24,7 @@ from valring import (
     embed_energy_sets,
     embed_solution_sets,
     enumerate_classes,
+    fold_sets,
     form_energy,
     lambda3_bound,
     make_ring,
@@ -300,28 +301,42 @@ def test_mixing_random_pairs_chunks_match_one_chunk(z9, monkeypatch, trials_per_
 
 
 def test_embed_solution_sets_frozen(z9):
-    a = ElementSet.from_indices(z9, [1, 2])
-    emb = embed_solution_sets(a, 2)
+    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
+    emb = embed_solution_sets(f)
     assert emb.audit == "ok"
     assert emb.d == 3
     assert emb.u_count == 6 and emb.v_count == 6
     g = build_graph(z9, 3)
     e = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
-    assert e == count_form_solutions(a, 2) == 8
+    assert e == count_form_solutions(f) == 8
     # direct pairwise route agrees with the dense graph
     assert pair_edge_count(z9, emb.u_rows, emb.v_rows) == 8
 
 
 def test_embed_energy_sets_frozen(z9):
-    a = ElementSet.from_indices(z9, [1, 2])
-    emb = embed_energy_sets(a, 2)
+    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
+    emb = embed_energy_sets(f)
     assert emb.audit == "ok"
     assert emb.d == 4
     assert emb.u_count == emb.v_count == 12
-    assert pair_edge_count(z9, emb.u_rows, emb.v_rows) == form_energy(a, 2) == 32
+    assert pair_edge_count(z9, emb.u_rows, emb.v_rows) == form_energy(f) == 32
     g = build_graph(z9, 4)
     e = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
     assert e == 32
+
+
+def _check_embeddings(ring, f):
+    """Both embeddings reproduce their statistic, by pairs and by dense graph."""
+    for embed, stat in (
+        (embed_solution_sets, count_form_solutions(f)),
+        (embed_energy_sets, form_energy(f)),
+    ):
+        emb = embed(f)
+        assert emb.audit == "ok"
+        assert pair_edge_count(ring, emb.u_rows, emb.v_rows) == stat
+        if class_count(ring, emb.d) <= DEFAULT_CAPS.max_graph_classes:
+            g = build_graph(ring, emb.d)
+            assert edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows)) == stat
 
 
 @pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 1, "fqtr"), (5, 1, 2, "zpr")])
@@ -329,16 +344,20 @@ def test_embeddings_reproduce_counts(maker):
     ring = make_ring(*maker)
     for seed in (1, 2, 3):
         a = sample_unit_subset(ring, min(5, ring.unit_count), seed)
-        emb = embed_solution_sets(a, 2)
-        assert emb.audit == "ok"
-        assert pair_edge_count(ring, emb.u_rows, emb.v_rows) == count_form_solutions(a, 2)
-        emb2 = embed_energy_sets(a, 2)
-        assert pair_edge_count(ring, emb2.u_rows, emb2.v_rows) == form_energy(a, 2)
+        _check_embeddings(ring, fold_sets(a, 2))
+
+
+# at n = 3, larger rings or |A| > 4 can exceed max_pair_count
+@pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 1, "fqtr")])
+def test_embeddings_reproduce_counts_n3(maker):
+    ring = make_ring(*maker)
+    for seed in (1, 3):
+        _check_embeddings(ring, fold_sets(sample_unit_subset(ring, 4, seed), 3))
 
 
 def test_embed_skip_mode(z9):
-    a = ElementSet.from_indices(z9, [1, 2])
-    emb = embed_solution_sets(a, 2, DEFAULT_CAPS.with_(max_embed_size=1))
+    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
+    emb = embed_solution_sets(f, DEFAULT_CAPS.with_(max_embed_size=1))
     assert emb.audit == "skipped"
     assert emb.u_rows is None and emb.v_rows is None
     assert emb.u_count == 6  # counts still reported for the bound-only route

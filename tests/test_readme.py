@@ -1,5 +1,7 @@
-"""Every `valring ...` line of the README's CLI block runs cleanly."""
+"""Every `valring ...` line of the README's CLI block runs cleanly, and
+its Library block gives the values its comments state."""
 
+import ast
 import contextlib
 import io
 import json
@@ -36,3 +38,23 @@ def test_readme_cli_example_runs(line):
         code = run(shlex.split(line)[1:])
     assert code == 0
     json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_readme_library_example_holds():
+    text = _README.read_text()
+    block = text[text.index("## Library") :]
+    source = re.search(r"```python\n(.*?)```", block, re.S).group(1)
+    lines = source.splitlines()
+    namespace: dict = {}
+    stated = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        # an expression line states its value first in its comment: "# 8", "# True: ..."
+        comment = lines[stmt.end_lineno - 1].partition("#")[2]
+        expected = ast.literal_eval(comment.split()[0].rstrip(":"))
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert value == expected, ast.unparse(stmt)
+        stated.append(expected)
+    assert stated == [8, 32, True]

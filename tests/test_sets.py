@@ -15,6 +15,7 @@ from valring import (
     RingMismatch,
     TooLarge,
     count_form_solutions,
+    fold_sets,
     form_energy,
     form_tuple_count,
     form_value_histogram,
@@ -27,6 +28,7 @@ from valring import (
     sumset,
     triple_product_sizes,
 )
+from valring.sets import _form_values
 
 
 def _ids(s):
@@ -251,12 +253,12 @@ def _brute_count(ring, a_ids, n):
 
 
 def test_count_frozen_z9(z9):
-    a = ElementSet.from_indices(z9, [1, 2])
-    assert count_form_solutions(a, 2) == 8
-    assert form_energy(a, 2) == 32
-    hist = form_value_histogram(a, 2)
+    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
+    assert count_form_solutions(f) == 8
+    assert form_energy(f) == 32
+    hist = form_value_histogram(f)
     assert {i: int(c) for i, c in enumerate(hist) if c} == {1: 2, 2: 2, 4: 2, 5: 4, 8: 2}
-    assert int(hist.sum()) == form_tuple_count(a, 2) == 12
+    assert int(hist.sum()) == form_tuple_count(f) == 12
 
 
 def test_count_matches_bruteforce():
@@ -268,33 +270,41 @@ def test_count_matches_bruteforce():
         (make_ring(3, 2, 1, "fqtr"), [1, 3, 5], 2),
     ]
     for ring, ids, n in cases:
-        a = ElementSet.from_indices(ring, ids)
-        assert count_form_solutions(a, n) == _brute_count(ring, ids, n)
+        f = fold_sets(ElementSet.from_indices(ring, ids), n)
+        assert count_form_solutions(f) == _brute_count(ring, ids, n)
 
 
 @given(st.lists(st.sampled_from([1, 2, 4, 5, 7, 8]), min_size=1, max_size=6), st.sampled_from([2, 3]))
 def test_energy_is_sum_of_squared_multiplicities(ids, n):
     ring = make_ring(3, 1, 2)
     a = ElementSet.from_indices(ring, ids)
-    hist = form_value_histogram(a, n)
-    assert form_energy(a, n) == sum(int(c) ** 2 for c in hist)
-    assert int(hist.sum()) == form_tuple_count(a, n)
+    f = fold_sets(a, n)
+    hist = form_value_histogram(f)
+    assert form_energy(f) == sum(int(c) ** 2 for c in hist)
+    assert int(hist.sum()) == form_tuple_count(f)
     # mass inside n*A^2 is exactly the solution count
     target = iterated_sumset(square_set(a), n)
     inside = sum(int(hist[i]) for i in target)
-    assert inside == count_form_solutions(a, n)
+    assert inside == count_form_solutions(f)
 
 
 def test_form_arg_validation(z9):
     a = ElementSet.from_indices(z9, [1, 2])
     with pytest.raises(BadArity):
-        count_form_solutions(a, 1)
+        fold_sets(a, 1)
     with pytest.raises(BadArity):
-        count_form_solutions(a, DEFAULT_CAPS.max_n + 1)
+        fold_sets(a, DEFAULT_CAPS.max_n + 1)
+    with pytest.raises(BadArity):
+        fold_sets(a, 3, DEFAULT_CAPS.with_(max_n=2))
     with pytest.raises(NotUnits):
-        count_form_solutions(ElementSet.from_indices(z9, [0, 1]), 2)
+        _form_values(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2), DEFAULT_CAPS)
     with pytest.raises(TooLarge):
-        count_form_solutions(a, 2, DEFAULT_CAPS.with_(max_tuple_count=4))
+        _form_values(fold_sets(a, 2), DEFAULT_CAPS.with_(max_tuple_count=4))
+    # the public readers go through the same checks
+    with pytest.raises(NotUnits):
+        count_form_solutions(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2))
+    with pytest.raises(TooLarge):
+        count_form_solutions(fold_sets(a, 2), DEFAULT_CAPS.with_(max_tuple_count=4))
 
 
 def test_triple_product_sizes_frozen(z9):
