@@ -2,8 +2,8 @@
 """Survey second singular values against the closed-form bound.
 
 Builds every orthogonality graph in a (ring, dimension) grid that fits
-under the dense caps and tabulates how tight sigma_2 sits against
-sqrt(q^((d-2)(2r-1))).  Ratios near 1 mean the bound is sharp there.
+under MAX_GRAPH_CLASSES classes per side and tabulates how tight sigma_2
+sits against sqrt(q^((d-2)(2r-1))).  Ratios near 1 mean the bound is sharp there.
 """
 
 import argparse
@@ -11,7 +11,7 @@ import json
 import sys
 
 from valring import (
-    DEFAULT_CAPS,
+    MAX_GRAPH_CLASSES,
     TooLarge,
     build_graph,
     class_count,
@@ -23,17 +23,17 @@ from valring.cli import parse_ring
 DEFAULT_RINGS = ("z:3:1", "z:3:2", "z:5:1", "z:5:2", "z:7:1", "f:9:1", "f:9:2")
 
 
-def survey(ring_specs, dims, cap):
+def survey(ring_specs, dims):
     rows = []
     for spec in ring_specs:
         ring = parse_ring(spec)
         for d in dims:
             n_cls = class_count(ring, d)
-            if n_cls > cap:
+            if n_cls > MAX_GRAPH_CLASSES:
                 rows.append({"ring": spec, "d": d, "classes": n_cls, "skipped": True})
                 continue
-            g = build_graph(ring, d, cap)
-            sv = spectrum(g, cap)
+            g = build_graph(ring, d)
+            sv = spectrum(g)
             bound = lambda3_bound(ring, d)
             rows.append(
                 {
@@ -56,13 +56,12 @@ def main() -> int:
     ap.add_argument("--rings", default=",".join(DEFAULT_RINGS),
                     help="comma-separated ring specs")
     ap.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
-    ap.add_argument("--cap", type=int, default=DEFAULT_CAPS.max_graph_classes)
     ap.add_argument("--json", dest="json_out", default=None,
                     help="also write the full table to this path")
     args = ap.parse_args()
 
     try:
-        rows = survey(args.rings.split(","), [int(t) for t in args.dims.split(",")], args.cap)
+        rows = survey(args.rings.split(","), [int(t) for t in args.dims.split(",")])
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,7 @@ import numpy as np
 from .config import DEFAULT_CAPS
 from .errors import EvenCharacteristic, ParseError, ValringError
 from .graph import build_graph, lambda3_bound, mixing_random_pairs, spectrum
-from .ring import Ring, RingFamily, factor_prime_power, make_ring
+from .ring import Ring, RingFamily, check_ring_size, factor_prime_power, make_ring
 from .sets import ElementSet, sample_unit_subset
 from .verify import (
     bound_ratio_scan,
@@ -31,8 +31,8 @@ __all__ = ["parse_ring", "parse_set", "build_parser", "run", "main"]
 SCHEMA_VERSION = 1
 
 
-def parse_ring(text: str, max_size: Optional[int] = None) -> Ring:
-    """Parse `z:<p>:<r>` or `f:<q>:<r>` into a validated ring."""
+def parse_ring(text: str) -> Ring:
+    """Parse `z:<p>:<r>` or `f:<q>:<r>` into a ring, checking the size cap before factoring q."""
     parts = text.strip().lower().split(":")
     if len(parts) != 3 or parts[0] not in ("z", "f"):
         raise ParseError(f"ring spec {text!r} is not z:<p>:<r> or f:<q>:<r>")
@@ -43,11 +43,12 @@ def parse_ring(text: str, max_size: Optional[int] = None) -> Ring:
     if r < 1:
         raise ParseError(f"ring spec {text!r} needs r >= 1")
     if parts[0] == "z":
-        return make_ring(base, 1, r, RingFamily.ZPR, max_size)
+        return make_ring(base, 1, r, RingFamily.ZPR)
+    check_ring_size(base, r)
     p, s = factor_prime_power(base)
     if p == 2:
         raise EvenCharacteristic(f"residue field size {base} is even")
-    return make_ring(p, s, r, RingFamily.FQTR, max_size)
+    return make_ring(p, s, r, RingFamily.FQTR)
 
 
 def parse_set(ring: Ring, text: str) -> ElementSet:

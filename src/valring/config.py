@@ -7,13 +7,16 @@ from dataclasses import dataclass, replace
 # tolerance for all floating-point spectral comparisons
 SPECTRAL_TOL = 1e-6
 
+# Caps on the two cached objects: make_ring and build_graph key their caches on
+# what they build, so these cannot vary per call; each is checked first.
+MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r
+MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense biadjacency
+
 
 @dataclass(frozen=True)
 class Caps:
-    """Hard limits that keep dense computations inside memory/time budgets.
+    """Per-call limits that keep dense computations inside memory/time budgets.
 
-    max_ring_size       largest allowed ring cardinality q**r
-    max_graph_classes   largest per-side class count for a dense biadjacency
     spectral_cap        largest matrix side for dense SVD
     max_n               largest tuple-length parameter for counting
     max_tuple_count     largest number of tuples a counting fold may visit
@@ -21,8 +24,6 @@ class Caps:
     max_embed_size      largest embedded vertex-list length per side
     """
 
-    max_ring_size: int = 1 << 16
-    max_graph_classes: int = 5000
     spectral_cap: int = 5000
     max_n: int = 4
     max_tuple_count: int = 50_000_000

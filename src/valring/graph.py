@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS, SPECTRAL_TOL
+from .config import MAX_GRAPH_CLASSES, Caps, DEFAULT_CAPS, SPECTRAL_TOL
 from .errors import (
     AllNonUnits,
     BadArity,
@@ -130,15 +130,26 @@ def canonicalize_rows(ring: Ring, rows: np.ndarray) -> np.ndarray:
     return ring.mul_many(rows, inv[:, None])
 
 
-def enumerate_classes(
-    ring: Ring, d: int, max_classes: int = DEFAULT_CAPS.max_graph_classes
-) -> np.ndarray:
+def _capped_class_count(ring: Ring, d: int) -> int:
+    """class_count(ring, d), or TooLarge when it exceeds MAX_GRAPH_CLASSES.
+
+    class_count >= q**((d-1)r) and q >= 3, so (d-1)r is clipped at the
+    cap's bit length; the closed form runs only on small exponents.
+    """
+    _check_dim(d)
+    clipped = min((d - 1) * ring.r, MAX_GRAPH_CLASSES.bit_length())
+    if ring.q**clipped <= MAX_GRAPH_CLASSES:
+        count = class_count(ring, d)
+        if count <= MAX_GRAPH_CLASSES:
+            return count
+    raise TooLarge(
+        f"more than {MAX_GRAPH_CLASSES} classes per side for {ring.descriptor}, d={d}"
+    )
+
+
+def enumerate_classes(ring: Ring, d: int) -> np.ndarray:
     """All canonical representatives, rows sorted lexicographically."""
-    expected = class_count(ring, d)
-    if expected > max_classes:
-        raise TooLarge(
-            f"{expected} classes exceed cap {max_classes} for {ring.descriptor}, d={d}"
-        )
+    expected = _capped_class_count(ring, d)
     ideal = ring.indices(ElementFilter.MAXIMAL_IDEAL)
     everything = ring.indices(ElementFilter.ALL)
     one = np.array([1], dtype=np.int64)
@@ -167,7 +178,7 @@ def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarr
     """uint8 matrix of [dot(left_i, right_j) == 0], chunk-friendly sizes only."""
     if ring.family.value == "zpr":
         # exact in int64: |dot| <= d * (size - 1)**2 < d * 2**32, since
-        # size <= max_ring_size = 2**16; integer matmul does not go through BLAS
+        # size <= MAX_RING_SIZE = 2**16; integer matmul does not go through BLAS
         left, right = np.asarray(left, np.int64), np.asarray(right, np.int64)
         return ((left @ right.T) % ring.size == 0).astype(np.uint8)
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
@@ -212,11 +223,9 @@ class OrthGraph:
 
 
 @lru_cache(maxsize=32)
-def build_graph(
-    ring: Ring, d: int, max_classes: int = DEFAULT_CAPS.max_graph_classes
-) -> OrthGraph:
-    """Build (and cache) the dense graph, auditing biregularity."""
-    classes = enumerate_classes(ring, d, max_classes)
+def build_graph(ring: Ring, d: int) -> OrthGraph:
+    """Build (and cache) the dense graph, auditing biregularity; TooLarge over the cap."""
+    classes = enumerate_classes(ring, d)
     n = len(classes)
     m = np.zeros((n, n), dtype=np.uint8)
     step = max(1, _CHUNK_CELLS // max(1, n))
@@ -287,13 +296,9 @@ def pair_edge_count(
 
 
 def resolve_lambda3(
-    graph: OrthGraph,
-    given: Optional[float] = None,
-    spectral_cap: int = DEFAULT_CAPS.spectral_cap,
+    graph: OrthGraph, spectral_cap: int = DEFAULT_CAPS.spectral_cap
 ) -> tuple[float, str]:
-    """Pick the tightest available sigma_2: given > computed > theoretical."""
-    if given is not None:
-        return float(given), "given"
+    """Pick the tightest available sigma_2: computed, else theoretical."""
     try:
         return float(spectrum(graph, spectral_cap)[1]), "computed"
     except TooLargeForSpectrum:
@@ -301,11 +306,7 @@ def resolve_lambda3(
 
 
 def mixing_random_pairs(
-    graph: OrthGraph,
-    trials: int,
-    seed: int,
-    lambda3: Optional[float] = None,
-    spectral_cap: int = DEFAULT_CAPS.spectral_cap,
+    graph: OrthGraph, trials: int, seed: int, spectral_cap: int = DEFAULT_CAPS.spectral_cap
 ) -> dict:
     """Mixing inequality on seeded random subset pairs, batched.
 
@@ -319,7 +320,7 @@ def mixing_random_pairs(
         raise BadSize(f"need trials >= 0, got {trials}")
     n = graph.n_classes
     rng = random.Random(seed)
-    lam, kind = resolve_lambda3(graph, lambda3, spectral_cap)
+    lam, kind = resolve_lambda3(graph, spectral_cap)
     adjacency = graph.biadjacency.astype(np.float64)
     sizes_l = np.empty(trials, dtype=np.int64)
     sizes_r = np.empty(trials, dtype=np.int64)

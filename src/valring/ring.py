@@ -58,7 +58,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT_CAPS
+from .config import MAX_RING_SIZE
 from .errors import (
     BadFamilyCombo,
     BadIndex,
@@ -77,6 +77,7 @@ __all__ = [
     "Element",
     "ElementFilter",
     "make_ring",
+    "check_ring_size",
     "is_prime",
     "factor_prime_power",
     "smallest_irreducible",
@@ -105,8 +106,8 @@ class ElementFilter(enum.Enum):
 def is_prime(n: int) -> bool:
     """Deterministic primality test by trial division.
 
-    Ring sizes are capped around 2**16, so candidates are small and
-    trial division is instant.
+    make_ring checks the ring size cap (2**16) first, so candidates are
+    small and trial division is instant.
     """
     if n < 2:
         return False
@@ -552,15 +553,8 @@ class Ring:
             return all_idx[unit_mask]
         return all_idx[~unit_mask]
 
-    def elements(self, kind: ElementFilter = ElementFilter.ALL) -> list["Element"]:
-        return [Element(self, int(i)) for i in self.indices(kind)]
-
     def element(self, index: int) -> "Element":
         return Element(self, index)
-
-    @property
-    def zero(self) -> "Element":
-        return Element(self, 0)
 
     @property
     def one(self) -> "Element":
@@ -642,28 +636,29 @@ class Element:
         return f"<{self.index} in {self.ring.descriptor}>"
 
 
-@lru_cache(maxsize=64)
-def _make_ring_cached(p: int, s: int, r: int, family: RingFamily, max_size: int) -> Ring:
-    size = (p**s) ** r
-    if size > max_size:
-        raise TooLarge(
-            f"ring size {size} exceeds cap {max_size}; raise max_size to override"
-        )
-    return Ring(p, s, r, family)
+def check_ring_size(base: int, exp: int) -> None:
+    """Raise TooLarge if base**exp > MAX_RING_SIZE, without forming the power.
+
+    For base >= 2, base**k passes the cap once k reaches the cap's bit
+    length, so exp is clipped there; smaller bases are left to NonPrime.
+    """
+    clipped = min(exp, MAX_RING_SIZE.bit_length())
+    if base >= 2 and (base > MAX_RING_SIZE or base**clipped > MAX_RING_SIZE):
+        raise TooLarge(f"ring has more than {MAX_RING_SIZE} elements")
+
+
+_make_ring_cached = lru_cache(maxsize=64)(Ring)  # keyed on (p, s, r, family)
 
 
 def make_ring(
-    p: int,
-    s: int,
-    r: int,
-    family: Union[RingFamily, str] = RingFamily.ZPR,
-    max_size: Optional[int] = None,
+    p: int, s: int, r: int, family: Union[RingFamily, str] = RingFamily.ZPR
 ) -> Ring:
     """Validate parameters and build (or fetch a cached) ring.
 
-    Raises NonPrime, EvenPrime, BadFamilyCombo, or TooLarge on bad
-    input.  Rings are cached by parameters, so repeated calls are cheap
-    and equal parameters give the identical object.
+    Raises TooLarge, NonPrime, EvenPrime or BadFamilyCombo on bad
+    input; the size cap is checked first, so an oversize ring costs no
+    primality test.  Rings are cached by parameters, so repeated calls
+    are cheap and equal parameters give the identical object.
     """
     if isinstance(family, str):
         try:
@@ -675,11 +670,11 @@ def make_ring(
             raise ValringError(f"{name} must be an int, got {type(val).__name__}")
     if s < 1 or r < 1:
         raise ValringError(f"need s >= 1 and r >= 1, got s={s}, r={r}")
+    check_ring_size(p, s * r)
     if not is_prime(p):
         raise NonPrime(f"{p} is not prime")
     if p == 2:
         raise EvenPrime("characteristic 2 is not supported; 2 must be a unit")
     if family is RingFamily.ZPR and s != 1:
         raise BadFamilyCombo("the Z/p**r family needs s = 1; use FQTR for q = p**s")
-    cap = DEFAULT_CAPS.max_ring_size if max_size is None else max_size
-    return _make_ring_cached(p, s, r, family, cap)
+    return _make_ring_cached(p, s, r, family)

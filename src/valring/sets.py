@@ -321,10 +321,9 @@ def triple_product_sizes(
     )
 
 
-def sample_unit_subset(ring: Ring, k: int, seed: Union[int, random.Random]) -> ElementSet:
+def sample_unit_subset(ring: Ring, k: int, seed: int) -> ElementSet:
     """Uniform random k-subset of the units, deterministic in the seed."""
     units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
     if not 1 <= k <= len(units):
         raise BadSize(f"need 1 <= k <= {len(units)} for {ring.descriptor}, got {k}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    return ElementSet.from_indices(ring, rng.sample(units, k))
+    return ElementSet.from_indices(ring, random.Random(seed).sample(units, k))

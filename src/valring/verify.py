@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from statistics import median
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .config import Caps, DEFAULT_CAPS, SPECTRAL_TOL, derive_seed
-from .errors import BadSize, NotUnits
+from .config import MAX_GRAPH_CLASSES, Caps, DEFAULT_CAPS, SPECTRAL_TOL, derive_seed
+from .errors import BadSize, NotUnits, TooLarge
 from .graph import (
     build_graph,
     class_count,
@@ -120,10 +120,10 @@ def _edge_route(ring: Ring, d: int, emb, caps: Caps) -> dict:
     mode = "bound-only"
     lam, kind = lambda3_bound(ring, d), "theoretical"
     if emb.u_rows is not None:
-        if n_cls <= caps.max_graph_classes:
-            g = build_graph(ring, d, caps.max_graph_classes)
+        if n_cls <= MAX_GRAPH_CLASSES:
+            g = build_graph(ring, d)
             edges = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
-            lam, kind = resolve_lambda3(g, None, caps.spectral_cap)
+            lam, kind = resolve_lambda3(g, caps.spectral_cap)
             mode = "graph"
         elif emb.u_count * emb.v_count <= caps.max_pair_count:
             edges = pair_edge_count(ring, emb.u_rows, emb.v_rows, caps)
@@ -342,6 +342,9 @@ def _regime_core(
         "regime3_min_size": float(floor),
         "hypothesis_rhs": hyp_rhs,
     }
+    for name, value in thresholds.items():
+        if not math.isfinite(value):
+            raise TooLarge(f"{name} is {value}: the constants overflow a float")
     if size >= t1:
         return 1, thresholds, hyp, q ** (r / 2) * math.sqrt(size)
     if size >= t2:
@@ -472,6 +475,8 @@ def _objective(ring: Ring, members: Sequence[int]) -> int:
     return max(f.plus.card, f.target.card)
 
 
+# each restart chain gets at most this many swaps of the iteration budget
+_CHAIN_LEN = 250
 # a chain ends early after this many swaps in a row without a strict gain
 _STALL_CAP = 60
 
@@ -507,13 +512,7 @@ def _search_chain(
     return best_obj, best, trace
 
 
-def extremal_search(
-    ring: Ring,
-    k: int,
-    iters: int,
-    seed: int,
-    chain_len: int = 250,
-) -> dict:
+def extremal_search(ring: Ring, k: int, iters: int, seed: int) -> dict:
     """Hill-climb for unit k-subsets minimizing max{|A+A|, |A^2+A^2|}.
 
     The iteration budget is split into independent restart chains, run
@@ -541,8 +540,8 @@ def extremal_search(
             "start_objective": obj,
             "trace": [obj],
         }
-    n_chains = max(1, math.ceil(iters / chain_len))
-    budgets = [min(chain_len, iters - i * chain_len) for i in range(n_chains)]
+    n_chains = max(1, math.ceil(iters / _CHAIN_LEN))
+    budgets = [min(_CHAIN_LEN, iters - i * _CHAIN_LEN) for i in range(n_chains)]
     chains = [
         _search_chain(ring, units, k, budgets[i], derive_seed(seed, i))
         for i in range(n_chains)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from valring import (
-    DEFAULT_CAPS,
+    MAX_GRAPH_CLASSES,
     ElementSet,
     build_graph,
     check_square_halving,
@@ -46,7 +46,7 @@ def _matrix():
         for r in (1, 2):
             ring = make_ring(3, 2, r, "fqtr") if q == 9 else make_ring(q, 1, r)
             for d in (2, 3, 4):
-                if class_count(ring, d) <= DEFAULT_CAPS.max_graph_classes:
+                if class_count(ring, d) <= MAX_GRAPH_CLASSES:
                     combos.append((ring, d))
     return combos
 

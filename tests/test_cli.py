@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valring.cli
+import valring.graph
+import valring.ring
 import valring.sets
 from valring import (
     BadIndex,
@@ -14,6 +17,8 @@ from valring import (
     NonPrime,
     NotPrimePower,
     ParseError,
+    build_graph,
+    make_ring,
 )
 from valring.cli import build_parser, parse_ring, parse_set, run
 
@@ -332,6 +337,59 @@ def test_run_rejects_bad_constants(value, capsys):
     assert "ParseError" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    ["classify", "--ring", "z:3:2", "--set", "1"],
+    ["scan", "ratios", "--ring", "z:3:2", "--sizes", "2"],
+])
+def test_run_rejects_constants_that_overflow_a_threshold(command, capsys):
+    assert run(command + ["--constants", "1e308,1e308,1e308"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "TooLarge"
+
+
+# Oversize specs, each with the functions it must not reach: the size cap
+# is checked first, so primality, factoring and the closed form never run.
+_RING_WORK = ("ring.is_prime", "ring.factor_prime_power", "cli.factor_prime_power")
+
+
+@pytest.mark.parametrize("argv,untouched", [
+    (["ring", "info", "--ring", "z:3:10000"], _RING_WORK),
+    (["ring", "info", "--ring", "z:3:10000000"], _RING_WORK),
+    (["ring", "info", "--ring", "f:3:10000000"], _RING_WORK),
+    (["ring", "info", "--ring", "z:100000000000031:1"], _RING_WORK),
+    (["ring", "info", "--ring", "z:1000000000039:1"], _RING_WORK),
+    (["ring", "info", "--ring", "f:100000000000031:1"], _RING_WORK),
+    (["graph", "build", "--ring", "z:3:2", "--d", "10000000"], ("graph.class_count",)),
+])
+def test_run_rejects_oversize_specs_before_any_work(argv, untouched, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("expensive work ran before the size cap was checked")
+
+    for dotted in untouched:
+        module, name = dotted.split(".")
+        monkeypatch.setattr(getattr(valring, module), name, refuse)
+    assert run(argv) == 1
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "TooLarge"
+    assert len(error["message"]) < 100
+
+
+def test_ring_cache_keys_on_what_it_builds(monkeypatch):
+    ring = make_ring(3, 1, 2)
+    assert parse_ring("z:3:2") is ring
+    assert parse_ring("f:9:2") is make_ring(3, 2, 2, "fqtr")
+    monkeypatch.setattr(valring.ring, "MAX_RING_SIZE", 10**6)  # the cap is not in the key
+    assert make_ring(3, 1, 2) is ring
+
+
+def test_one_graph_per_ring_and_d(capsys):
+    build_graph.cache_clear()
+    assert run(["graph", "spectrum", "--ring", "z:5:2", "--d", "3"]) == 0
+    capsys.readouterr()
+    assert run(["verify", "thm1", "--ring", "z:5:2", "--set", "1,2,3", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["embed"]["mode"] == "graph"
+    assert build_graph.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("command", [["scan", "ratios"], ["search", "extremal"]])
 def test_run_rejects_empty_sizes(command, capsys):
     assert run(command + ["--ring", "z:5:2", "--sizes", ""]) == 2
@@ -341,7 +399,7 @@ def test_run_rejects_empty_sizes(command, capsys):
 
 
 _INT = st.integers(-3, 4).map(str)
-_CONSTANT = st.sampled_from(["1", "0.5", "0", "-2", "nan", "inf", "-inf"])
+_CONSTANT = st.sampled_from(["1", "0.5", "0", "-2", "1e308", "nan", "inf", "-inf"])
 
 
 @st.composite

@@ -11,6 +11,7 @@ from valring import (
     AllNonUnits,
     BadIndex,
     DEFAULT_CAPS,
+    MAX_GRAPH_CLASSES,
     ElementSet,
     TooLarge,
     TooLargeForSpectrum,
@@ -156,7 +157,7 @@ def test_enumerate_classes_properties(z9):
 
 def test_enumerate_classes_cap(z9):
     with pytest.raises(TooLarge):
-        enumerate_classes(z9, 3, max_classes=100)
+        enumerate_classes(z9, 5)  # 9801 classes, over MAX_GRAPH_CLASSES = 5000
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +267,10 @@ def test_mixing_random_pairs_lambda3_kind(z9):
     rep = mixing_random_pairs(g, 20, seed=3)
     assert rep["violations"] == 0
     assert rep["lambda3_kind"] == "computed"
-    # a supplied lambda3 wins over the computed one
-    rep2 = mixing_random_pairs(g, 20, seed=3, lambda3=99.0)
-    assert rep2["lambda3_kind"] == "given"
-    assert rep2["max_ratio"] < rep["max_ratio"]
+    # a spectral cap below the class count falls back to the closed form
+    rep2 = mixing_random_pairs(g, 20, seed=3, spectral_cap=1)
+    assert rep2["lambda3_kind"] == "theoretical"
+    assert rep2["lambda3"] == lambda3_bound(z9, 3)
 
 
 @pytest.mark.parametrize("maker,d", [((3, 1, 2, "zpr"), 3), ((3, 2, 1, "fqtr"), 3)])
@@ -334,7 +335,7 @@ def _check_embeddings(ring, f):
         emb = embed(f)
         assert emb.audit == "ok"
         assert pair_edge_count(ring, emb.u_rows, emb.v_rows) == stat
-        if class_count(ring, emb.d) <= DEFAULT_CAPS.max_graph_classes:
+        if class_count(ring, emb.d) <= MAX_GRAPH_CLASSES:
             g = build_graph(ring, emb.d)
             assert edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows)) == stat
 

@@ -37,7 +37,7 @@ def test_make_ring_rejects_bad_input():
     with pytest.raises(ValueError):
         make_ring(3, 1, 0)
     with pytest.raises(TooLarge):
-        make_ring(3, 1, 2, max_size=8)
+        make_ring(3, 1, 11)  # 3**11 elements, over MAX_RING_SIZE = 2**16
 
 
 def test_make_ring_is_cached():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valring import verify as verify_module
 from valring import (
     BadSize,
     ElementSet,
@@ -239,15 +240,16 @@ def test_search_all_units_short_circuit(z9):
     assert out["trace"] == [9]
 
 
-def test_search_trace_monotone(z25):
-    out = extremal_search(z25, 4, iters=120, seed=7, chain_len=50)
+def test_search_trace_monotone(z25, monkeypatch):
+    monkeypatch.setattr(verify_module, "_CHAIN_LEN", 50)
+    out = extremal_search(z25, 4, iters=120, seed=7)
     assert out["chains"] == 3
     tr = out["trace"]
     assert all(tr[i + 1] <= tr[i] for i in range(len(tr) - 1))
     assert out["best_objective"] == tr[-1]
     assert out["best_objective"] <= out["start_objective"]
     assert len(out["best_set"]) == 4
-    again = extremal_search(z25, 4, iters=120, seed=7, chain_len=50)
+    again = extremal_search(z25, 4, iters=120, seed=7)
     assert again == out
 
 
