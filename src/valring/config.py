@@ -20,7 +20,8 @@ class Caps:
     spectral_cap        largest matrix side for dense SVD
     max_n               largest tuple-length parameter for counting
     max_tuple_count     largest number of tuples a counting fold may visit
-    max_pair_count      largest |U|*|V| for direct pairwise edge counting
+    max_pair_count      largest |U|*|V| the direct edge count takes on (a route
+                        cap: the grouped kernel visits far fewer cells)
     max_embed_size      largest embedded vertex-list length per side
     """
 

@@ -33,7 +33,9 @@ sum s_j v_j^2 - t), so
 The pinned 1 forces distinct tuples onto distinct classes, so the edge
 count equals the statistic exactly; the two public embeddings only pick
 the blocks and signs.  When the dense biadjacency is out of reach, edges
-between two explicit class lists can still be counted directly in chunks.
+between two explicit class lists are counted without it: rows that share
+their first d-1 coordinates are grouped, and each pair of groups is priced
+once against a table of last-coordinate products.
 """
 
 from __future__ import annotations
@@ -174,18 +176,45 @@ def _grid(cols: Sequence[np.ndarray]) -> np.ndarray:
 # -- dense graph ---------------------------------------------------------------
 
 
-def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """uint8 matrix of [dot(left_i, right_j) == 0], chunk-friendly sizes only."""
+def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row, ordered as the rows are lexicographically.
+
+    The key reads the row as base-``size`` digits, first column most
+    significant.  Should the next column carry the keys past int64, the
+    keys so far are first replaced by their ranks, which keeps the order.
+    Graph classes never need that (size**d <= size * class_count < 2**63),
+    so the keys of a graph and of the rows looked up in it are both the
+    plain reading and compare across calls.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    keys = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # every key so far is below bound
+    for col in rows.T:
+        if bound * ring.size > 2**63:
+            keys = np.unique(keys, return_inverse=True)[1]
+            bound = int(keys.max()) + 1
+        keys = keys * ring.size + col
+        bound *= ring.size
+    return keys
+
+
+def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """int64 matrix of the ring's dot products dot(left_i, right_j)."""
     if ring.family.value == "zpr":
         # exact in int64: |dot| <= d * (size - 1)**2 < d * 2**32, since
         # size <= MAX_RING_SIZE = 2**16; integer matmul does not go through BLAS
         left, right = np.asarray(left, np.int64), np.asarray(right, np.int64)
-        return ((left @ right.T) % ring.size == 0).astype(np.uint8)
+        return (left @ right.T) % ring.size
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(left.shape[1]):
         prod = ring.mul_many(left[:, k : k + 1], right[:, k][None, :])
         acc = ring.add_many(acc, prod)
-    return (acc == 0).astype(np.uint8)
+    return acc
+
+
+def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """uint8 matrix of [dot(left_i, right_j) == 0], chunk-friendly sizes only."""
+    return (_dot_block(ring, left, right) == 0).astype(np.uint8)
 
 
 class OrthGraph:
@@ -199,18 +228,19 @@ class OrthGraph:
         self.n_classes = len(classes)
         self.degree = class_degree(ring, d)
         self._singular: Optional[np.ndarray] = None
-        pows = (ring.size ** np.arange(d - 1, -1, -1, dtype=np.int64))
-        self._enc_pows = pows
-        self._enc_classes = classes @ pows  # ascending, since rows are lex sorted
+        self._keys = _row_keys(ring, classes)  # ascending, since rows are lex sorted
 
     def index_of(self, rows: np.ndarray) -> np.ndarray:
         """Vertex indices of canonical rows; raises BadIndex on misses."""
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return np.empty(0, dtype=np.int64)
-        enc = rows @ self._enc_pows
-        pos = np.searchsorted(self._enc_classes, enc)
-        bad = (pos >= self.n_classes) | (self._enc_classes[np.minimum(pos, self.n_classes - 1)] != enc)
+        shape_ok = rows.ndim == 2 and rows.shape[1] == self.d
+        if not shape_ok or rows.min() < 0 or rows.max() >= self.ring.size:
+            raise BadIndex(f"rows must be (N, {self.d}) ring indices")
+        enc = _row_keys(self.ring, rows)
+        pos = np.searchsorted(self._keys, enc)
+        bad = (pos >= self.n_classes) | (self._keys[np.minimum(pos, self.n_classes - 1)] != enc)
         if bad.any():
             raise BadIndex("row is not a canonical class representative")
         return pos
@@ -277,18 +307,69 @@ def pair_edge_count(
     """Count orthogonal pairs between two explicit class lists.
 
     Dense-graph-free route for rings whose class count exceeds the
-    biadjacency cap; exact, chunked over the left rows.
+    biadjacency cap; exact.  A row is a prefix (its first d-1
+    coordinates) and a last coordinate, so u . v = alpha . beta + x * y.
+    Rows are grouped by prefix, alpha . beta is taken once per pair of
+    groups, and T[g, i, c] = #{y in right group g : x_i * y = c} is
+    tabled for the distinct left values x_i; a left row then adds
+    T[g, i, -alpha . beta] over the right groups.  When that table and
+    the group pairs would outnumber the |U|*|V| pairs themselves, the
+    pairs are tested one by one instead.  Temporaries are chunked to
+    _CHUNK_CELLS cells, or to one right group's table when that is larger.
     """
     nl, nr = len(left_rows), len(right_rows)
     if nl == 0 or nr == 0:
         return 0
     if nl * nr > caps.max_pair_count:
         raise TooLarge(f"{nl * nr} pairs exceed cap {caps.max_pair_count}")
+    left = np.asarray(left_rows, dtype=np.int64)
+    right = np.asarray(right_rows, dtype=np.int64)
+    size = ring.size
+    _, l_first, l_group = np.unique(
+        _row_keys(ring, left[:, :-1]), return_index=True, return_inverse=True
+    )
+    _, r_first, r_group = np.unique(
+        _row_keys(ring, right[:, :-1]), return_index=True, return_inverse=True
+    )
+    xs, x_idx = np.unique(left[:, -1], return_inverse=True)
+    n_gl, n_gr, nx = len(l_first), len(r_first), len(xs)
+    if n_gr * (nx * size + n_gl) >= nl * nr:
+        total = 0
+        step = max(1, _CHUNK_CELLS // nr)
+        for lo in range(0, nl, step):
+            block = _dot_zero_block(ring, left[lo : lo + step], right)
+            total += int(block.sum(dtype=np.int64))
+        return total
+
+    # left rows with the same (prefix group, x) add the same count
+    combo, mult = np.unique(l_group * nx + x_idx, return_counts=True)
+    c_group, c_x = combo // nx, combo % nx
+    l_prefix, r_prefix = left[l_first, :-1], right[r_first, :-1]
+    order = np.argsort(r_group, kind="stable")
+    rg, ry = r_group[order], right[order, -1]
+    group_start = np.searchsorted(rg, np.arange(n_gr + 1))
+    row_step = max(1, _CHUNK_CELLS // nx)
+    group_step = max(1, _CHUNK_CELLS // (nx * size + n_gl))
+    x_col = np.arange(nx)[:, None]
     total = 0
-    step = max(1, _CHUNK_CELLS // nr)
-    for lo in range(0, nl, step):
-        block = _dot_zero_block(ring, left_rows[lo : lo + step], right_rows)
-        total += int(block.sum(dtype=np.int64))
+    lo = 0
+    while lo < nr:
+        # right rows lo..hi, sorted by group, span groups g0..g0+span-1
+        g0 = int(rg[lo])
+        hi = min(lo + row_step, int(group_start[min(g0 + group_step, n_gr)]))
+        span = int(rg[hi - 1]) - g0 + 1
+        cells = ((rg[lo:hi] - g0) * nx + x_col) * size + ring.mul_many(xs[:, None], ry[lo:hi])
+        table = np.bincount(cells.reshape(-1), minlength=span * nx * size)
+        # flat table positions of (g, 0, -alpha . beta) per left group
+        need = ring.neg_many(_dot_block(ring, l_prefix, r_prefix[g0 : g0 + span]))
+        need += np.arange(span) * (nx * size)
+        k_step = max(1, _CHUNK_CELLS // span)
+        for k in range(0, len(combo), k_step):
+            at = need[c_group[k : k + k_step]]
+            at += (c_x[k : k + k_step] * size)[:, None]
+            hits = np.take(table, at).sum(axis=1, dtype=np.int64)
+            total += int(hits @ mult[k : k + k_step])
+        lo = hi
     return total
 
 
@@ -394,7 +475,8 @@ class EmbeddedSets:
 
 def _finish_side(ring: Ring, raw: np.ndarray, expect: int) -> np.ndarray:
     rows = canonicalize_rows(ring, raw)
-    rows = np.unique(rows, axis=0)
+    _, first = np.unique(_row_keys(ring, rows), return_index=True)
+    rows = rows[first]
     if len(rows) != expect:
         raise AssertionError(
             "embedding lost injectivity: distinct tuples collided in one class"

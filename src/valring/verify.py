@@ -6,7 +6,7 @@ bound on the solution count, Cauchy-Schwarz, edge-count identities,
 mixing inequality) and reporting the constant-bearing conclusions only
 as ratios, since implied constants carry no testable content at desk
 scale.  Asymptotically flavored steps degrade gracefully: when a dense
-graph or a pairwise count is out of reach, the pipeline keeps whatever
+graph or a direct edge count is out of reach, the pipeline keeps whatever
 inequality is still provable from the theoretical second singular value
 and marks the rest skipped.
 """

@@ -7,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valring import graph as graph_module
+from valring.cli import parse_ring
 from valring import (
     AllNonUnits,
     BadIndex,
     DEFAULT_CAPS,
     MAX_GRAPH_CLASSES,
+    ElementFilter,
     ElementSet,
     TooLarge,
     TooLargeForSpectrum,
@@ -189,6 +191,10 @@ def test_index_of_roundtrip(z9):
     assert np.array_equal(g.index_of(g.classes), np.arange(117))
     with pytest.raises(BadIndex):
         g.index_of(np.array([[2, 0, 0]]))  # not canonical, absent
+    # the key of [0, 0, 10] or of [0, 1] is that of a class; neither is one
+    for bad in ([[0, 0, 10]], [[0, 0, -1]], [[0, 1]], [0, 0, 1]):
+        with pytest.raises(BadIndex):
+            g.index_of(np.array(bad))
 
 
 def test_spectrum_frozen_f3():
@@ -229,14 +235,10 @@ def test_pair_edge_count_matches_graph(z9):
     assert direct == edge_count(g, li, ri)
 
 
-@pytest.mark.parametrize(
-    "p,r,d,spread",
-    [(5, 2, 4, 25), (3, 4, 3, 81), (65521, 1, 8, 4)],
-)
-def test_pair_edge_count_zpr_matches_ring_arithmetic(p, r, d, spread):
-    ring = make_ring(p, 1, r)
-    rng = np.random.default_rng(p + d)
-    # entries in [size - spread, size - 1]: near the top of the dot-product bound
+def _near_top_rows(ring, d, spread):
+    """60 left and 70 right rows with entries in [size - spread, size - 1],
+    near the top of the dot-product bound."""
+    rng = np.random.default_rng(ring.p + d)
     left, right = (ring.size - 1 - rng.integers(0, spread, size=(m, d)) for m in (60, 70))
     if ring.r == 1:
         # random pairs over a large field are almost never orthogonal: make
@@ -244,6 +246,16 @@ def test_pair_edge_count_zpr_matches_ring_arithmetic(p, r, d, spread):
         for i in range(10):
             head = int(ring.mul_many(left[i, :-1], right[i, :-1]).sum())
             right[i, -1] = -head * pow(int(left[i, -1]), -1, ring.size) % ring.size
+    return left, right
+
+
+@pytest.mark.parametrize(
+    "p,r,d,spread",
+    [(5, 2, 4, 25), (3, 4, 3, 81), (65521, 1, 8, 4)],
+)
+def test_pair_edge_count_zpr_matches_ring_arithmetic(p, r, d, spread):
+    ring = make_ring(p, 1, r)
+    left, right = _near_top_rows(ring, d, spread)
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(d):
         acc = ring.add_many(acc, ring.mul_many(left[:, k, None], right[None, :, k]))
@@ -256,6 +268,95 @@ def test_pair_edge_count_cap(z9):
     g = build_graph(z9, 3)
     with pytest.raises(TooLarge):
         pair_edge_count(z9, g.classes, g.classes, DEFAULT_CAPS.with_(max_pair_count=100))
+
+
+def _pairwise_count(ring, left, right):
+    return int(graph_module._dot_zero_block(ring, left, right).sum())
+
+
+def _random_side(ring, rng, d, rows, prefixes, last):
+    """rows x d indices: prefixes drawn from a pool, last column by ``last``."""
+    pool = rng.integers(0, ring.size, size=(prefixes, d - 1))
+    side = np.empty((rows, d), dtype=np.int64)
+    side[:, :-1] = pool[rng.integers(0, prefixes, size=rows)]
+    if last == "zero":
+        side[:, -1] = 0
+    elif last == "non-unit":
+        side[:, -1] = rng.choice(ring.indices(ElementFilter.MAXIMAL_IDEAL), size=rows)
+    else:
+        side[:, -1] = rng.integers(0, ring.size, size=rows)
+    return side
+
+
+_SIDE = st.tuples(
+    st.sampled_from([1, 2, 9, 40, 90]),  # rows
+    st.sampled_from([1, 2, 5, 90]),  # size of the prefix pool
+    st.sampled_from(["zero", "non-unit", "any"]),  # last coordinate
+)
+
+
+@given(
+    st.sampled_from(["z:3:2", "z:5:2", "z:7:2", "f:9:2", "f:3:3"]),
+    st.integers(2, 5),
+    _SIDE,
+    _SIDE,
+    st.integers(0, 2**32 - 1),
+)
+def test_pair_edge_count_matches_pairwise(desc, d, left_shape, right_shape, seed):
+    ring = parse_ring(desc)
+    rng = np.random.default_rng(seed)
+    left = _random_side(ring, rng, d, *left_shape)
+    right = _random_side(ring, rng, d, *right_shape)
+    assert pair_edge_count(ring, left, right) == _pairwise_count(ring, left, right)
+
+
+def _no_pairwise(*args):
+    raise AssertionError("grouped kernel fell back to pairwise blocks")
+
+
+def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
+    f = fold_sets(sample_unit_subset(z25, 10, 9), 2)
+    emb = embed_energy_sets(f)
+    monkeypatch.setattr(graph_module, "_dot_zero_block", _no_pairwise)
+    assert pair_edge_count(z25, emb.u_rows, emb.v_rows) == form_energy(f)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_pair_edge_count_chunk_boundaries(z25, monkeypatch, cells):
+    f = fold_sets(sample_unit_subset(z25, 4, 3), 2)
+    emb = embed_energy_sets(f)
+    monkeypatch.setattr(graph_module, "_dot_zero_block", _no_pairwise)
+    monkeypatch.setattr(graph_module, "_CHUNK_CELLS", cells)
+    assert pair_edge_count(z25, emb.u_rows, emb.v_rows) == form_energy(f)
+
+
+def test_pair_edge_count_large_field_falls_back(monkeypatch):
+    # 70 right groups x 4 distinct x x 65521 table cells dwarf the 4200 pairs
+    ring = make_ring(65521, 1, 1)
+    left, right = _near_top_rows(ring, 8, 4)
+    expected = _pairwise_count(ring, left, right)
+    calls = []
+    pairwise = graph_module._dot_zero_block
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return pairwise(*args)
+
+    monkeypatch.setattr(graph_module, "_dot_zero_block", counted)
+    assert pair_edge_count(ring, left, right) == expected
+    assert calls == [60]
+
+
+@pytest.mark.parametrize("p,d", [(3, 4), (65521, 8)])
+def test_row_keys_follow_lexicographic_order(p, d):
+    # 65521**8 passes int64, so those keys are rebuilt from ranks on the way
+    ring = make_ring(p, 1, 1)
+    rng = np.random.default_rng(d)
+    # three values per column, so rows repeat and share leading columns
+    values = rng.integers(0, ring.size, size=(d, 3))
+    rows = values[np.arange(d), rng.integers(0, 3, size=(300, d))]
+    _, first = np.unique(graph_module._row_keys(ring, rows), return_index=True)
+    assert np.array_equal(rows[first], np.unique(rows, axis=0))
 
 
 # ---------------------------------------------------------------------------
