@@ -1,7 +1,7 @@
 """Exact arithmetic, orthogonality graphs, and sum-product growth
 checks over finite valuation rings of odd residue characteristic."""
 
-from .config import MAX_GRAPH_CLASSES, MAX_RING_SIZE, Caps, DEFAULT_CAPS, SPECTRAL_TOL, derive_seed
+from .config import MAX_GRAPH_CLASSES, MAX_RING_SIZE, SPECTRAL_TOL, derive_seed
 from .errors import (
     AllNonUnits,
     BadArity,

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_CAPS
+from .config import SPECTRAL_CAP
 from .errors import EvenCharacteristic, ParseError, ValringError
 from .graph import build_graph, lambda3_bound, mixing_random_pairs, spectrum
 from .ring import Ring, RingFamily, check_ring_size, factor_prime_power, make_ring
@@ -154,9 +154,8 @@ def _handle_graph_mixing(ns: argparse.Namespace, ring: Ring):
 
 def _handle_verify_thm(ns: argparse.Namespace, ring: Ring):
     a = _one_set(ns, ring)
-    caps = DEFAULT_CAPS.with_(spectral_cap=ns.spectral_cap)
     fn = verify_thm1_pipeline if ns.command == "verify thm1" else verify_thm2_pipeline
-    report = fn(a, ns.n, caps)
+    report = fn(a, ns.n, ns.spectral_cap)
     return report.to_dict(), report.hard_pass
 
 
@@ -214,7 +213,7 @@ _OPTIONS = {
     "--sizes": dict(required=True, help="comma-separated subset sizes"),
     "--iters": dict(type=int, default=200),
     "--constants": dict(default="1,1,1", help="c1,c2,c3 (default 1,1,1)"),
-    "--spectral-cap": dict(type=int, default=DEFAULT_CAPS.spectral_cap),
+    "--spectral-cap": dict(type=int, default=SPECTRAL_CAP),
 }
 
 # command -> (handler, options beyond --ring/--out/--format, per-command defaults)
@@ -273,7 +272,7 @@ def _check(ns: argparse.Namespace) -> None:
     if len(constants) != 3:
         raise ParseError("--constants needs exactly c1,c2,c3")
     if getattr(ns, "spectral_cap", 1) < 1:
-        raise ParseError("caps must be positive")
+        raise ParseError("--spectral-cap must be positive")
     if not 0 <= getattr(ns, "seed", 0) < 2**64:
         raise ParseError("seed must fit in 64 bits")
     if not all(math.isfinite(c) for c in constants):
@@ -353,9 +352,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
         payload, ok = handler(ns, parse_ring(ns.ring))
     except ValringError as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}}, ns.out, ns.format)
-        return 1
-    _emit(payload, ns.out, ns.format)
+        payload, ok = {"error": {"type": type(exc).__name__, "message": str(exc)}}, False
+    try:
+        _emit(payload, ns.out, ns.format)
+    except OSError as exc:
+        sys.stderr.write(f"valring: cannot write --out {ns.out}: {exc.strerror or exc}\n")
+        return 2
     return 0 if ok else 1
 
 

@@ -2,40 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from .errors import BadSize
 
 # tolerance for all floating-point spectral comparisons
 SPECTRAL_TOL = 1e-6
 
-# Caps on the two cached objects: make_ring and build_graph key their caches on
-# what they build, so these cannot vary per call; each is checked first.
-MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r
-MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense biadjacency
+# Size caps, each compared in one module.  make_ring and build_graph key their
+# caches on what they build, so their caps cannot vary per call.
+MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r (ring.py)
+MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense biadjacency (graph.py)
+MAX_N = 4  # largest tuple-length parameter n of the fold (sets.py)
+MAX_TUPLE_COUNT = 50_000_000  # largest number of tuples the fold visits (sets.py)
+# largest |U|*|V| the direct edge count takes on, a route cap: the grouped
+# kernel visits far fewer cells (graph.py)
+MAX_PAIR_COUNT = 30_000_000
+MAX_EMBED_SIZE = 200_000  # largest embedded vertex-list length per side (graph.py)
+MAX_TRIALS = 100_000  # largest trial or iteration count of mixing, scan and search
+# default largest matrix side for a dense SVD; the only cap set per call
+SPECTRAL_CAP = 5000
 
 
-@dataclass(frozen=True)
-class Caps:
-    """Per-call limits that keep dense computations inside memory/time budgets.
-
-    spectral_cap        largest matrix side for dense SVD
-    max_n               largest tuple-length parameter for counting
-    max_tuple_count     largest number of tuples a counting fold may visit
-    max_pair_count      largest |U|*|V| the direct edge count takes on (a route
-                        cap: the grouped kernel visits far fewer cells)
-    max_embed_size      largest embedded vertex-list length per side
-    """
-
-    spectral_cap: int = 5000
-    max_n: int = 4
-    max_tuple_count: int = 50_000_000
-    max_pair_count: int = 30_000_000
-    max_embed_size: int = 200_000
-
-    def with_(self, **kw) -> "Caps":
-        return replace(self, **kw)
-
-
-DEFAULT_CAPS = Caps()
+def check_count(name: str, value: int, low: int) -> None:
+    """Raise BadSize unless low <= value <= MAX_TRIALS; call before allocating."""
+    if not low <= value <= MAX_TRIALS:
+        raise BadSize(f"need {low} <= {name} <= {MAX_TRIALS}, got {value}")
 
 
 def derive_seed(master: int, *parts: int) -> int:

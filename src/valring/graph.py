@@ -47,12 +47,18 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .config import MAX_GRAPH_CLASSES, Caps, DEFAULT_CAPS, SPECTRAL_TOL
+from .config import (
+    MAX_EMBED_SIZE,
+    MAX_GRAPH_CLASSES,
+    MAX_PAIR_COUNT,
+    SPECTRAL_CAP,
+    SPECTRAL_TOL,
+    check_count,
+)
 from .errors import (
     AllNonUnits,
     BadArity,
     BadIndex,
-    BadSize,
     TooLarge,
     TooLargeForSpectrum,
 )
@@ -270,9 +276,7 @@ def build_graph(ring: Ring, d: int) -> OrthGraph:
     return OrthGraph(ring, d, classes, m)
 
 
-def spectrum(
-    graph: OrthGraph, spectral_cap: int = DEFAULT_CAPS.spectral_cap
-) -> np.ndarray:
+def spectrum(graph: OrthGraph, spectral_cap: int = SPECTRAL_CAP) -> np.ndarray:
     """All singular values of the biadjacency, descending.  Cached."""
     if graph.n_classes > spectral_cap:
         raise TooLargeForSpectrum(
@@ -301,14 +305,13 @@ def edge_count(graph: OrthGraph, left_ids: Sequence[int], right_ids: Sequence[in
     return int(graph.biadjacency[np.ix_(li, ri)].sum(dtype=np.int64))
 
 
-def pair_edge_count(
-    ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray, caps: Caps = DEFAULT_CAPS
-) -> int:
+def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -> int:
     """Count orthogonal pairs between two explicit class lists.
 
     Dense-graph-free route for rings whose class count exceeds the
-    biadjacency cap; exact.  A row is a prefix (its first d-1
-    coordinates) and a last coordinate, so u . v = alpha . beta + x * y.
+    biadjacency cap; exact, and TooLarge when |U|*|V| exceeds
+    MAX_PAIR_COUNT.  A row is a prefix (its first d-1 coordinates) and a
+    last coordinate, so u . v = alpha . beta + x * y.
     Rows are grouped by prefix, alpha . beta is taken once per pair of
     groups, and T[g, i, c] = #{y in right group g : x_i * y = c} is
     tabled for the distinct left values x_i; a left row then adds
@@ -320,8 +323,8 @@ def pair_edge_count(
     nl, nr = len(left_rows), len(right_rows)
     if nl == 0 or nr == 0:
         return 0
-    if nl * nr > caps.max_pair_count:
-        raise TooLarge(f"{nl * nr} pairs exceed cap {caps.max_pair_count}")
+    if nl * nr > MAX_PAIR_COUNT:
+        raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
     left = np.asarray(left_rows, dtype=np.int64)
     right = np.asarray(right_rows, dtype=np.int64)
     size = ring.size
@@ -377,7 +380,7 @@ def pair_edge_count(
 
 
 def resolve_lambda3(
-    graph: OrthGraph, spectral_cap: int = DEFAULT_CAPS.spectral_cap
+    graph: OrthGraph, spectral_cap: int = SPECTRAL_CAP
 ) -> tuple[float, str]:
     """Pick the tightest available sigma_2: computed, else theoretical."""
     try:
@@ -387,7 +390,7 @@ def resolve_lambda3(
 
 
 def mixing_random_pairs(
-    graph: OrthGraph, trials: int, seed: int, spectral_cap: int = DEFAULT_CAPS.spectral_cap
+    graph: OrthGraph, trials: int, seed: int, spectral_cap: int = SPECTRAL_CAP
 ) -> dict:
     """Mixing inequality on seeded random subset pairs, batched.
 
@@ -397,8 +400,7 @@ def mixing_random_pairs(
     violations (which the theorem says must be zero) and the worst
     residual/bound ratio observed.
     """
-    if trials < 0:
-        raise BadSize(f"need trials >= 0, got {trials}")
+    check_count("trials", trials, 0)
     n = graph.n_classes
     rng = random.Random(seed)
     lam, kind = resolve_lambda3(graph, spectral_cap)
@@ -489,7 +491,6 @@ def _embed_blocks(
     u_blocks: Sequence[np.ndarray],
     v_blocks: Sequence[np.ndarray],
     signs: Sequence[int],
-    caps: Caps,
 ) -> EmbeddedSets:
     """Rows of U over the product of ``u_blocks`` and of V over ``v_blocks``.
 
@@ -501,7 +502,7 @@ def _embed_blocks(
     d = len(signs) + 2
     u_count = math.prod(len(b) for b in u_blocks)
     v_count = math.prod(len(b) for b in v_blocks)
-    if max(u_count, v_count) > caps.max_embed_size:
+    if max(u_count, v_count) > MAX_EMBED_SIZE:
         return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count)
 
     u, v = _grid(u_blocks), _grid(v_blocks)
@@ -527,7 +528,7 @@ def _signed_squares(ring: Ring, cols: np.ndarray, signs: Sequence[int]) -> np.nd
     return acc
 
 
-def embed_solution_sets(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> EmbeddedSets:
+def embed_solution_sets(f: FoldSets) -> EmbeddedSets:
     """Vertex sets in dimension n+1 whose edge count is the solution count.
 
     U = (A+A)^{n-1} x A^2 and V = A^{n-1} x nA^2, all signs +1: a row
@@ -536,11 +537,11 @@ def embed_solution_sets(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> EmbeddedSets:
     m = f.n - 1
     a, plus = f.a.indices(), f.plus.indices()
     return _embed_blocks(
-        f, [plus] * m + [f.sq.indices()], [a] * m + [f.target.indices()], [1] * m, caps
+        f, [plus] * m + [f.sq.indices()], [a] * m + [f.target.indices()], [1] * m
     )
 
 
-def embed_energy_sets(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> EmbeddedSets:
+def embed_energy_sets(f: FoldSets) -> EmbeddedSets:
     """Vertex sets in dimension 2n whose edge count is the collision energy.
 
     U = (A+A)^{n-1} x A^{n-1} x A^2 and V = A^{n-1} x (A+A)^{n-1} x A^2,
@@ -551,5 +552,5 @@ def embed_energy_sets(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> EmbeddedSets:
     m = f.n - 1
     a, plus, sq = f.a.indices(), f.plus.indices(), f.sq.indices()
     return _embed_blocks(
-        f, [plus] * m + [a] * m + [sq], [a] * m + [plus] * m + [sq], [1] * m + [-1] * m, caps
+        f, [plus] * m + [a] * m + [sq], [a] * m + [plus] * m + [sq], [1] * m + [-1] * m
     )

@@ -364,25 +364,19 @@ class Ring:
     def _field_add_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.s == 1:
             return (x + y) % self.p
-        dx = (x[..., None] // self._p_pows) % self.p
-        dy = (y[..., None] // self._p_pows) % self.p
-        return (((dx + dy) % self.p) * self._p_pows).sum(axis=-1)
+        return self._digitwise(np.add, x, y, self._p_pows)
 
     # -- FQTR digit path: builds the Cayley tables, serves rings above the cap
 
-    def _add_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da = (a[..., None] // self._pp_full) % self.p
-        db = (b[..., None] // self._pp_full) % self.p
-        return (((da + db) % self.p) * self._pp_full).sum(axis=-1)
+    def _digitwise(self, op, a, b, pows: np.ndarray) -> np.ndarray:
+        """op(a, b) mod p on each base-p digit of weight ``pows``, reassembled.
 
-    def _neg_digits(self, a: np.ndarray) -> np.ndarray:
-        da = (a[..., None] // self._pp_full) % self.p
-        return (((self.p - da) % self.p) * self._pp_full).sum(axis=-1)
-
-    def _sub_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        da = (a[..., None] // self._pp_full) % self.p
-        db = (b[..., None] // self._pp_full) % self.p
-        return (((da - db) % self.p) * self._pp_full).sum(axis=-1)
+        Addition never carries between digits, so sums, differences and
+        negations (differences from 0) all take this one step.
+        """
+        da = (a[..., None] // pows) % self.p
+        db = (b[..., None] // pows) % self.p
+        return ((op(da, db) % self.p) * pows).sum(axis=-1)
 
     def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a, b = np.broadcast_arrays(a, b)
@@ -412,7 +406,7 @@ class Ring:
             idx = np.arange(size, dtype=np.int64)
             lo, hi = idx % split, idx // split
             halves = (idx[:split], split * idx[: size // split])
-            add_halves = [self._add_digits(h[:, None], h) for h in halves]
+            add_halves = [self._digitwise(np.add, h[:, None], h, self._pp_full) for h in halves]
             add = add_halves[0][lo][:, lo] + add_halves[1][hi][:, hi]
 
             def add_gather(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -427,7 +421,7 @@ class Ring:
                 for h in halves
             ]
             mul = add_gather(by_half[0][:, lo], by_half[1][:, hi])
-            neg = self._neg_digits(idx)
+            neg = self._digitwise(np.subtract, np.int64(0), idx, self._pp_full)
             for t in (add, mul, neg):
                 t.flags.writeable = False
             self._cayley_tables = _CayleyTables(add, mul, neg)
@@ -440,7 +434,7 @@ class Ring:
             return (a + b) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._add_digits(a, b)
+            return self._digitwise(np.add, a, b, self._pp_full)
         return tables.add[a, b]
 
     def neg_many(self, a) -> np.ndarray:
@@ -449,7 +443,7 @@ class Ring:
             return (self.size - a) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._neg_digits(a)
+            return self._digitwise(np.subtract, np.int64(0), a, self._pp_full)
         return tables.neg[a]
 
     def sub_many(self, a, b) -> np.ndarray:
@@ -459,7 +453,7 @@ class Ring:
             return (a - b) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._sub_digits(a, b)
+            return self._digitwise(np.subtract, a, b, self._pp_full)
         return tables.add[a, tables.neg[b]]
 
     def mul_many(self, a, b) -> np.ndarray:

@@ -12,10 +12,10 @@ from A^2 x (A+A)^{n-1} x A^{n-1} and fold them through
 
 Every reader of the fold takes one :class:`FoldSets` record, the sets
 A, A+A, A^2 and nA^2 with n, which ``fold_sets`` builds once after
-checking 2 <= n <= ``caps.max_n``; a replay builds it once and hands the
+checking 2 <= n <= ``MAX_N``; a replay builds it once and hands the
 same record to the fold and to the graph embeddings.  The fold itself
 (``_form_values``) checks that A consists of units and that the tuple
-count fits ``caps.max_tuple_count``.
+count fits ``MAX_TUPLE_COUNT``.
 
 ``count_form_solutions`` counts tuples whose value lands in nA^2 (a
 membership test per tuple), ``form_energy`` is the sum of squared
@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .config import Caps, DEFAULT_CAPS
+from .config import MAX_N, MAX_TUPLE_COUNT
 from .errors import BadArity, BadIndex, BadSize, NotUnits, RingMismatch, TooLarge
 from .ring import Element, ElementFilter, Ring
 
@@ -239,10 +239,10 @@ class FoldSets(NamedTuple):
     target: ElementSet
 
 
-def fold_sets(a: ElementSet, n: int, caps: Caps = DEFAULT_CAPS) -> FoldSets:
-    """Check 2 <= n <= caps.max_n, then build A^2, A+A and nA^2 once each."""
-    if not 2 <= n <= caps.max_n:
-        raise BadArity(f"need 2 <= n <= {caps.max_n}, got {n}")
+def fold_sets(a: ElementSet, n: int) -> FoldSets:
+    """Check 2 <= n <= MAX_N, then build A^2, A+A and nA^2 once each."""
+    if not 2 <= n <= MAX_N:
+        raise BadArity(f"need 2 <= n <= {MAX_N}, got {n}")
     sq = square_set(a)
     return FoldSets(a, n, sumset(a, a), sq, iterated_sumset(sq, n))
 
@@ -252,15 +252,13 @@ def form_tuple_count(f: FoldSets) -> int:
     return f.sq.card * (f.plus.card * f.a.card) ** (f.n - 1)
 
 
-def _form_values(f: FoldSets, caps: Caps) -> np.ndarray:
+def _form_values(f: FoldSets) -> np.ndarray:
     """Folded values x + sum (b_i - c_i)^2 for every tuple, flattened."""
     if not f.a.all_units():
         raise NotUnits("the base set must consist of units")
     total = form_tuple_count(f)
-    if total > caps.max_tuple_count:
-        raise TooLarge(
-            f"{total} tuples exceed cap {caps.max_tuple_count}; shrink A or n"
-        )
+    if total > MAX_TUPLE_COUNT:
+        raise TooLarge(f"{total} tuples exceed cap {MAX_TUPLE_COUNT}; shrink A or n")
     if total == 0:
         return np.empty(0, dtype=np.int64)
     ring = f.a.ring
@@ -283,25 +281,25 @@ def _combine_add(ring: Ring, vals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return out
 
 
-def count_form_solutions(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> int:
+def count_form_solutions(f: FoldSets) -> int:
     """Tuples whose folded value lies in nA^2.
 
     Implemented as a membership test per tuple; tests cross-check it
     against the histogram route and a scalar brute-force oracle.
     """
-    return int(f.target.mask()[_form_values(f, caps)].sum())
+    return int(f.target.mask()[_form_values(f)].sum())
 
 
-def form_value_histogram(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> np.ndarray:
+def form_value_histogram(f: FoldSets) -> np.ndarray:
     """Multiplicity of each ring value under the fold (length = ring size)."""
-    vals = _form_values(f, caps)
+    vals = _form_values(f)
     return np.bincount(vals, minlength=f.a.ring.size).astype(np.int64)
 
 
-def form_energy(f: FoldSets, caps: Caps = DEFAULT_CAPS) -> int:
+def form_energy(f: FoldSets) -> int:
     """Sum of squared multiplicities over all values (collision energy)."""
-    hist = form_value_histogram(f, caps)
-    # exact in int64: E <= T^2 for T tuples, and T <= max_tuple_count = 5*10^7
+    hist = form_value_histogram(f)
+    # exact in int64: E <= T^2 for T tuples, and T <= MAX_TUPLE_COUNT = 5*10^7
     # gives E <= 2.5*10^15 < 2^63 (a cap below 3*10^9 keeps it exact)
     return int(hist @ hist)
 

@@ -20,7 +20,7 @@ from itertools import combinations
 from statistics import median
 from typing import Optional, Sequence
 
-from .config import MAX_GRAPH_CLASSES, Caps, DEFAULT_CAPS, SPECTRAL_TOL, derive_seed
+from .config import SPECTRAL_CAP, SPECTRAL_TOL, check_count, derive_seed
 from .errors import BadSize, NotUnits, TooLarge
 from .graph import (
     build_graph,
@@ -112,22 +112,31 @@ def _prepare(a: ElementSet, warnings: list) -> ElementSet:
     return restricted
 
 
-def _edge_route(ring: Ring, d: int, emb, caps: Caps) -> dict:
-    """Resolve e(U, V) by the best available route and price the mixing bound."""
+def _edge_route(ring: Ring, d: int, emb, spectral_cap: int) -> dict:
+    """Resolve e(U, V) by the best available route and price the mixing bound.
+
+    The routes are tried in order, each refusing with TooLarge past its
+    own cap: the dense graph, then the direct pair count, else bound-only.
+    A skipped embedding has no rows and goes straight to bound-only.
+    """
     n_cls = class_count(ring, d)
     deg = class_degree(ring, d)
     edges = None
     mode = "bound-only"
     lam, kind = lambda3_bound(ring, d), "theoretical"
     if emb.u_rows is not None:
-        if n_cls <= MAX_GRAPH_CLASSES:
+        try:
             g = build_graph(ring, d)
+        except TooLarge:
+            try:
+                edges = pair_edge_count(ring, emb.u_rows, emb.v_rows)
+                mode = "direct"
+            except TooLarge:
+                pass
+        else:
             edges = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
-            lam, kind = resolve_lambda3(g, caps.spectral_cap)
+            lam, kind = resolve_lambda3(g, spectral_cap)
             mode = "graph"
-        elif emb.u_count * emb.v_count <= caps.max_pair_count:
-            edges = pair_edge_count(ring, emb.u_rows, emb.v_rows, caps)
-            mode = "direct"
     pair_geom = math.sqrt(emb.u_count * emb.v_count)
     main = deg * emb.u_count * emb.v_count / n_cls
     return {
@@ -146,7 +155,7 @@ def _step(passed: Optional[bool], mode: str, detail: str) -> dict:
     return {"passed": passed, "mode": mode, "detail": detail}
 
 
-def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
+def _replay(kind: str, a_in: ElementSet, n: int, spectral_cap: int) -> PipelineReport:
     """The counting argument both theorems share, for one statistic.
 
     thm1 bounds the solution count N in dimension n + 1; thm2 bounds the
@@ -163,7 +172,7 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
     q, r = ring.q, ring.r
     warnings: list = []
     a = _prepare(a_in, warnings)
-    f = fold_sets(a, n, caps)
+    f = fold_sets(a, n)
     k, s, sq, tgt = a.card, f.plus, f.sq, f.target
     sizes = {
         "a": a_in.card,
@@ -174,7 +183,7 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
     }
 
     # one fold gives N (tuples valued in nA^2) and E (int64-exact, see form_energy)
-    hist = form_value_histogram(f, caps)
+    hist = form_value_histogram(f)
     sol = int(hist[tgt.mask()].sum())
     lower = sq.card * k ** (2 * n - 2)
     steps = {
@@ -209,8 +218,8 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
         "solution_density": sol / k ** (2 * n - 1),
     }
 
-    emb = embed(f, caps)
-    route = _edge_route(ring, d, emb, caps)
+    emb = embed(f)
+    route = _edge_route(ring, d, emb, spectral_cap)
     edges, bound = route["edges"], route["edge_bound"]
     if edges is not None:
         steps[f"{name}_le_edges"] = _step(
@@ -256,17 +265,17 @@ def _replay(kind: str, a_in: ElementSet, n: int, caps: Caps) -> PipelineReport:
 
 
 def verify_thm1_pipeline(
-    a_in: ElementSet, n: int, caps: Caps = DEFAULT_CAPS
+    a_in: ElementSet, n: int, spectral_cap: int = SPECTRAL_CAP
 ) -> PipelineReport:
     """Replay the solution-count argument in dimension n + 1."""
-    return _replay("thm1", a_in, n, caps)
+    return _replay("thm1", a_in, n, spectral_cap)
 
 
 def verify_thm2_pipeline(
-    a_in: ElementSet, n: int, caps: Caps = DEFAULT_CAPS
+    a_in: ElementSet, n: int, spectral_cap: int = SPECTRAL_CAP
 ) -> PipelineReport:
     """Replay the energy argument in dimension 2n."""
-    return _replay("thm2", a_in, n, caps)
+    return _replay("thm2", a_in, n, spectral_cap)
 
 
 # -- square halving -------------------------------------------------------------
@@ -424,8 +433,7 @@ def bound_ratio_scan(
     draws its set from its own child seed, derived from the master seed
     and the trial's (size, trial) coordinates.
     """
-    if trials < 1:
-        raise BadSize(f"need trials >= 1, got {trials}")
+    check_count("trials", trials, 1)
     unit_total = ring.unit_count
     for k in sizes:
         if not 1 <= k <= unit_total:
@@ -521,8 +529,7 @@ def extremal_search(ring: Ring, k: int, iters: int, seed: int) -> dict:
     not increase the objective are accepted.  The reported trace is the
     best objective so far in chain order, hence non-increasing.
     """
-    if iters < 0:
-        raise BadSize(f"need iters >= 0, got {iters}")
+    check_count("iters", iters, 0)
     units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
     if not 1 <= k <= len(units):
         raise BadSize(f"size {k} outside [1, {len(units)}] for {ring.descriptor}")

@@ -256,6 +256,15 @@ def test_run_writes_out_file(tmp_path, capsys):
     assert payload["size"] == 9
 
 
+def test_run_out_path_that_cannot_be_written(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert run(["ring", "info", "--ring", "z:3:2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(target) in captured.err
+    assert not target.exists()
+
+
 def test_run_classify(capsys):
     code = run(["classify", "--ring", "z:3:2", "--set", "units"])
     payload = json.loads(capsys.readouterr().out)
@@ -291,6 +300,10 @@ def test_run_hpv_set_count(capsys):
         ["scan", "ratios", "--ring", "z:5:2", "--sizes", "4", "--trials", "0"],
         ["graph", "mixing", "--ring", "z:3:2", "--d", "3", "--trials", "-3"],
         ["search", "extremal", "--ring", "z:5:2", "--sizes", "4", "--iters", "-5"],
+        # over MAX_TRIALS: refused before anything is allocated per trial
+        ["graph", "mixing", "--ring", "z:3:1", "--d", "2", "--trials", str(10**15)],
+        ["scan", "ratios", "--ring", "z:5:2", "--sizes", "4", "--trials", str(10**12)],
+        ["search", "extremal", "--ring", "z:5:2", "--sizes", "4", "--iters", str(10**12)],
     ],
 )
 def test_run_rejects_bad_counts(argv, capsys):

@@ -11,7 +11,6 @@ from valring.cli import parse_ring
 from valring import (
     AllNonUnits,
     BadIndex,
-    DEFAULT_CAPS,
     MAX_GRAPH_CLASSES,
     ElementFilter,
     ElementSet,
@@ -264,10 +263,11 @@ def test_pair_edge_count_zpr_matches_ring_arithmetic(p, r, d, spread):
     assert pair_edge_count(ring, left, right) == expected
 
 
-def test_pair_edge_count_cap(z9):
+def test_pair_edge_count_cap(z9, monkeypatch):
     g = build_graph(z9, 3)
+    monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", 100)
     with pytest.raises(TooLarge):
-        pair_edge_count(z9, g.classes, g.classes, DEFAULT_CAPS.with_(max_pair_count=100))
+        pair_edge_count(z9, g.classes, g.classes)
 
 
 def _pairwise_count(ring, left, right):
@@ -457,9 +457,10 @@ def test_embeddings_reproduce_counts_n3(maker):
         _check_embeddings(ring, fold_sets(sample_unit_subset(ring, 4, seed), 3))
 
 
-def test_embed_skip_mode(z9):
+def test_embed_skip_mode(z9, monkeypatch):
     f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
-    emb = embed_solution_sets(f, DEFAULT_CAPS.with_(max_embed_size=1))
+    monkeypatch.setattr(graph_module, "MAX_EMBED_SIZE", 1)
+    emb = embed_solution_sets(f)
     assert emb.audit == "skipped"
     assert emb.u_rows is None and emb.v_rows is None
     assert emb.u_count == 6  # counts still reported for the bound-only route

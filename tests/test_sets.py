@@ -9,7 +9,6 @@ from valring import (
     BadArity,
     BadIndex,
     BadSize,
-    DEFAULT_CAPS,
     ElementSet,
     NotUnits,
     RingMismatch,
@@ -28,6 +27,7 @@ from valring import (
     sumset,
     triple_product_sizes,
 )
+from valring import sets as sets_module
 from valring.sets import _form_values
 
 
@@ -288,23 +288,25 @@ def test_energy_is_sum_of_squared_multiplicities(ids, n):
     assert inside == count_form_solutions(f)
 
 
-def test_form_arg_validation(z9):
+def test_form_arg_validation(z9, monkeypatch):
     a = ElementSet.from_indices(z9, [1, 2])
     with pytest.raises(BadArity):
         fold_sets(a, 1)
     with pytest.raises(BadArity):
-        fold_sets(a, DEFAULT_CAPS.max_n + 1)
+        fold_sets(a, sets_module.MAX_N + 1)
+    monkeypatch.setattr(sets_module, "MAX_N", 2)
     with pytest.raises(BadArity):
-        fold_sets(a, 3, DEFAULT_CAPS.with_(max_n=2))
+        fold_sets(a, 3)
     with pytest.raises(NotUnits):
-        _form_values(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2), DEFAULT_CAPS)
-    with pytest.raises(TooLarge):
-        _form_values(fold_sets(a, 2), DEFAULT_CAPS.with_(max_tuple_count=4))
+        _form_values(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2))
     # the public readers go through the same checks
     with pytest.raises(NotUnits):
         count_form_solutions(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2))
+    monkeypatch.setattr(sets_module, "MAX_TUPLE_COUNT", 4)
     with pytest.raises(TooLarge):
-        count_form_solutions(fold_sets(a, 2), DEFAULT_CAPS.with_(max_tuple_count=4))
+        _form_values(fold_sets(a, 2))
+    with pytest.raises(TooLarge):
+        count_form_solutions(fold_sets(a, 2))
 
 
 def test_triple_product_sizes_frozen(z9):

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from valring import graph as graph_module
 from valring import verify as verify_module
 from valring import (
     BadSize,
     ElementSet,
     NotUnits,
     bound_ratio_scan,
+    build_graph,
     check_square_halving,
     classify_regime,
     extremal_search,
@@ -93,6 +95,24 @@ def test_thm1_n3_graph_route(z9):
     assert rep.embed["mode"] == "graph"  # 1080 classes fits the cap
     assert rep.hard_pass
     assert rep.counts["solutions"] <= rep.embed["edges"]
+
+
+def test_each_route_follows_its_one_cap(z9, monkeypatch):
+    a = ElementSet.units(z9)
+    dense = verify_thm1_pipeline(a, 2).embed
+    assert dense["mode"] == "graph" and dense["classes_per_side"] == 117
+    build_graph.cache_clear()  # a cached graph would skip the class cap
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "MAX_GRAPH_CLASSES", 116)
+        direct = verify_thm1_pipeline(a, 2).embed
+        assert direct["mode"] == "direct" and direct["edges"] == dense["edges"]
+        m.setattr(graph_module, "MAX_PAIR_COUNT", 1)
+        bound = verify_thm1_pipeline(a, 2).embed
+        assert bound["mode"] == "bound-only" and bound["audit"] == "ok"
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "MAX_EMBED_SIZE", 1)
+        skipped = verify_thm1_pipeline(a, 2).embed
+        assert skipped["audit"] == "skipped" and skipped["mode"] == "bound-only"
 
 
 @given(st.integers(2, 18), st.integers(0, 2**32))
