@@ -8,7 +8,6 @@ from .errors import (
     BadFamilyCombo,
     BadIndex,
     BadSize,
-    EvenCharacteristic,
     EvenPrime,
     NonPrime,
     NotAUnit,
@@ -17,7 +16,6 @@ from .errors import (
     ParseError,
     RingMismatch,
     TooLarge,
-    TooLargeForSpectrum,
     ValringError,
 )
 from .graph import (

@@ -12,8 +12,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import SPECTRAL_CAP
-from .errors import EvenCharacteristic, ParseError, ValringError
+from .config import SPECTRAL_TOL
+from .errors import ParseError, ValringError
 from .graph import build_graph, lambda3_bound, mixing_random_pairs, spectrum
 from .ring import Ring, RingFamily, check_ring_size, factor_prime_power, make_ring
 from .sets import ElementSet, sample_unit_subset
@@ -46,8 +46,6 @@ def parse_ring(text: str) -> Ring:
         return make_ring(base, 1, r, RingFamily.ZPR)
     check_ring_size(base, r)
     p, s = factor_prime_power(base)
-    if p == 2:
-        raise EvenCharacteristic(f"residue field size {base} is even")
     return make_ring(p, s, r, RingFamily.FQTR)
 
 
@@ -124,11 +122,11 @@ def _handle_graph_build(ns: argparse.Namespace, ring: Ring):
 
 def _handle_graph_spectrum(ns: argparse.Namespace, ring: Ring):
     g = build_graph(ring, ns.d)
-    sv = spectrum(g, ns.spectral_cap)
+    sv = spectrum(g)
     bound = lambda3_bound(ring, ns.d)
     sigma1, sigma2 = float(sv[0]), float(sv[1]) if len(sv) > 1 else 0.0
-    s1_ok = abs(sigma1 - g.degree) <= 1e-6 * g.degree
-    s2_ok = sigma2 <= bound + 1e-6
+    s1_ok = abs(sigma1 - g.degree) <= SPECTRAL_TOL * g.degree
+    s2_ok = sigma2 <= bound + SPECTRAL_TOL
     payload = {
         "kind": "spectrum",
         "ring": ring.descriptor,
@@ -146,7 +144,7 @@ def _handle_graph_spectrum(ns: argparse.Namespace, ring: Ring):
 
 def _handle_graph_mixing(ns: argparse.Namespace, ring: Ring):
     g = build_graph(ring, ns.d)
-    rep = mixing_random_pairs(g, ns.trials, ns.seed, spectral_cap=ns.spectral_cap)
+    rep = mixing_random_pairs(g, ns.trials, ns.seed)
     payload = {"kind": "mixing", "ring": ring.descriptor, "d": ns.d,
                "classes_per_side": g.n_classes, **rep}
     return payload, rep["violations"] == 0
@@ -155,7 +153,7 @@ def _handle_graph_mixing(ns: argparse.Namespace, ring: Ring):
 def _handle_verify_thm(ns: argparse.Namespace, ring: Ring):
     a = _one_set(ns, ring)
     fn = verify_thm1_pipeline if ns.command == "verify thm1" else verify_thm2_pipeline
-    report = fn(a, ns.n, ns.spectral_cap)
+    report = fn(a, ns.n)
     return report.to_dict(), report.hard_pass
 
 
@@ -213,18 +211,16 @@ _OPTIONS = {
     "--sizes": dict(required=True, help="comma-separated subset sizes"),
     "--iters": dict(type=int, default=200),
     "--constants": dict(default="1,1,1", help="c1,c2,c3 (default 1,1,1)"),
-    "--spectral-cap": dict(type=int, default=SPECTRAL_CAP),
 }
 
 # command -> (handler, options beyond --ring/--out/--format, per-command defaults)
 _COMMANDS = {
     "ring info": (_handle_ring_info, (), {}),
     "graph build": (_handle_graph_build, ("--d",), {}),
-    "graph spectrum": (_handle_graph_spectrum, ("--d", "--spectral-cap"), {}),
-    "graph mixing": (_handle_graph_mixing,
-                     ("--d", "--seed", "--trials", "--spectral-cap"), {"trials": 100}),
-    "verify thm1": (_handle_verify_thm, ("--set", "--n", "--spectral-cap"), {}),
-    "verify thm2": (_handle_verify_thm, ("--set", "--n", "--spectral-cap"), {}),
+    "graph spectrum": (_handle_graph_spectrum, ("--d",), {}),
+    "graph mixing": (_handle_graph_mixing, ("--d", "--seed", "--trials"), {"trials": 100}),
+    "verify thm1": (_handle_verify_thm, ("--set", "--n"), {}),
+    "verify thm2": (_handle_verify_thm, ("--set", "--n"), {}),
     "verify hpv": (_handle_verify_hpv, ("--set",), {}),
     "scan ratios": (_handle_scan,
                     ("--seed", "--trials", "--sizes", "--constants"), {"trials": 20}),
@@ -271,8 +267,6 @@ def _check(ns: argparse.Namespace) -> None:
     constants = getattr(ns, "constants", (1.0, 1.0, 1.0))
     if len(constants) != 3:
         raise ParseError("--constants needs exactly c1,c2,c3")
-    if getattr(ns, "spectral_cap", 1) < 1:
-        raise ParseError("--spectral-cap must be positive")
     if not 0 <= getattr(ns, "seed", 0) < 2**64:
         raise ParseError("seed must fit in 64 bits")
     if not all(math.isfinite(c) for c in constants):

@@ -7,10 +7,10 @@ from .errors import BadSize
 # tolerance for all floating-point spectral comparisons
 SPECTRAL_TOL = 1e-6
 
-# Size caps, each compared in one module.  make_ring and build_graph key their
-# caches on what they build, so their caps cannot vary per call.
+# Size caps, each compared in one module; none is set per call.  make_ring and
+# build_graph key their caches on what they build.
 MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r (ring.py)
-MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense biadjacency (graph.py)
+MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense graph and its SVD (graph.py)
 MAX_N = 4  # largest tuple-length parameter n of the fold (sets.py)
 MAX_TUPLE_COUNT = 50_000_000  # largest number of tuples the fold visits (sets.py)
 # largest |U|*|V| the direct edge count takes on, a route cap: the grouped
@@ -18,8 +18,6 @@ MAX_TUPLE_COUNT = 50_000_000  # largest number of tuples the fold visits (sets.p
 MAX_PAIR_COUNT = 30_000_000
 MAX_EMBED_SIZE = 200_000  # largest embedded vertex-list length per side (graph.py)
 MAX_TRIALS = 100_000  # largest trial or iteration count of mixing, scan and search
-# default largest matrix side for a dense SVD; the only cap set per call
-SPECTRAL_CAP = 5000
 
 
 def check_count(name: str, value: int, low: int) -> None:

@@ -22,10 +22,6 @@ class NotPrimePower(ValringError):
     """Residue field size does not factor as a prime power."""
 
 
-class EvenCharacteristic(ValringError):
-    """Residue field of characteristic 2 is rejected."""
-
-
 class BadFamilyCombo(ValringError):
     """Ring family is incompatible with the given parameters."""
 
@@ -61,10 +57,6 @@ class BadSize(ValringError):
 
 class TooLarge(ValringError):
     """A requested object exceeds a configured size cap."""
-
-
-class TooLargeForSpectrum(TooLarge):
-    """Dense singular-value computation was refused by the cap."""
 
 
 class ParseError(ValringError):

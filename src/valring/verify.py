@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from itertools import combinations
 from statistics import median
 from typing import Optional, Sequence
 
-from .config import SPECTRAL_CAP, SPECTRAL_TOL, check_count, derive_seed
+from .config import SPECTRAL_TOL, check_count, derive_seed
 from .errors import BadSize, NotUnits, TooLarge
 from .graph import (
     build_graph,
@@ -31,7 +32,7 @@ from .graph import (
     embed_solution_sets,
     lambda3_bound,
     pair_edge_count,
-    resolve_lambda3,
+    spectrum,
 )
 from .ring import ElementFilter, Ring
 from .sets import (
@@ -112,12 +113,14 @@ def _prepare(a: ElementSet, warnings: list) -> ElementSet:
     return restricted
 
 
-def _edge_route(ring: Ring, d: int, emb, spectral_cap: int) -> dict:
+def _edge_route(ring: Ring, d: int, emb) -> dict:
     """Resolve e(U, V) by the best available route and price the mixing bound.
 
     The routes are tried in order, each refusing with TooLarge past its
     own cap: the dense graph, then the direct pair count, else bound-only.
     A skipped embedding has no rows and goes straight to bound-only.
+    The graph route reads sigma_2 from the graph's spectrum; the others
+    take the closed-form bound.
     """
     n_cls = class_count(ring, d)
     deg = class_degree(ring, d)
@@ -135,7 +138,7 @@ def _edge_route(ring: Ring, d: int, emb, spectral_cap: int) -> dict:
                 pass
         else:
             edges = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
-            lam, kind = resolve_lambda3(g, spectral_cap)
+            lam, kind = float(spectrum(g)[1]), "computed"
             mode = "graph"
     pair_geom = math.sqrt(emb.u_count * emb.v_count)
     main = deg * emb.u_count * emb.v_count / n_cls
@@ -155,7 +158,7 @@ def _step(passed: Optional[bool], mode: str, detail: str) -> dict:
     return {"passed": passed, "mode": mode, "detail": detail}
 
 
-def _replay(kind: str, a_in: ElementSet, n: int, spectral_cap: int) -> PipelineReport:
+def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
     """The counting argument both theorems share, for one statistic.
 
     thm1 bounds the solution count N in dimension n + 1; thm2 bounds the
@@ -219,7 +222,7 @@ def _replay(kind: str, a_in: ElementSet, n: int, spectral_cap: int) -> PipelineR
     }
 
     emb = embed(f)
-    route = _edge_route(ring, d, emb, spectral_cap)
+    route = _edge_route(ring, d, emb)
     edges, bound = route["edges"], route["edge_bound"]
     if edges is not None:
         steps[f"{name}_le_edges"] = _step(
@@ -264,18 +267,14 @@ def _replay(kind: str, a_in: ElementSet, n: int, spectral_cap: int) -> PipelineR
     )
 
 
-def verify_thm1_pipeline(
-    a_in: ElementSet, n: int, spectral_cap: int = SPECTRAL_CAP
-) -> PipelineReport:
+def verify_thm1_pipeline(a_in: ElementSet, n: int) -> PipelineReport:
     """Replay the solution-count argument in dimension n + 1."""
-    return _replay("thm1", a_in, n, spectral_cap)
+    return _replay("thm1", a_in, n)
 
 
-def verify_thm2_pipeline(
-    a_in: ElementSet, n: int, spectral_cap: int = SPECTRAL_CAP
-) -> PipelineReport:
+def verify_thm2_pipeline(a_in: ElementSet, n: int) -> PipelineReport:
     """Replay the energy argument in dimension 2n."""
-    return _replay("thm2", a_in, n, spectral_cap)
+    return _replay("thm2", a_in, n)
 
 
 # -- square halving -------------------------------------------------------------
@@ -336,27 +335,37 @@ def check_square_halving(
 # -- regime classification --------------------------------------------------------
 
 
+def _exact_thresholds(q: int, r: int, constants: Sequence[float]) -> tuple:
+    """x * |x|**23 for the thresholds x = c1*q^(r-1/3), c2*q^(r-3/8), 2q^(r-1).
+
+    These are rationals and increase with x, so they compare exactly with
+    each other and with |A|**24, where the float thresholds can miss by an ulp.
+    """
+    c1, c2 = Fraction(constants[0]), Fraction(constants[1])
+    pairs = ((c1, 24 * r - 8), (c2, 24 * r - 9), (Fraction(2), 24 * r - 24))
+    return tuple(c**23 * abs(c) * q**e for c, e in pairs)
+
+
 def _regime_core(
     q: int, r: int, size: int, aa_card: int, constants: Sequence[float]
 ) -> tuple[Optional[int], dict, bool, Optional[float]]:
+    """The cascade, compared exactly; the float thresholds are for display."""
     c1, c2, c3 = constants
-    t1 = c1 * q ** (r - 1 / 3)
-    t2 = c2 * q ** (r - 3 / 8)
     floor = 2 * q ** (r - 1)
-    hyp_rhs = c3 * q ** (3 * r - 1)
-    hyp = aa_card * size**2 >= hyp_rhs
     thresholds = {
-        "regime1_min_size": t1,
-        "regime2_min_size": t2,
+        "regime1_min_size": c1 * q ** (r - 1 / 3),
+        "regime2_min_size": c2 * q ** (r - 3 / 8),
         "regime3_min_size": float(floor),
-        "hypothesis_rhs": hyp_rhs,
+        "hypothesis_rhs": c3 * q ** (3 * r - 1),
     }
     for name, value in thresholds.items():
         if not math.isfinite(value):
             raise TooLarge(f"{name} is {value}: the constants overflow a float")
-    if size >= t1:
+    hyp = aa_card * size**2 >= Fraction(c3) * q ** (3 * r - 1)
+    t1, t2, _ = _exact_thresholds(q, r, constants)
+    if size**24 >= t1:
         return 1, thresholds, hyp, q ** (r / 2) * math.sqrt(size)
-    if size >= t2:
+    if size**24 >= t2:
         return 2, thresholds, hyp, size**2 / q ** ((2 * r - 1) / 2)
     if size >= floor and hyp:
         return 3, thresholds, hyp, q ** (r / 3) * size ** (2 / 3)
@@ -379,10 +388,11 @@ def classify_regime(
     aa, sq2 = f.plus, f.target
     lhs = max(aa.card, sq2.card)
     regime, thresholds, hyp, rhs = _regime_core(q, r, a.card, aa.card, constants)
+    t1, t2, t3 = _exact_thresholds(q, r, constants)
     empty = []
-    if thresholds["regime2_min_size"] >= thresholds["regime1_min_size"]:
+    if t2 >= t1:
         empty.append(2)
-    if thresholds["regime3_min_size"] >= thresholds["regime2_min_size"]:
+    if t3 >= t2:
         empty.append(3)
     return RegimeVerdict(
         regime=regime,

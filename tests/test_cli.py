@@ -12,7 +12,6 @@ import valring.ring
 import valring.sets
 from valring import (
     BadIndex,
-    EvenCharacteristic,
     EvenPrime,
     NonPrime,
     NotPrimePower,
@@ -40,7 +39,7 @@ def test_parse_ring_families():
     "text,err",
     [
         ("f:12:1", NotPrimePower),
-        ("f:4:1", EvenCharacteristic),
+        ("f:4:1", EvenPrime),  # make_ring refuses p = 2 for both families
         ("z:6:1", NonPrime),
         ("z:2:3", EvenPrime),
         ("z:5", ParseError),
@@ -81,10 +80,10 @@ def test_parse_set_bad_index(z9):
 _COMMAND_OPTIONS = {
     "ring info": set(),
     "graph build": {"d"},
-    "graph spectrum": {"d", "spectral_cap"},
-    "graph mixing": {"d", "seed", "trials", "spectral_cap"},
-    "verify thm1": {"set", "n", "spectral_cap"},
-    "verify thm2": {"set", "n", "spectral_cap"},
+    "graph spectrum": {"d"},
+    "graph mixing": {"d", "seed", "trials"},
+    "verify thm1": {"set", "n"},
+    "verify thm2": {"set", "n"},
     "verify hpv": {"set"},
     "scan ratios": {"seed", "trials", "sizes", "constants"},
     "classify": {"set", "constants"},
@@ -97,7 +96,7 @@ _COMMAND_OPTIONS = {
     [
         ["ring", "info", "--ring", "z:3:2"],
         ["graph", "build", "--ring", "z:3:2", "--d", "3"],
-        ["graph", "spectrum", "--ring", "f:9:1", "--d", "2", "--spectral-cap", "400"],
+        ["graph", "spectrum", "--ring", "f:9:1", "--d", "2"],
         ["graph", "mixing", "--ring", "z:3:2", "--d", "3", "--seed", "9", "--trials", "40"],
         ["verify", "thm1", "--ring", "z:5:2", "--set", "random:6:1", "--n", "2"],
         ["verify", "thm2", "--ring", "z:3:2", "--set", "1,2", "--n", "3"],
@@ -123,7 +122,6 @@ def test_config_roundtrip(argv):
 def test_config_validation(capsys):
     for argv in (
         ["scan", "ratios", "--ring", "z:5:2", "--sizes", "4", "--seed", str(2**64)],
-        ["graph", "spectrum", "--ring", "z:3:2", "--d", "3", "--spectral-cap", "0"],
         ["classify", "--ring", "z:3:2", "--set", "units", "--constants", "1,2"],
     ):
         assert run(argv) == 2
@@ -197,8 +195,15 @@ def test_run_usage_errors(capsys):
                 "--seed", str(2**64)]) == 2
     err = capsys.readouterr().err
     assert "ParseError" in err
-    # graph build never used --spectral-cap, so it does not take one
-    assert run(["graph", "build", "--ring", "z:3:2", "--spectral-cap", "5"]) == 2
+
+
+# no command takes a spectral cap: MAX_GRAPH_CLASSES bounds every SVD
+@pytest.mark.parametrize("command", [
+    ["graph", "build"], ["graph", "spectrum"], ["graph", "mixing"],
+    ["verify", "thm1", "--set", "1,2"], ["verify", "thm2", "--set", "1,2"],
+])
+def test_run_takes_no_svd_cap_option(command, capsys):
+    assert run(command + ["--ring", "z:3:2", "--spectral-cap", "5"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -437,8 +442,6 @@ def _fuzz_argv(draw):
     if group == "verify":
         # n = 4 is left out: its direct routes over f:9:1 count ~10^7 pairs
         argv += ["--n", str(draw(st.integers(-3, 3)))]
-    if group in ("graph", "verify"):
-        argv += ["--spectral-cap", draw(_INT)]
     if group in ("scan", "classify"):
         argv += ["--constants", ",".join(draw(st.lists(_CONSTANT, min_size=3, max_size=3)))]
     return argv

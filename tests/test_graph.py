@@ -15,7 +15,6 @@ from valring import (
     ElementFilter,
     ElementSet,
     TooLarge,
-    TooLargeForSpectrum,
     build_graph,
     canonicalize,
     canonicalize_rows,
@@ -210,11 +209,6 @@ def test_spectrum_frozen_z9(z9):
     assert sv[1] == pytest.approx(27**0.5, abs=1e-8)
 
 
-def test_spectrum_cap(z9):
-    with pytest.raises(TooLargeForSpectrum):
-        spectrum(build_graph(z9, 3), spectral_cap=10)
-
-
 def test_edge_count_identities(z9):
     g = build_graph(z9, 3)
     every = range(g.n_classes)
@@ -368,10 +362,6 @@ def test_mixing_random_pairs_lambda3_kind(z9):
     rep = mixing_random_pairs(g, 20, seed=3)
     assert rep["violations"] == 0
     assert rep["lambda3_kind"] == "computed"
-    # a spectral cap below the class count falls back to the closed form
-    rep2 = mixing_random_pairs(g, 20, seed=3, spectral_cap=1)
-    assert rep2["lambda3_kind"] == "theoretical"
-    assert rep2["lambda3"] == lambda3_bound(z9, 3)
 
 
 @pytest.mark.parametrize("maker,d", [((3, 1, 2, "zpr"), 3), ((3, 2, 1, "fqtr"), 3)])

@@ -1,5 +1,6 @@
-"""Every `valring ...` line of the README's CLI block runs cleanly, and
-its Library block gives the values its comments state."""
+"""Every `valring ...` line of the README's CLI block runs cleanly, its
+options table matches the command table, and its Library block gives the
+values its comments state."""
 
 import ast
 import contextlib
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from valring.cli import run
+from valring.cli import _COMMANDS, run
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,6 +39,17 @@ def test_readme_cli_example_runs(line):
         code = run(shlex.split(line)[1:])
     assert code == 0
     json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+def test_readme_options_table_matches_the_commands():
+    text = _README.read_text()
+    table = text[text.index("| command | options (default) |") :].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        commands, options = row.strip("|").split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            listed[command] = set(re.findall(r"`(--[a-z-]+)`", options))
+    assert listed == {command: set(spec[1]) for command, spec in _COMMANDS.items()}
 
 
 def test_readme_library_example_holds():

@@ -15,8 +15,11 @@ from valring import (
     check_square_halving,
     classify_regime,
     extremal_search,
+    lambda3_bound,
     make_ring,
+    mixing_random_pairs,
     sample_unit_subset,
+    spectrum,
     verify_hpv,
     verify_thm1_pipeline,
     verify_thm2_pipeline,
@@ -106,6 +109,8 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
         m.setattr(graph_module, "MAX_GRAPH_CLASSES", 116)
         direct = verify_thm1_pipeline(a, 2).embed
         assert direct["mode"] == "direct" and direct["edges"] == dense["edges"]
+        assert direct["lambda3_kind"] == "theoretical"
+        assert direct["lambda3"] == lambda3_bound(z9, 3)
         m.setattr(graph_module, "MAX_PAIR_COUNT", 1)
         bound = verify_thm1_pipeline(a, 2).embed
         assert bound["mode"] == "bound-only" and bound["audit"] == "ok"
@@ -113,6 +118,17 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
         m.setattr(graph_module, "MAX_EMBED_SIZE", 1)
         skipped = verify_thm1_pipeline(a, 2).embed
         assert skipped["audit"] == "skipped" and skipped["mode"] == "bound-only"
+
+
+@pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 1, "fqtr")])
+def test_graph_route_and_mixing_read_the_computed_sigma2(maker):
+    ring = make_ring(*maker)
+    sigma2 = float(spectrum(build_graph(ring, 3))[1])
+    route = verify_thm1_pipeline(ElementSet.units(ring), 2).embed
+    assert route["mode"] == "graph"
+    mixing = mixing_random_pairs(build_graph(ring, 3), 10, seed=1)
+    for rep in (route, mixing):
+        assert rep["lambda3_kind"] == "computed" and rep["lambda3"] == sigma2
 
 
 @given(st.integers(2, 18), st.integers(0, 2**32))
@@ -198,6 +214,17 @@ def test_classify_tiny_set_matches_no_band(z9):
     assert v.regime is None
     assert v.rhs is None and v.ratio is None
     assert not v.hypothesis_met
+
+
+# |A| = q^(r-1/3) exactly, where the float threshold reads a few ulps above |A|
+@pytest.mark.parametrize("maker,k", [
+    ((3, 3, 1, "fqtr"), 9), ((5, 3, 1, "fqtr"), 25),
+    ((7, 3, 1, "fqtr"), 49), ((3, 3, 2, "fqtr"), 243),
+])
+def test_classify_exact_regime1_boundary(maker, k):
+    v = classify_regime(sample_unit_subset(make_ring(*maker), k, 0))
+    assert v.regime == 1
+    assert v.thresholds["regime1_min_size"] == pytest.approx(k)
 
 
 def test_classify_thresholds_z25(z25):
