@@ -34,8 +34,9 @@ The pinned 1 forces distinct tuples onto distinct classes, so the edge
 count equals the statistic exactly; the two public embeddings only pick
 the blocks and signs.  When the dense biadjacency is out of reach, edges
 between two explicit class lists are counted without it: rows that share
-their first d-1 coordinates are grouped, and each pair of groups is priced
-once against a table of last-coordinate products.
+their first d-1 coordinates are grouped, each pair of groups is priced
+once, and the left rows, one last coordinate x at a time, look their
+counts up in x's int32 table of last-coordinate products.
 """
 
 from __future__ import annotations
@@ -82,6 +83,10 @@ __all__ = [
 ]
 
 _CHUNK_CELLS = 4_000_000
+# pair_edge_count gathers the rows of consecutive left values x in one pass
+# while they read at most this many cells, so a call with many x values and
+# few rows each does not pay a pass per x
+_MERGE_CELLS = 2**14
 
 
 def _check_dim(d: int) -> None:
@@ -319,14 +324,22 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     Dense-graph-free route for rings whose class count exceeds the
     biadjacency cap; exact, and TooLarge when |U|*|V| exceeds
     MAX_PAIR_COUNT.  A row is a prefix (its first d-1 coordinates) and a
-    last coordinate, so u . v = alpha . beta + x * y.
-    Rows are grouped by prefix, alpha . beta is taken once per pair of
-    groups, and T[g, i, c] = #{y in right group g : x_i * y = c} is
-    tabled for the distinct left values x_i; a left row then adds
-    T[g, i, -alpha . beta] over the right groups.  When that table and
-    the group pairs would outnumber the |U|*|V| pairs themselves, the
-    pairs are tested one by one instead.  Temporaries are chunked to
-    _CHUNK_CELLS cells, or to one right group's table when that is larger.
+    last coordinate, so u . v = alpha . beta + x * y.  Rows are grouped
+    by prefix, and need[j, g] = g*size + (-alpha_j . beta_g mod size) is
+    taken once per pair of groups.  One bincount builds, for every
+    distinct left value x, the table T_x[g*size + c] = #{y in right group
+    g : x * y = c}.  Taken x-major, the left rows holding x add
+    T_x[need[their group, g]] over the right groups g, so a gather reads
+    one x's table of n_gr*size cells, not the tables of all x values;
+    values x whose rows gather at most _MERGE_CELLS cells together share
+    one gather.  When the tables and the group pairs would outnumber the
+    |U|*|V| pairs themselves, the pairs are tested one by one instead.
+
+    Tables and need are int32: on the grouped branch every table position
+    is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < nl*nr <=
+    MAX_PAIR_COUNT = 3*10**7 < 2**31, and every count is at most nr.
+    Temporaries are chunked to _CHUNK_CELLS cells, or to one right group's
+    tables when that is larger.
     """
     nl, nr = len(left_rows), len(right_rows)
     if nl == 0 or nr == 0:
@@ -350,13 +363,15 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
 
     l_group, r_group = np.searchsorted(l_uniq, l_keys), np.searchsorted(r_uniq, r_keys)
     x_idx = np.searchsorted(xs, left[:, -1])
-    # left rows with the same (prefix group, x) add the same count
-    combo, mult = np.unique(l_group * nx + x_idx, return_counts=True)
-    c_group, c_x = combo // nx, combo % nx
-    # one row per group: any will do, since the rows of a group share their prefix
+    # left rows x-major, by group within one x; the rows of x_i start at x_start[i]
+    by_x = np.argsort(x_idx * n_gl + l_group)
+    row_x, row_group = x_idx[by_x], l_group[by_x]
+    x_start = np.searchsorted(row_x, np.arange(nx + 1))
+    # one row per group: any will do, since the rows of a group share their
+    # prefix; the left prefixes are negated, so their dot products are -alpha . beta
     l_rep, r_rep = np.empty(n_gl, dtype=np.int64), np.empty(n_gr, dtype=np.int64)
     l_rep[l_group], r_rep[r_group] = np.arange(nl), np.arange(nr)
-    l_prefix, r_prefix = left[l_rep, :-1], right[r_rep, :-1]
+    l_prefix, r_prefix = ring.neg_many(left[l_rep, :-1]), right[r_rep, :-1]
     order = np.argsort(r_group, kind="stable")
     rg, ry = r_group[order], right[order, -1]
     group_start = np.searchsorted(rg, np.arange(n_gr + 1))
@@ -370,17 +385,27 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
         g0 = int(rg[lo])
         hi = min(lo + row_step, int(group_start[min(g0 + group_step, n_gr)]))
         span = int(rg[hi - 1]) - g0 + 1
-        cells = ((rg[lo:hi] - g0) * nx + x_col) * size + ring.mul_many(xs[:, None], ry[lo:hi])
-        table = np.bincount(cells.reshape(-1), minlength=span * nx * size)
-        # flat table positions of (g, 0, -alpha . beta) per left group
-        need = ring.neg_many(_dot_block(ring, l_prefix, r_prefix[g0 : g0 + span]))
-        need += np.arange(span) * (nx * size)
+        cells = span * size  # one x value's table
+        slot = (x_col * span + (rg[lo:hi] - g0)) * size + ring.mul_many(xs[:, None], ry[lo:hi])
+        tables = np.bincount(slot.reshape(-1), minlength=nx * cells).astype(np.int32)
+        need = _dot_block(ring, l_prefix, r_prefix[g0 : g0 + span])
+        need += np.arange(span) * size
+        need = need.astype(np.int32)
         k_step = max(1, _CHUNK_CELLS // span)
-        for k in range(0, len(combo), k_step):
-            at = need[c_group[k : k + k_step]]
-            at += (c_x[k : k + k_step] * size)[:, None]
-            hits = np.take(table, at).sum(axis=1, dtype=np.int64)
-            total += int(hits @ mult[k : k + k_step])
+        few = _MERGE_CELLS // span
+        a = 0
+        while a < nx:
+            # x_a alone, or x_a..x_b-1 when their rows together gather few cells
+            b = int(np.searchsorted(x_start, x_start[a] + few, side="right")) - 1
+            b = max(a + 1, b)
+            table, end = tables[a * cells : b * cells], int(x_start[b])
+            for k in range(int(x_start[a]), end, k_step):
+                k1 = min(k + k_step, end)
+                at = need[row_group[k:k1]]
+                if b > a + 1:
+                    at += ((row_x[k:k1] - a) * cells)[:, None]
+                total += int(np.take(table, at).sum(dtype=np.int64))
+            a = b
         lo = hi
     return total
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from statistics import median
@@ -57,6 +57,12 @@ __all__ = [
 ]
 
 
+def _field_dict(record) -> dict:
+    """The record's fields by name, sharing its values: callers serialise
+    the dict and never mutate it, so the deep copy of asdict buys nothing."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 @dataclass
 class PipelineReport:
     kind: str
@@ -74,7 +80,7 @@ class PipelineReport:
     hard_pass: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _field_dict(self)
 
 
 @dataclass
@@ -90,7 +96,7 @@ class RegimeVerdict:
     empty_regimes: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return _field_dict(self)
 
 
 def _recommended_floor(ring: Ring) -> int:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,20 +309,52 @@ def _no_pairwise(*args):
     raise AssertionError("grouped kernel fell back to pairwise blocks")
 
 
-def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
-    f = fold_sets(sample_unit_subset(z25, 10, 9), 2)
+def _grouped_cases(ring, units, seed):
+    """(left, right, expected) inputs that take the grouped branch.
+
+    First the energy embedding of a unit set, whose left last coordinates
+    are units; then rows where every left group holds the same seven last
+    coordinates, among them 0 and the non-units 5 and 10.
+    """
+    f = fold_sets(sample_unit_subset(ring, units, seed), 2)
     emb = embed_energy_sets(f)
+    yield emb.u_rows, emb.v_rows, form_energy(f)
+    rng = np.random.default_rng(5)
+    xs, pool = [0, 5, 10, 1, 7, 24, 3], rng.integers(0, ring.size, size=(5, 3))
+    left = np.array([[*pool[i % 4], xs[i % 7]] for i in range(60)])
+    right = np.column_stack([pool[rng.integers(0, 5, size=50)], rng.integers(0, ring.size, 50)])
+    yield left, right, _pairwise_count(ring, left, right)
+
+
+def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
+    cases = list(_grouped_cases(z25, 10, 9))
     monkeypatch.setattr(graph_module, "_dot_zero_block", _no_pairwise)
-    assert pair_edge_count(z25, emb.u_rows, emb.v_rows) == form_energy(f)
+    for left, right, expected in cases:
+        assert pair_edge_count(z25, left, right) == expected
 
 
 @pytest.mark.parametrize("cells", [1, 7, 100])
 def test_pair_edge_count_chunk_boundaries(z25, monkeypatch, cells):
-    f = fold_sets(sample_unit_subset(z25, 4, 3), 2)
-    emb = embed_energy_sets(f)
+    cases = list(_grouped_cases(z25, 4, 3))
     monkeypatch.setattr(graph_module, "_dot_zero_block", _no_pairwise)
     monkeypatch.setattr(graph_module, "_CHUNK_CELLS", cells)
-    assert pair_edge_count(z25, emb.u_rows, emb.v_rows) == form_energy(f)
+    for left, right, expected in cases:
+        assert pair_edge_count(z25, left, right) == expected
+
+
+def test_pair_edge_count_memory(z25):
+    # 5000 x 5000 rows: the lookup temporaries are 4-byte cells, one x at a time
+    f = fold_sets(sample_unit_subset(z25, 20, 0), 2)
+    emb = embed_energy_sets(f)
+    assert len(emb.u_rows) == len(emb.v_rows) == 5000
+    tracemalloc.start()
+    try:
+        edges = pair_edge_count(z25, emb.u_rows, emb.v_rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert edges == form_energy(f)
+    assert peak < 16 * 10**6
 
 
 def test_pair_edge_count_large_field_falls_back(monkeypatch):

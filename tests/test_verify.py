@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from valring import graph as graph_module
 from valring import verify as verify_module
+from valring.cli import parse_ring
 from valring import (
     BadSize,
     ElementSet,
@@ -118,6 +121,23 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
         m.setattr(graph_module, "MAX_EMBED_SIZE", 1)
         skipped = verify_thm1_pipeline(a, 2).embed
         assert skipped["audit"] == "skipped" and skipped["mode"] == "bound-only"
+
+
+def test_to_dict_gives_the_asdict_bytes():
+    # one report per route, and one verdict
+    records = []
+    for desc, fn, k, mode in [
+        ("z:3:2", verify_thm1_pipeline, 6, "graph"),
+        ("z:5:2", verify_thm2_pipeline, 6, "direct"),
+        ("f:9:2", verify_thm2_pipeline, 24, "bound-only"),
+    ]:
+        rep = fn(sample_unit_subset(parse_ring(desc), k, 1), 2)
+        assert rep.embed["mode"] == mode
+        records.append(rep)
+    records.append(classify_regime(sample_unit_subset(parse_ring("z:5:2"), 6, 1)))
+    for rec in records:
+        expected = json.dumps(dataclasses.asdict(rec), sort_keys=True)
+        assert json.dumps(rec.to_dict(), sort_keys=True) == expected
 
 
 @pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 1, "fqtr")])
