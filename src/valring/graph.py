@@ -32,11 +32,12 @@ sum s_j v_j^2 - t), so
 
 The pinned 1 forces distinct tuples onto distinct classes, so the edge
 count equals the statistic exactly; the two public embeddings only pick
-the blocks and signs.  When the dense biadjacency is out of reach, edges
-between two explicit class lists are counted without it: rows that share
-their first d-1 coordinates are grouped, each pair of groups is priced
-once, and the left rows, one last coordinate x at a time, look their
-counts up in x's int32 table of last-coordinate products.
+the blocks and signs.  Edges between two explicit class lists are
+counted without the dense biadjacency, whether or not it fits: rows that
+share their first d-1 coordinates are grouped, each pair of groups is
+priced once, and the left rows, one last coordinate x at a time, look
+their counts up in x's int32 table of last-coordinate products.  The
+dense graph serves its spectrum and id-based counts on its own vertices.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ _CHUNK_CELLS = 4_000_000
 # while they read at most this many cells, so a call with many x values and
 # few rows each does not pay a pass per x
 _MERGE_CELLS = 2**14
+# _dot_zero_block works in row blocks of about this many cells, so its
+# temporaries stay in cache and are reused rather than held
+_BLOCK_CELLS = 2**16
 
 
 def _check_dim(d: int) -> None:
@@ -191,9 +195,7 @@ def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
     The key reads the row as base-``size`` digits, first column most
     significant.  Should the next column carry the keys past int64, the
     keys so far are first replaced by their ranks, which keeps the order.
-    Graph classes never need that (size**d <= size * class_count < 2**63),
-    so the keys of a graph and of the rows looked up in it are both the
-    plain reading and compare across calls.
+    Keys therefore compare only within one call.
     """
     rows = np.asarray(rows, dtype=np.int64)
     keys = np.zeros(len(rows), dtype=np.int64)
@@ -208,12 +210,22 @@ def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
 
 
 def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """int64 matrix of the ring's dot products dot(left_i, right_j)."""
+    """Integer matrix of the ring's dot products dot(left_i, right_j).
+
+    Over Z/p^r the block is k outer-product sums of entries in [0, size)
+    and one reduction, in int32 when k * (size - 1)**2 < 2**31 bounds
+    every sum and in int64 otherwise (exact: size <= MAX_RING_SIZE =
+    2**16).  Integer arithmetic keeps it off BLAS and its threads.
+    """
     if ring.family.value == "zpr":
-        # exact in int64: |dot| <= d * (size - 1)**2 < d * 2**32, since
-        # size <= MAX_RING_SIZE = 2**16; integer matmul does not go through BLAS
-        left, right = np.asarray(left, np.int64), np.asarray(right, np.int64)
-        return (left @ right.T) % ring.size
+        k = left.shape[1]
+        dtype = np.int32 if k * (ring.size - 1) ** 2 < 2**31 else np.int64
+        left, right = np.asarray(left, dtype), np.asarray(right, dtype)
+        acc = np.zeros((len(left), len(right)), dtype=dtype)
+        for j in range(k):
+            acc += np.multiply.outer(left[:, j], right[:, j])
+        acc %= ring.size
+        return acc
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(left.shape[1]):
         prod = ring.mul_many(left[:, k : k + 1], right[:, k][None, :])
@@ -222,8 +234,12 @@ def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """uint8 matrix of [dot(left_i, right_j) == 0], chunk-friendly sizes only."""
-    return (_dot_block(ring, left, right) == 0).astype(np.uint8)
+    """uint8 matrix of [dot(left_i, right_j) == 0], _BLOCK_CELLS cells at a time."""
+    out = np.empty((len(left), len(right)), dtype=np.uint8)
+    step = max(1, _BLOCK_CELLS // max(1, len(right)))
+    for lo in range(0, len(left), step):
+        out[lo : lo + step] = _dot_block(ring, left[lo : lo + step], right) == 0
+    return out
 
 
 class OrthGraph:
@@ -237,22 +253,6 @@ class OrthGraph:
         self.n_classes = len(classes)
         self.degree = class_degree(ring, d)
         self._singular: Optional[np.ndarray] = None
-        self._keys = _row_keys(ring, classes)  # ascending, since rows are lex sorted
-
-    def index_of(self, rows: np.ndarray) -> np.ndarray:
-        """Vertex indices of canonical rows; raises BadIndex on misses."""
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.empty(0, dtype=np.int64)
-        shape_ok = rows.ndim == 2 and rows.shape[1] == self.d
-        if not shape_ok or rows.min() < 0 or rows.max() >= self.ring.size:
-            raise BadIndex(f"rows must be (N, {self.d}) ring indices")
-        enc = _row_keys(self.ring, rows)
-        pos = np.searchsorted(self._keys, enc)
-        bad = (pos >= self.n_classes) | (self._keys[np.minimum(pos, self.n_classes - 1)] != enc)
-        if bad.any():
-            raise BadIndex("row is not a canonical class representative")
-        return pos
 
     def __repr__(self) -> str:
         return (
@@ -266,10 +266,7 @@ def build_graph(ring: Ring, d: int) -> OrthGraph:
     """Build (and cache) the dense graph, auditing biregularity; TooLarge over the cap."""
     classes = enumerate_classes(ring, d)
     n = len(classes)
-    m = np.zeros((n, n), dtype=np.uint8)
-    step = max(1, _CHUNK_CELLS // max(1, n))
-    for lo in range(0, n, step):
-        m[lo : lo + step] = _dot_zero_block(ring, classes[lo : lo + step], classes)
+    m = _dot_zero_block(ring, classes, classes)
     deg = class_degree(ring, d)
     rows_ok = (m.sum(axis=1, dtype=np.int64) == deg).all()
     cols_ok = (m.sum(axis=0, dtype=np.int64) == deg).all()
@@ -321,12 +318,13 @@ def _sorted_distinct(values: np.ndarray) -> np.ndarray:
 def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -> int:
     """Count orthogonal pairs between two explicit class lists.
 
-    Dense-graph-free route for rings whose class count exceeds the
-    biadjacency cap; exact, and TooLarge when |U|*|V| exceeds
-    MAX_PAIR_COUNT.  A row is a prefix (its first d-1 coordinates) and a
-    last coordinate, so u . v = alpha . beta + x * y.  Rows are grouped
-    by prefix, and need[j, g] = g*size + (-alpha_j . beta_g mod size) is
-    taken once per pair of groups.  One bincount builds, for every
+    Exact, with no dense graph, so it serves every route that has rows.
+    BadIndex unless both sides are 2-D arrays of one width whose entries
+    are ring indices; TooLarge when |U|*|V| exceeds MAX_PAIR_COUNT.  An
+    empty side counts 0.  A row is a prefix (its first d-1 coordinates)
+    and a last coordinate, so u . v = alpha . beta + x * y.  Rows are
+    grouped by prefix, and need[j, g] = g*size + (-alpha_j . beta_g mod
+    size) is taken once per pair of groups.  One bincount builds, for every
     distinct left value x, the table T_x[g*size + c] = #{y in right group
     g : x * y = c}.  Taken x-major, the left rows holding x add
     T_x[need[their group, g]] over the right groups g, so a gather reads
@@ -341,14 +339,18 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     Temporaries are chunked to _CHUNK_CELLS cells, or to one right group's
     tables when that is larger.
     """
-    nl, nr = len(left_rows), len(right_rows)
-    if nl == 0 or nr == 0:
-        return 0
-    if nl * nr > MAX_PAIR_COUNT:
-        raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
     left = np.asarray(left_rows, dtype=np.int64)
     right = np.asarray(right_rows, dtype=np.int64)
+    if left.ndim != 2 or right.ndim != 2 or not 0 < left.shape[1] == right.shape[1]:
+        raise BadIndex("rows must be two (N, d) arrays of one width d >= 1")
+    nl, nr = len(left), len(right)
+    if nl == 0 or nr == 0:
+        return 0
     size = ring.size
+    if min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= size:
+        raise BadIndex(f"row entries must be ring indices in [0, {size})")
+    if nl * nr > MAX_PAIR_COUNT:
+        raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
     l_keys, r_keys = _row_keys(ring, left[:, :-1]), _row_keys(ring, right[:, :-1])
     # the group counts alone decide, so a call that falls back builds no grouping
     l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
@@ -390,7 +392,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
         tables = np.bincount(slot.reshape(-1), minlength=nx * cells).astype(np.int32)
         need = _dot_block(ring, l_prefix, r_prefix[g0 : g0 + span])
         need += np.arange(span) * size
-        need = need.astype(np.int32)
+        need = need.astype(np.int32, copy=False)
         k_step = max(1, _CHUNK_CELLS // span)
         few = _MERGE_CELLS // span
         a = 0

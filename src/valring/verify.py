@@ -27,7 +27,6 @@ from .graph import (
     build_graph,
     class_count,
     class_degree,
-    edge_count,
     embed_energy_sets,
     embed_solution_sets,
     lambda3_bound,
@@ -120,13 +119,15 @@ def _prepare(a: ElementSet, warnings: list) -> ElementSet:
 
 
 def _edge_route(ring: Ring, d: int, emb) -> dict:
-    """Resolve e(U, V) by the best available route and price the mixing bound.
+    """Count e(U, V) exactly where possible and price the mixing bound.
 
-    The routes are tried in order, each refusing with TooLarge past its
-    own cap: the dense graph, then the direct pair count, else bound-only.
-    A skipped embedding has no rows and goes straight to bound-only.
-    The graph route reads sigma_2 from the graph's spectrum; the others
-    take the closed-form bound.
+    Every route with rows counts through pair_edge_count, which refuses
+    past MAX_PAIR_COUNT (bound-only).  The dense graph, refused past
+    MAX_GRAPH_CLASSES (direct), only supplies sigma_2 to the graph route;
+    the others take the closed-form bound.  U and V are distinct classes,
+    so a graph that fits has |U|*|V| <= MAX_GRAPH_CLASSES**2 <=
+    MAX_PAIR_COUNT, and the count never refuses where the graph fits.
+    A skipped embedding has no rows and is bound-only.
     """
     n_cls = class_count(ring, d)
     deg = class_degree(ring, d)
@@ -135,17 +136,12 @@ def _edge_route(ring: Ring, d: int, emb) -> dict:
     lam, kind = lambda3_bound(ring, d), "theoretical"
     if emb.u_rows is not None:
         try:
+            edges, mode = pair_edge_count(ring, emb.u_rows, emb.v_rows), "direct"
             g = build_graph(ring, d)
         except TooLarge:
-            try:
-                edges = pair_edge_count(ring, emb.u_rows, emb.v_rows)
-                mode = "direct"
-            except TooLarge:
-                pass
+            pass
         else:
-            edges = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
-            lam, kind = float(spectrum(g)[1]), "computed"
-            mode = "graph"
+            lam, kind, mode = float(spectrum(g)[1]), "computed", "graph"
     pair_geom = math.sqrt(emb.u_count * emb.v_count)
     main = deg * emb.u_count * emb.v_count / n_cls
     return {

@@ -185,15 +185,54 @@ def test_build_graph_cap(f9t2):
         build_graph(f9t2, 3)  # 7371 classes
 
 
-def test_index_of_roundtrip(z9):
-    g = build_graph(z9, 3)
-    assert np.array_equal(g.index_of(g.classes), np.arange(117))
-    with pytest.raises(BadIndex):
-        g.index_of(np.array([[2, 0, 0]]))  # not canonical, absent
-    # the key of [0, 0, 10] or of [0, 1] is that of a class; neither is one
+def _vertex_ids(g, rows):
+    """Vertex ids of canonical rows, looked up in the graph's class list."""
+    index = {row: i for i, row in enumerate(map(tuple, g.classes.tolist()))}
+    return [index[row] for row in map(tuple, rows.tolist())]
+
+
+@pytest.mark.parametrize("desc", ["z:3:2", "f:9:1"])
+def test_pair_edge_count_rejects_bad_rows(desc):
+    ring = parse_ring(desc)  # 9 elements in both families
+    good = enumerate_classes(ring, 3)[:5]
+    assert pair_edge_count(ring, good, good) > 0
+    assert pair_edge_count(ring, good[:0], good) == pair_edge_count(ring, good, good[:0]) == 0
+    # out of range, a width-2 row against width-3 rows, a 1-D row
     for bad in ([[0, 0, 10]], [[0, 0, -1]], [[0, 1]], [0, 0, 1]):
+        for left, right in ((np.array(bad), good), (good, np.array(bad))):
+            with pytest.raises(BadIndex):
+                pair_edge_count(ring, left, right)
+    # shifted or negated classes are not ring indices, whatever they count
+    for bad in (good + ring.size, -good):
         with pytest.raises(BadIndex):
-            g.index_of(np.array(bad))
+            pair_edge_count(ring, bad, good)
+
+
+@pytest.mark.parametrize(
+    "p,k",
+    # k * (p - 1)**2 just under 2**31, then just over
+    [(26737, 3), (26759, 3), (23167, 4), (23173, 4)],
+)
+def test_dot_block_exact_near_the_int32_bound(p, k):
+    ring = make_ring(p, 1, 1)
+    rng = np.random.default_rng(p)
+    left, right = (ring.size - 1 - rng.integers(0, 3, size=(m, k)) for m in (20, 30))
+    expected = [
+        [sum(int(a) * int(b) for a, b in zip(u, v)) % ring.size for v in right.tolist()]
+        for u in left.tolist()
+    ]
+    assert graph_module._dot_block(ring, left, right).tolist() == expected
+
+
+@pytest.mark.parametrize("desc", ["z:3:2", "f:9:1"])
+def test_dot_zero_block_row_blocks_match_one_block(desc, monkeypatch):
+    ring = parse_ring(desc)
+    classes = enumerate_classes(ring, 3)
+    whole = graph_module._dot_zero_block(ring, classes, classes)
+    assert whole.sum() == len(classes) * class_degree(ring, 3)
+    # blocks of 4 rows; 117 and 91 classes leave a short last block
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 4 * len(classes))
+    assert np.array_equal(graph_module._dot_zero_block(ring, classes, classes), whole)
 
 
 def test_spectrum_frozen_f3():
@@ -432,7 +471,7 @@ def test_embed_solution_sets_frozen(z9):
     assert emb.d == 3
     assert emb.u_count == 6 and emb.v_count == 6
     g = build_graph(z9, 3)
-    e = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
+    e = edge_count(g, _vertex_ids(g, emb.u_rows), _vertex_ids(g, emb.v_rows))
     assert e == count_form_solutions(f) == 8
     # direct pairwise route agrees with the dense graph
     assert pair_edge_count(z9, emb.u_rows, emb.v_rows) == 8
@@ -446,7 +485,7 @@ def test_embed_energy_sets_frozen(z9):
     assert emb.u_count == emb.v_count == 12
     assert pair_edge_count(z9, emb.u_rows, emb.v_rows) == form_energy(f) == 32
     g = build_graph(z9, 4)
-    e = edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows))
+    e = edge_count(g, _vertex_ids(g, emb.u_rows), _vertex_ids(g, emb.v_rows))
     assert e == 32
 
 
@@ -461,7 +500,7 @@ def _check_embeddings(ring, f):
         assert pair_edge_count(ring, emb.u_rows, emb.v_rows) == stat
         if class_count(ring, emb.d) <= MAX_GRAPH_CLASSES:
             g = build_graph(ring, emb.d)
-            assert edge_count(g, g.index_of(emb.u_rows), g.index_of(emb.v_rows)) == stat
+            assert edge_count(g, _vertex_ids(g, emb.u_rows), _vertex_ids(g, emb.v_rows)) == stat
 
 
 @pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 1, "fqtr"), (5, 1, 2, "zpr")])

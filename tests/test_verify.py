@@ -123,6 +123,14 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
         assert skipped["audit"] == "skipped" and skipped["mode"] == "bound-only"
 
 
+def test_every_graph_that_fits_has_a_pair_count():
+    # U and V are distinct classes, so |U|*|V| <= MAX_GRAPH_CLASSES**2
+    assert graph_module.MAX_GRAPH_CLASSES**2 <= graph_module.MAX_PAIR_COUNT, (
+        "_edge_route counts e(U, V) with pair_edge_count on the graph route too; "
+        "a dense cap past sqrt(MAX_PAIR_COUNT) would leave fitting graphs without a count"
+    )
+
+
 def test_to_dict_gives_the_asdict_bytes():
     # one report per route, and one verdict
     records = []
