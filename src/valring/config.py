@@ -7,6 +7,10 @@ from .errors import BadSize
 # tolerance for all floating-point spectral comparisons
 SPECTRAL_TOL = 1e-6
 
+# most cells one chunk of a chunked pass holds (sets.py, graph.py): it bounds
+# their temporaries and changes no result
+CHUNK_CELLS = 4_000_000
+
 # Size caps, each compared in one module; none is set per call.  make_ring and
 # build_graph key their caches on what they build.
 MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r (ring.py)

@@ -50,6 +50,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .config import (
+    CHUNK_CELLS,
     MAX_EMBED_SIZE,
     MAX_GRAPH_CLASSES,
     MAX_PAIR_COUNT,
@@ -83,13 +84,12 @@ __all__ = [
     "embed_energy_sets",
 ]
 
-_CHUNK_CELLS = 4_000_000
 # pair_edge_count gathers the rows of consecutive left values x in one pass
 # while they read at most this many cells, so a call with many x values and
 # few rows each does not pay a pass per x
 _MERGE_CELLS = 2**14
-# _dot_zero_block works in row blocks of about this many cells, so its
-# temporaries stay in cache and are reused rather than held
+# _dot_zero_block and _zero_dot_count work in row blocks of about this many
+# cells, so their temporaries stay in cache and are reused rather than held
 _BLOCK_CELLS = 2**16
 
 
@@ -242,6 +242,15 @@ def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarr
     return out
 
 
+def _zero_dot_count(ring: Ring, left: np.ndarray, right: np.ndarray) -> int:
+    """Number of pairs with dot(left_i, right_j) == 0, _BLOCK_CELLS cells at a time."""
+    step = max(1, _BLOCK_CELLS // max(1, len(right)))
+    return sum(
+        int(np.count_nonzero(_dot_block(ring, left[lo : lo + step], right) == 0))
+        for lo in range(0, len(left), step)
+    )
+
+
 class OrthGraph:
     """Dense bipartite orthogonality graph (both sides share one class list)."""
 
@@ -331,12 +340,13 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     one x's table of n_gr*size cells, not the tables of all x values;
     values x whose rows gather at most _MERGE_CELLS cells together share
     one gather.  When the tables and the group pairs would outnumber the
-    |U|*|V| pairs themselves, the pairs are tested one by one instead.
+    |U|*|V| pairs themselves, the pairs are tested one by one instead,
+    a row block of _BLOCK_CELLS cells at a time.
 
     Tables and need are int32: on the grouped branch every table position
     is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < nl*nr <=
     MAX_PAIR_COUNT = 3*10**7 < 2**31, and every count is at most nr.
-    Temporaries are chunked to _CHUNK_CELLS cells, or to one right group's
+    Temporaries are chunked to CHUNK_CELLS cells, or to one right group's
     tables when that is larger.
     """
     left = np.asarray(left_rows, dtype=np.int64)
@@ -356,12 +366,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
     n_gl, n_gr, nx = len(l_uniq), len(r_uniq), len(xs)
     if n_gr * (nx * size + n_gl) >= nl * nr:
-        total = 0
-        step = max(1, _CHUNK_CELLS // nr)
-        for lo in range(0, nl, step):
-            block = _dot_zero_block(ring, left[lo : lo + step], right)
-            total += int(block.sum(dtype=np.int64))
-        return total
+        return _zero_dot_count(ring, left, right)
 
     l_group, r_group = np.searchsorted(l_uniq, l_keys), np.searchsorted(r_uniq, r_keys)
     x_idx = np.searchsorted(xs, left[:, -1])
@@ -377,8 +382,8 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     order = np.argsort(r_group, kind="stable")
     rg, ry = r_group[order], right[order, -1]
     group_start = np.searchsorted(rg, np.arange(n_gr + 1))
-    row_step = max(1, _CHUNK_CELLS // nx)
-    group_step = max(1, _CHUNK_CELLS // (nx * size + n_gl))
+    row_step = max(1, CHUNK_CELLS // nx)
+    group_step = max(1, CHUNK_CELLS // (nx * size + n_gl))
     x_col = np.arange(nx)[:, None]
     total = 0
     lo = 0
@@ -393,7 +398,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
         need = _dot_block(ring, l_prefix, r_prefix[g0 : g0 + span])
         need += np.arange(span) * size
         need = need.astype(np.int32, copy=False)
-        k_step = max(1, _CHUNK_CELLS // span)
+        k_step = max(1, CHUNK_CELLS // span)
         few = _MERGE_CELLS // span
         a = 0
         while a < nx:
@@ -419,7 +424,7 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
     """Mixing inequality on seeded random subset pairs, batched.
 
     Trials are drawn in order and evaluated in chunks of at most
-    _CHUNK_CELLS indicator cells per side, so memory stays bounded
+    CHUNK_CELLS indicator cells per side, so memory stays bounded
     whatever the trial count.  Returns a summary with the number of
     violations (which the theorem says must be zero) and the worst
     residual/bound ratio observed, against the computed sigma_2.
@@ -433,7 +438,7 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
     sizes_r = np.empty(trials, dtype=np.int64)
     edges = np.empty(trials, dtype=np.float64)
     verts = range(n)
-    step = max(1, _CHUNK_CELLS // n)
+    step = max(1, CHUNK_CELLS // n)
     for lo in range(0, trials, step):
         width = min(step, trials - lo)
         xmat = np.zeros((n, width), dtype=np.float64)

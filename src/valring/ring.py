@@ -26,22 +26,23 @@ The :class:`Ring` methods ending in ``_many`` operate on numpy arrays
 of indices with broadcasting and are the backbone of the set-operation
 and graph modules; the scalar methods (``add``, ``mul``, ``inv``,
 ``valuation``, ...) wrap them.  ZPR arithmetic is integer arithmetic
-modulo p**r.  FQTR arithmetic has two paths:
+modulo p**r.
 
-* Cayley tables, for rings of at most ``_TABLE_MAX_SIZE`` elements: a
-  size x size add table, a size x size mul table and a negation vector,
-  so each of ``add_many``, ``mul_many`` and ``neg_many`` is one gather
-  and ``sub_many`` is two (``add[a, neg[b]]``).  A ring builds its
-  tables on its first FQTR arithmetic call, once; :func:`make_ring`
-  caches rings, so one build serves every later caller in the process.
-  The tables pay off when one process does repeated arithmetic on one
-  ring; the cap keeps the build cheap enough that a one-shot call on a
-  small ring does not lose time to it.
-* The digit path, which splits every index into its r*s base-p digits:
-  addition is digitwise mod p and multiplication is a truncated
-  convolution of z-adic digits over the residue field.  It computes
-  the pieces the tables are assembled from and serves every ring above
-  the cap.
+An FQTR index's r*s base-p digits are its coordinates over F_p in the
+basis e_(k*s + l) = t**k * x**l.  A ring builds its structure tensor B
+once, on construction: B[i, j] holds the digits of e_i * e_j, so a's
+digits contracted with B give the matrix of b -> a*b on digit rows.
+From B come the residue field's exp/log tables (s > 1) and, for rings
+of at most ``_TABLE_MAX_SIZE`` elements, Cayley tables: a size x size
+add table, a size x size mul table and a negation vector, so each of
+``add_many``, ``mul_many`` and ``neg_many`` is one gather and
+``sub_many`` is two (``add[a, neg[b]]``).  The tables are built on the
+ring's first FQTR arithmetic call and :func:`make_ring` caches rings,
+so one build serves every later caller in the process; the cap keeps
+the build cheap enough that a one-shot call on a small ring does not
+lose time to it.  Larger rings use the digit path: addition is digitwise
+mod p and multiplication a truncated convolution of z-adic digits, whose
+residue-field products go through exp/log.
 
 Rings and elements are immutable apart from those lazily built caches
 (the Cayley tables and the inverse table).  Each build is idempotent:
@@ -153,17 +154,6 @@ def _poly_trim(a: list[int]) -> list[int]:
     return a
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     # m must be monic
     rem = list(a)
@@ -228,11 +218,12 @@ class _CayleyTables(NamedTuple):
 class Ring:
     """One finite valuation ring; construct through :func:`make_ring`.
 
-    An FQTR ring of at most ``_TABLE_MAX_SIZE`` elements does its
-    arithmetic by gathers from Cayley tables that it assembles from
-    digit-path products on its first arithmetic call; a larger one stays
-    on the digit path.  Both paths give int64 results of the broadcast shape
-    of the inputs.
+    An FQTR ring builds its structure tensor on construction, and from it
+    the exp/log tables of its residue field when s > 1.  A ring of at most
+    ``_TABLE_MAX_SIZE`` elements does its arithmetic by gathers from
+    Cayley tables that it builds from the tensor on its first arithmetic
+    call; a larger one stays on the digit path.  Both paths give int64
+    results of the broadcast shape of the inputs.
 
     Attributes
     ----------
@@ -266,66 +257,101 @@ class Ring:
         else:
             self.math_name = f"F_{self.q}[t]/(t^{r})"
 
-        self.modulus_coeffs: Optional[tuple[int, ...]] = None
+        self.modulus_coeffs = smallest_irreducible(p, s) if s > 1 else None
         self._q_pows = self.q ** np.arange(r, dtype=np.int64)
         self._p_pows = self.p ** np.arange(s, dtype=np.int64)
         self._pp_full = self.p ** np.arange(r * s, dtype=np.int64)
+        self._tensor: Optional[np.ndarray] = None
         self._exp: Optional[np.ndarray] = None
         self._log: Optional[np.ndarray] = None
-        if s > 1:
-            self.modulus_coeffs = smallest_irreducible(p, s)
-            self._build_field_tables()
+        if family is RingFamily.FQTR:
+            self._tensor = self._structure_tensor()
+            if s > 1:
+                self._build_field_tables()
         self._key = (family, p, s, r, self.modulus_coeffs)
         self._inverse_table: Optional[np.ndarray] = None
         self._cayley_tables: Optional[_CayleyTables] = None
 
-    # -- residue field scalar ops (encoded values in [0, q)) ---------------
+    # -- FQTR structure tensor and the tables built from it -----------------
 
-    def _field_mul_scalar(self, a: int, b: int) -> int:
-        if self.s == 1:
-            return (a * b) % self.p
-        pa = _digits(a, self.p, self.s)
-        pb = _digits(b, self.p, self.s)
-        prod = _poly_mod(_poly_mul(pa, pb, self.p), self.modulus_coeffs, self.p)
-        return sum(c * self.p**i for i, c in enumerate(prod))
+    def _structure_tensor(self) -> np.ndarray:
+        """(n, n, n) int64 with n = r*s: B[i, j] = base-p digits of e_i * e_j.
 
-    def _field_pow(self, a: int, e: int) -> int:
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self._field_mul_scalar(out, base)
-            base = self._field_mul_scalar(base, base)
-            e >>= 1
-        return out
+        e_(k*s + l) = t**k * x**l, so e_i * e_j is t**(k_i + k_j), zero from
+        t**r on, times x**(l_i + l_j), reduced by the monic modulus.
+        """
+        p, s, r = self.p, self.s, self.r
+        # x_pow[m] = digits of x**m, reduced by x**s = -(c_0 + ... + c_(s-1) x**(s-1))
+        x_pow = np.eye(2 * s - 1, s, dtype=np.int64)
+        for m in range(s, 2 * s - 1):
+            x_pow[m, 1:] = x_pow[m - 1, :-1]
+            x_pow[m] = (x_pow[m] - x_pow[m - 1, -1] * np.array(self.modulus_coeffs[:-1])) % p
+        field = x_pow[np.add.outer(np.arange(s), np.arange(s))]
+        k = np.arange(r)
+        trunc = (np.add.outer(k, k)[..., None] == k).astype(np.int64)
+        n = r * s
+        return np.einsum("abc,xyz->axbycz", trunc, field).reshape(n, n, n)
+
+    def _times(self, digits: np.ndarray, n: int) -> np.ndarray:
+        """Matrices of b -> a*b on the first n digits, one per digit row a
+        along the last axis of ``digits``; n = s keeps to the residue field."""
+        return np.tensordot(digits, self._tensor[:n, :n, :n], axes=1) % self.p
+
+    def _fold(self, sums: np.ndarray) -> np.ndarray:
+        """Indices whose digit i is sums[i] mod p, for sums in [0, r*s*p*p).
+
+        Digits run along the first axis, so each step walks a long row, and
+        the reduction is a gather, which is cheaper than %.
+        """
+        residue = np.arange(len(self._pp_full) * self.p**2) % self.p
+        return self._pp_full[: len(sums)] @ residue[sums]
 
     def _build_field_tables(self) -> None:
-        # find a multiplicative generator, then exp/log tables
-        n = self.q - 1
-        fac, m = [], n
-        f = 2
-        while f * f <= m:
-            if m % f == 0:
-                fac.append(f)
-                while m % f == 0:
-                    m //= f
-            f += 1
-        if m > 1:
-            fac.append(m)
-        gen = None
-        for cand in range(2, self.q):
-            if all(self._field_pow(cand, n // ell) != 1 for ell in fac):
-                gen = cand
-                break
-        assert gen is not None, "cyclic unit group always has a generator"
-        exp = np.zeros(n, dtype=np.int64)
-        log = np.zeros(self.q, dtype=np.int64)
-        acc = 1
-        for i in range(n):
-            exp[i] = acc
-            log[acc] = i
-            acc = self._field_mul_scalar(acc, gen)
-        assert acc == 1, "generator order must be q - 1"
-        self._exp, self._log = exp, log
+        """exp/log tables of F_q^*, for its smallest generator g.
+
+        The constants 1..p-1 have order dividing p - 1 < q - 1, so the
+        candidates start at index p.  Doubling the table of a -> a*g lists
+        g**0 .. g**(q-2), and g generates when those are distinct.  The
+        products of matrices and digits go through float64: their entries
+        are integers below s*p**2 < 2**53, so they are exact.
+        """
+        q, s = self.q, self.s
+        digits = np.arange(q, dtype=np.int64) // self._p_pows[:, None] % self.p
+        columns = digits.astype(np.float64)
+        steps = np.arange(q - 1)
+        for g in range(self.p, q):
+            times_g = self._fold((self._times(digits[:, g], s).T @ columns).astype(np.int64))
+            exp = np.ones(1, dtype=np.int64)
+            while len(exp) < q - 1:
+                exp = np.concatenate((exp, times_g[exp]))
+                times_g = times_g[times_g]
+            exp = exp[: q - 1]
+            log = np.zeros(q, dtype=np.int64)
+            log[exp] = steps
+            if (log[exp] == steps).all():
+                self._exp, self._log = exp, log
+                return
+        raise AssertionError("cyclic unit group always has a generator")
+
+    def _cayley(self) -> Optional[_CayleyTables]:
+        """The FQTR Cayley tables, built on first use; None above the cap.
+
+        Row a of ``mul`` is every index's digits times a's matrix from the
+        structure tensor; ``add`` and ``neg`` act on each digit mod p.
+        """
+        if self._cayley_tables is None and self.size <= _TABLE_MAX_SIZE:
+            size, n, p = self.size, self.r * self.s, self.p
+            digits = np.arange(size, dtype=np.int64) // self._pp_full[:, None] % p
+            by_a = self._times(digits.T, n).transpose(2, 0, 1)  # by_a[m, a, j]
+            add, mul, neg = (
+                self._fold(d.reshape(n, -1))
+                for d in (digits[:, :, None] + digits[:, None, :], by_a @ digits, p - digits)
+            )
+            add, mul = add.reshape(size, size), mul.reshape(size, size)
+            for t in (add, mul, neg):
+                t.flags.writeable = False
+            self._cayley_tables = _CayleyTables(add, mul, neg)
+        return self._cayley_tables
 
     # -- digit views --------------------------------------------------------
 
@@ -347,7 +373,7 @@ class Ring:
         if not 0 <= a < self.size:
             raise BadIndex(f"index {a} outside [0, {self.size})")
 
-    # -- vectorized arithmetic on index arrays -------------------------------
+    # -- FQTR digit path: serves rings above the table cap -------------------
 
     def _field_mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.s == 1:
@@ -365,8 +391,6 @@ class Ring:
         if self.s == 1:
             return (x + y) % self.p
         return self._digitwise(np.add, x, y, self._p_pows)
-
-    # -- FQTR digit path: builds the Cayley tables, serves rings above the cap
 
     def _digitwise(self, op, a, b, pows: np.ndarray) -> np.ndarray:
         """op(a, b) mod p on each base-p digit of weight ``pows``, reassembled.
@@ -389,43 +413,6 @@ class Ring:
                 prod = self._field_mul_vec(ca[..., i], cb[..., j])
                 out[..., i + j] = self._field_add_vec(out[..., i + j], prod)
         return (out * self._q_pows).sum(axis=-1)
-
-    def _cayley(self) -> Optional[_CayleyTables]:
-        """The FQTR Cayley tables, built on first use; None above the cap.
-
-        An index splits into its low and high base-p digits, ``a = lo +
-        split * hi``.  Addition never carries, so the two halves add
-        independently, and multiplication distributes over the split, so
-        ``a * b`` is a sum of products of halves.  The digit path only
-        adds and multiplies halves, a few times size cells, and gathers
-        assemble the size x size tables from those.
-        """
-        if self._cayley_tables is None and self.size <= _TABLE_MAX_SIZE:
-            size = self.size
-            split = self.p ** (self.r * self.s // 2)
-            idx = np.arange(size, dtype=np.int64)
-            lo, hi = idx % split, idx // split
-            halves = (idx[:split], split * idx[: size // split])
-            add_halves = [self._digitwise(np.add, h[:, None], h, self._pp_full) for h in halves]
-            add = add_halves[0][lo][:, lo] + add_halves[1][hi][:, hi]
-
-            def add_gather(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-                return np.take(add, x * size + y)
-
-            # by_half[k][a, j] = a * halves[k][j]
-            by_half = [
-                add_gather(
-                    self._mul_digits(halves[0][:, None], h)[lo],
-                    self._mul_digits(halves[1][:, None], h)[hi],
-                )
-                for h in halves
-            ]
-            mul = add_gather(by_half[0][:, lo], by_half[1][:, hi])
-            neg = self._digitwise(np.subtract, np.int64(0), idx, self._pp_full)
-            for t in (add, mul, neg):
-                t.flags.writeable = False
-            self._cayley_tables = _CayleyTables(add, mul, neg)
-        return self._cayley_tables
 
     def add_many(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -512,10 +499,13 @@ class Ring:
             units = self.indices(ElementFilter.UNITS)
             c0 = units % self.q
             if self.s == 1:
-                inv0 = np.array(
-                    [0] + [pow(v, self.p - 2, self.p) for v in range(1, self.p)],
-                    dtype=np.int64,
-                )
+                # v**(p-2) of every residue v by square-and-multiply; products < p**2 < 2**32
+                inv0, power = np.ones(self.p, np.int64), np.arange(self.p, dtype=np.int64)
+                e = self.p - 2
+                while e:
+                    if e & 1:
+                        inv0 = inv0 * power % self.p
+                    power, e = power * power % self.p, e >> 1
                 y = inv0[c0]
             else:
                 y = self._exp[(-self._log[c0]) % (self.q - 1)]

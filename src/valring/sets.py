@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .config import MAX_N, MAX_TUPLE_COUNT
+from .config import CHUNK_CELLS, MAX_N, MAX_TUPLE_COUNT
 from .errors import BadArity, BadIndex, BadSize, NotUnits, RingMismatch, TooLarge
 from .ring import Element, ElementFilter, Ring
 
@@ -174,15 +174,13 @@ def _same_ring(a: ElementSet, b: ElementSet) -> None:
 
 # -- pointwise set algebra ----------------------------------------------------
 
-_CHUNK_CELLS = 4_000_000
-
 
 def _pairwise_mask(ring: Ring, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
     """Boolean mask of {op(a, b)} over all pairs, chunked to bound memory."""
     seen = np.zeros(ring.size, dtype=bool)
     if len(left) == 0 or len(right) == 0:
         return seen
-    step = max(1, _CHUNK_CELLS // len(right))
+    step = max(1, CHUNK_CELLS // len(right))
     for lo in range(0, len(left), step):
         block = op(left[lo : lo + step, None], right[None, :])
         seen[block.reshape(-1)] = True
@@ -272,7 +270,7 @@ def _form_values(f: FoldSets) -> np.ndarray:
 
 def _combine_add(ring: Ring, vals: np.ndarray, terms: np.ndarray) -> np.ndarray:
     out = np.empty(len(vals) * len(terms), dtype=np.int64)
-    step = max(1, _CHUNK_CELLS // max(1, len(terms)))
+    step = max(1, CHUNK_CELLS // max(1, len(terms)))
     pos = 0
     for lo in range(0, len(vals), step):
         block = ring.add_many(vals[lo : lo + step, None], terms[None, :]).reshape(-1)

@@ -367,7 +367,7 @@ def _grouped_cases(ring, units, seed):
 
 def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
     cases = list(_grouped_cases(z25, 10, 9))
-    monkeypatch.setattr(graph_module, "_dot_zero_block", _no_pairwise)
+    monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
     for left, right, expected in cases:
         assert pair_edge_count(z25, left, right) == expected
 
@@ -375,8 +375,8 @@ def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
 @pytest.mark.parametrize("cells", [1, 7, 100])
 def test_pair_edge_count_chunk_boundaries(z25, monkeypatch, cells):
     cases = list(_grouped_cases(z25, 4, 3))
-    monkeypatch.setattr(graph_module, "_dot_zero_block", _no_pairwise)
-    monkeypatch.setattr(graph_module, "_CHUNK_CELLS", cells)
+    monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
+    monkeypatch.setattr(graph_module, "CHUNK_CELLS", cells)
     for left, right, expected in cases:
         assert pair_edge_count(z25, left, right) == expected
 
@@ -402,15 +402,25 @@ def test_pair_edge_count_large_field_falls_back(monkeypatch):
     left, right = _near_top_rows(ring, 8, 4)
     expected = _pairwise_count(ring, left, right)
     calls = []
-    pairwise = graph_module._dot_zero_block
+    pairwise = graph_module._zero_dot_count
 
     def counted(*args):
         calls.append(len(args[1]))
         return pairwise(*args)
 
-    monkeypatch.setattr(graph_module, "_dot_zero_block", counted)
+    monkeypatch.setattr(graph_module, "_zero_dot_count", counted)
     assert pair_edge_count(ring, left, right) == expected
     assert calls == [60]
+
+
+def test_pair_edge_count_fallback_row_blocks(monkeypatch):
+    # blocks of 7 of the 60 left rows: eight full blocks and a short last one
+    ring = make_ring(65521, 1, 1)
+    left, right = _near_top_rows(ring, 8, 4)
+    expected = _pairwise_count(ring, left, right)
+    assert int(graph_module._dot_zero_block(ring, left[56:], right).sum()) > 0
+    monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 7 * len(right))
+    assert pair_edge_count(ring, left, right) == expected
 
 
 @pytest.mark.parametrize("p,d", [(3, 4), (65521, 8)])
@@ -455,7 +465,7 @@ def test_mixing_random_pairs_deterministic(z9):
 def test_mixing_random_pairs_chunks_match_one_chunk(z9, monkeypatch, trials_per_chunk):
     g = build_graph(z9, 3)
     whole = mixing_random_pairs(g, 50, seed=11)
-    monkeypatch.setattr(graph_module, "_CHUNK_CELLS", trials_per_chunk * g.n_classes)
+    monkeypatch.setattr(graph_module, "CHUNK_CELLS", trials_per_chunk * g.n_classes)
     chunked = mixing_random_pairs(g, 50, seed=11)
     assert json.dumps(chunked) == json.dumps(whole)
 

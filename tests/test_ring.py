@@ -157,7 +157,8 @@ def test_fqtr_ring_axioms(triple):
 # arithmetic: F_q[t]/(t^r) Cayley tables against the digit path
 
 # Every FQTR ring that the tests or the benchmark use, whether or not it
-# is under the table cap, and two with an odd number of base-p digits.
+# is under the table cap, two with an odd number of base-p digits, and
+# fields of degree s >= 3: up to the cap (f:125:1) and over it (f:9:3).
 TABLE_RINGS = {
     "f:3:1": (3, 1, 1),
     "f:9:1": (3, 2, 1),
@@ -167,6 +168,10 @@ TABLE_RINGS = {
     "f:13:2": (13, 1, 2),
     "f:5:3": (5, 1, 3),
     "f:3:5": (3, 1, 5),
+    "f:27:1": (3, 3, 1),
+    "f:81:1": (3, 4, 1),
+    "f:125:1": (5, 3, 1),
+    "f:9:3": (3, 2, 3),
 }
 
 
@@ -268,6 +273,51 @@ def test_field_multiplication_oracle():
             c0 = (a0 * b0 - a1 * b1) % 3
             c1 = (a0 * b1 + a1 * b0) % 3
             assert ring.mul(a, b) == c0 + 3 * c1
+
+
+def _field_mul(a, b, p, modulus):
+    """Schoolbook product of two F_q elements given by base-p digit indices."""
+    s = len(modulus) - 1
+    da, db = ([v // p**i % p for i in range(s)] for v in (a, b))
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for m in range(2 * s - 2, s - 1, -1):  # x**m = -x**(m-s) * (c_0 + ... + c_(s-1) x**(s-1))
+        for i in range(s):
+            prod[m - s + i] -= prod[m] * modulus[i]
+    return sum(c % p * p**i for i, c in enumerate(prod[:s]))
+
+
+def _generates(c, p, q, modulus):
+    """Whether c**((q-1)/l) != 1 for every prime l dividing q - 1."""
+    primes = [ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
+    for ell in primes:
+        acc, base, e = 1, c, (q - 1) // ell
+        while e:
+            if e & 1:
+                acc = _field_mul(acc, base, p, modulus)
+            base, e = _field_mul(base, base, p, modulus), e >> 1
+        if acc == 1:
+            return False
+    return True
+
+
+# every F_q with s > 1 and q <= 3**7
+SMALL_FIELDS = [(p, s) for s in range(2, 8) for p in range(3, 47) if is_prime(p) and p**s <= 3**7]
+
+
+@pytest.mark.parametrize("p,s", SMALL_FIELDS, ids=[f"f:{p**s}:1" for p, s in SMALL_FIELDS])
+def test_field_exp_log_list_the_smallest_generator(p, s):
+    ring = make_ring(p, s, 1, "fqtr")
+    q, exp, log, modulus = ring.q, ring._exp, ring._log, ring.modulus_coeffs
+    assert sorted(exp.tolist()) == list(range(1, q))  # q - 1 distinct units
+    g = int(exp[1])
+    for i in range(q - 1):
+        assert _field_mul(int(exp[i]), g, p, modulus) == exp[(i + 1) % (q - 1)]
+        assert log[exp[i]] == i
+    assert _generates(g, p, q, modulus)
+    assert not any(_generates(c, p, q, modulus) for c in range(p, g))
 
 
 def test_fqtr_uniformizer_nilpotent(f9t2):
