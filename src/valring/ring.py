@@ -30,19 +30,24 @@ modulo p**r.
 
 An FQTR index's r*s base-p digits are its coordinates over F_p in the
 basis e_(k*s + l) = t**k * x**l.  A ring builds its structure tensor B
-once, on construction: B[i, j] holds the digits of e_i * e_j, so a's
-digits contracted with B give the matrix of b -> a*b on digit rows.
-From B come the residue field's exp/log tables (s > 1) and, for rings
-of at most ``_TABLE_MAX_SIZE`` elements, Cayley tables: a size x size
-add table, a size x size mul table and a negation vector, so each of
-``add_many``, ``mul_many`` and ``neg_many`` is one gather and
+once, on construction: B[i, j] holds the digits of e_i * e_j, so digit k
+of a*b is sum_ij a_i * b_j * B[i, j, k] mod p.  That contraction is the
+one FQTR multiply.  It runs in float64, which is exact because every sum
+is below n**2 * (p-1)**3 < 2**53 (n = r*s; the largest value over the
+supported rings is 2.8e14, at p = 65521, n = 1).  Addition, subtraction
+and negation act on each digit mod p and never carry.  A ring of at most
+``_TABLE_MAX_SIZE`` elements evaluates the digitwise sum and the
+contraction once on the full index grid into Cayley tables: a size x
+size add table, a size x size mul table and a negation vector, so each
+of ``add_many``, ``mul_many`` and ``neg_many`` is one gather and
 ``sub_many`` is two (``add[a, neg[b]]``).  The tables are built on the
-ring's first FQTR arithmetic call and :func:`make_ring` caches rings,
-so one build serves every later caller in the process; the cap keeps
-the build cheap enough that a one-shot call on a small ring does not
-lose time to it.  Larger rings use the digit path: addition is digitwise
-mod p and multiplication a truncated convolution of z-adic digits, whose
-residue-field products go through exp/log.
+ring's first FQTR arithmetic call and :func:`make_ring` caches rings, so
+one build serves every later caller in the process; the cap keeps the
+build cheap enough that a one-shot call on a small ring does not lose
+time to it.  Larger rings add digitwise and contract on each call.
+
+In both families the inverse of a residue v is the Fermat power
+v**(q-2), and Newton steps lift it to the inverse of each unit.
 
 Rings and elements are immutable apart from those lazily built caches
 (the Cayley tables and the inverse table).  Each build is idempotent:
@@ -85,11 +90,13 @@ __all__ = [
 ]
 
 # FQTR rings of at most this many elements add, subtract, negate and
-# multiply by Cayley-table gathers; larger rings stay on the digit path.
-# Measured crossover: a one-shot `verify thm1 --set 1,2 --n 2` in a fresh
-# process runs as fast as on the digit path up to 125 elements, and
-# 2-8 ms slower from 169 (f:13:2) to 343 (f:7:3), where the table build
-# costs more than the few products the call needs.
+# multiply by Cayley-table gathers; larger rings add digitwise and contract
+# with the structure tensor on each call.  On a 2-core host, over 10**5
+# products on f:9:2, a gather takes 0.9 ms per add or mul and the per-call
+# path 11 and 22 ms.  The build costs a one-shot `verify thm1 --set 1,2
+# --n 2` in a fresh process at most 2.5 ms up to 125 elements (f:5:3), but
+# 5 ms on f:13:2 (169) and 26 ms on f:7:3 (343), where it outweighs the few
+# products the call needs.
 _TABLE_MAX_SIZE = 125
 
 
@@ -218,12 +225,12 @@ class _CayleyTables(NamedTuple):
 class Ring:
     """One finite valuation ring; construct through :func:`make_ring`.
 
-    An FQTR ring builds its structure tensor on construction, and from it
-    the exp/log tables of its residue field when s > 1.  A ring of at most
-    ``_TABLE_MAX_SIZE`` elements does its arithmetic by gathers from
-    Cayley tables that it builds from the tensor on its first arithmetic
-    call; a larger one stays on the digit path.  Both paths give int64
-    results of the broadcast shape of the inputs.
+    An FQTR ring builds its structure tensor on construction.  A ring of
+    at most ``_TABLE_MAX_SIZE`` elements does its arithmetic by gathers
+    from Cayley tables that it builds on its first arithmetic call, by
+    evaluating the digitwise sum and the tensor contraction once on every
+    pair of indices; a larger one evaluates them on each call.  Both give
+    int64 results of the broadcast shape of the inputs.
 
     Attributes
     ----------
@@ -259,23 +266,16 @@ class Ring:
 
         self.modulus_coeffs = smallest_irreducible(p, s) if s > 1 else None
         self._q_pows = self.q ** np.arange(r, dtype=np.int64)
-        self._p_pows = self.p ** np.arange(s, dtype=np.int64)
         self._pp_full = self.p ** np.arange(r * s, dtype=np.int64)
-        self._tensor: Optional[np.ndarray] = None
-        self._exp: Optional[np.ndarray] = None
-        self._log: Optional[np.ndarray] = None
-        if family is RingFamily.FQTR:
-            self._tensor = self._structure_tensor()
-            if s > 1:
-                self._build_field_tables()
+        self._tensor = self._structure_tensor() if family is RingFamily.FQTR else None
         self._key = (family, p, s, r, self.modulus_coeffs)
         self._inverse_table: Optional[np.ndarray] = None
         self._cayley_tables: Optional[_CayleyTables] = None
 
-    # -- FQTR structure tensor and the tables built from it -----------------
+    # -- FQTR arithmetic: the structure tensor, per-call ops, Cayley tables --
 
     def _structure_tensor(self) -> np.ndarray:
-        """(n, n, n) int64 with n = r*s: B[i, j] = base-p digits of e_i * e_j.
+        """(n, n*n) float64 with n = r*s: column i*n + j = base-p digits of e_i * e_j.
 
         e_(k*s + l) = t**k * x**l, so e_i * e_j is t**(k_i + k_j), zero from
         t**r on, times x**(l_i + l_j), reduced by the monic modulus.
@@ -290,64 +290,62 @@ class Ring:
         k = np.arange(r)
         trunc = (np.add.outer(k, k)[..., None] == k).astype(np.int64)
         n = r * s
-        return np.einsum("abc,xyz->axbycz", trunc, field).reshape(n, n, n)
+        tensor = np.einsum("abc,xyz->axbycz", trunc, field).reshape(n * n, n)
+        return np.ascontiguousarray(tensor.T, dtype=np.float64)
 
-    def _times(self, digits: np.ndarray, n: int) -> np.ndarray:
-        """Matrices of b -> a*b on the first n digits, one per digit row a
-        along the last axis of ``digits``; n = s keeps to the residue field."""
-        return np.tensordot(digits, self._tensor[:n, :n, :n], axes=1) % self.p
+    def _digit_rows(self, v: np.ndarray) -> np.ndarray:
+        """(r*s, len(v)) float64: row k holds base-p digit k of each index in v."""
+        rows = np.empty((self.r * self.s, len(v)))
+        for k in range(len(rows)):
+            rows[k] = v % self.p
+            v = v // self.p
+        return rows
 
-    def _fold(self, sums: np.ndarray) -> np.ndarray:
-        """Indices whose digit i is sums[i] mod p, for sums in [0, r*s*p*p).
+    def _contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b on FQTR indices: digit k is sum_ij a_i * b_j * B[i, j, k] mod p.
 
-        Digits run along the first axis, so each step walks a long row, and
-        the reduction is a gather, which is cheaper than %.
+        The sums are float64 and exact: each of the n**2 terms (n = r*s)
+        is at most (p-1)**3, so every sum is below n**2 * (p-1)**3, which
+        is at most 2.8e14 < 2**53 over the supported rings (p = 65521,
+        n = 1).  The cells go in blocks whose n**2 digit products take
+        2 MB, so they stay in cache between the product and the matmul.
         """
-        residue = np.arange(len(self._pp_full) * self.p**2) % self.p
-        return self._pp_full[: len(sums)] @ residue[sums]
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        a, b = (np.broadcast_to(v, shape).reshape(-1) for v in (a, b))
+        n = self.r * self.s
+        out = np.empty(a.size, dtype=np.int64)
+        step = max(1, (1 << 18) // (n * n))
+        for lo in range(0, a.size, step):
+            da, db = (self._digit_rows(v[lo : lo + step]) for v in (a, b))
+            sums = self._tensor @ (da[:, None] * db).reshape(n * n, -1)
+            out[lo : lo + step] = self._pp_full @ (sums.astype(np.int64) % self.p)
+        return out.reshape(shape)
 
-    def _build_field_tables(self) -> None:
-        """exp/log tables of F_q^*, for its smallest generator g.
+    def _digitwise(self, op, a, b) -> np.ndarray:
+        """op(a, b) mod p on each base-p digit, reassembled one digit at a time.
 
-        The constants 1..p-1 have order dividing p - 1 < q - 1, so the
-        candidates start at index p.  Doubling the table of a -> a*g lists
-        g**0 .. g**(q-2), and g generates when those are distinct.  The
-        products of matrices and digits go through float64: their entries
-        are integers below s*p**2 < 2**53, so they are exact.
+        Addition never carries between digits, so sums, differences and
+        negations (differences from 0) all take this one step.  Walking
+        the digits keeps the temporaries to a few arrays of the output's
+        size.
         """
-        q, s = self.q, self.s
-        digits = np.arange(q, dtype=np.int64) // self._p_pows[:, None] % self.p
-        columns = digits.astype(np.float64)
-        steps = np.arange(q - 1)
-        for g in range(self.p, q):
-            times_g = self._fold((self._times(digits[:, g], s).T @ columns).astype(np.int64))
-            exp = np.ones(1, dtype=np.int64)
-            while len(exp) < q - 1:
-                exp = np.concatenate((exp, times_g[exp]))
-                times_g = times_g[times_g]
-            exp = exp[: q - 1]
-            log = np.zeros(q, dtype=np.int64)
-            log[exp] = steps
-            if (log[exp] == steps).all():
-                self._exp, self._log = exp, log
-                return
-        raise AssertionError("cyclic unit group always has a generator")
+        p = self.p
+        out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
+        for w in self._pp_full:
+            out += op(a // w % p, b // w % p) % p * w
+        return out
 
     def _cayley(self) -> Optional[_CayleyTables]:
         """The FQTR Cayley tables, built on first use; None above the cap.
 
-        Row a of ``mul`` is every index's digits times a's matrix from the
-        structure tensor; ``add`` and ``neg`` act on each digit mod p.
+        ``add`` and ``mul`` are :meth:`_digitwise` and :meth:`_contract` on
+        every pair of indices, ``neg`` is the digitwise difference from 0.
         """
         if self._cayley_tables is None and self.size <= _TABLE_MAX_SIZE:
-            size, n, p = self.size, self.r * self.s, self.p
-            digits = np.arange(size, dtype=np.int64) // self._pp_full[:, None] % p
-            by_a = self._times(digits.T, n).transpose(2, 0, 1)  # by_a[m, a, j]
-            add, mul, neg = (
-                self._fold(d.reshape(n, -1))
-                for d in (digits[:, :, None] + digits[:, None, :], by_a @ digits, p - digits)
-            )
-            add, mul = add.reshape(size, size), mul.reshape(size, size)
+            idx = np.arange(self.size, dtype=np.int64)
+            add = self._digitwise(np.add, idx[:, None], idx[None, :])
+            mul = self._contract(idx[:, None], idx[None, :])
+            neg = self._digitwise(np.subtract, np.int64(0), idx)
             for t in (add, mul, neg):
                 t.flags.writeable = False
             self._cayley_tables = _CayleyTables(add, mul, neg)
@@ -373,46 +371,7 @@ class Ring:
         if not 0 <= a < self.size:
             raise BadIndex(f"index {a} outside [0, {self.size})")
 
-    # -- FQTR digit path: serves rings above the table cap -------------------
-
-    def _field_mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.s == 1:
-            return (x * y) % self.p
-        out = np.zeros(np.broadcast(x, y).shape, dtype=np.int64)
-        nz = (x != 0) & (y != 0)
-        if nz.any():
-            xs, ys = np.broadcast_arrays(x, y)
-            out[nz] = self._exp[
-                (self._log[xs[nz]] + self._log[ys[nz]]) % (self.q - 1)
-            ]
-        return out
-
-    def _field_add_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        if self.s == 1:
-            return (x + y) % self.p
-        return self._digitwise(np.add, x, y, self._p_pows)
-
-    def _digitwise(self, op, a, b, pows: np.ndarray) -> np.ndarray:
-        """op(a, b) mod p on each base-p digit of weight ``pows``, reassembled.
-
-        Addition never carries between digits, so sums, differences and
-        negations (differences from 0) all take this one step.
-        """
-        da = (a[..., None] // pows) % self.p
-        db = (b[..., None] // pows) % self.p
-        return ((op(da, db) % self.p) * pows).sum(axis=-1)
-
-    def _mul_digits(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.broadcast_arrays(a, b)
-        ca = self._qdigits(a)
-        cb = self._qdigits(b)
-        out = np.zeros(a.shape + (self.r,), dtype=np.int64)
-        # truncated convolution of z-adic digit vectors
-        for i in range(self.r):
-            for j in range(self.r - i):
-                prod = self._field_mul_vec(ca[..., i], cb[..., j])
-                out[..., i + j] = self._field_add_vec(out[..., i + j], prod)
-        return (out * self._q_pows).sum(axis=-1)
+    # -- arithmetic on index arrays ------------------------------------------
 
     def add_many(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
@@ -421,7 +380,7 @@ class Ring:
             return (a + b) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._digitwise(np.add, a, b, self._pp_full)
+            return self._digitwise(np.add, a, b)
         return tables.add[a, b]
 
     def neg_many(self, a) -> np.ndarray:
@@ -430,7 +389,7 @@ class Ring:
             return (self.size - a) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._digitwise(np.subtract, np.int64(0), a, self._pp_full)
+            return self._digitwise(np.subtract, np.int64(0), a)
         return tables.neg[a]
 
     def sub_many(self, a, b) -> np.ndarray:
@@ -440,7 +399,7 @@ class Ring:
             return (a - b) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._digitwise(np.subtract, a, b, self._pp_full)
+            return self._digitwise(np.subtract, a, b)
         return tables.add[a, tables.neg[b]]
 
     def mul_many(self, a, b) -> np.ndarray:
@@ -450,7 +409,7 @@ class Ring:
             return (a * b) % self.size
         tables = self._cayley()
         if tables is None:
-            return self._mul_digits(a, b)
+            return self._contract(a, b)
         return tables.mul[a, b]
 
     def valuation_many(self, a) -> np.ndarray:
@@ -491,24 +450,20 @@ class Ring:
     def inverse_table(self) -> np.ndarray:
         """Index -> inverse index for units, 0 elsewhere.  Cached.
 
-        Newton lifting from the residue field: y <- y * (2 - a*y) doubles
-        the z-adic precision each round, so ceil(log2(r)) rounds after the
-        exact residue-field inverse suffice.  The result is checked.
+        The constants [0, q) are the residue field; v**(q-2) is the
+        inverse of each nonzero v mod z, computed by square-and-multiply.
+        Newton lifting y <- y * (2 - a*y) then doubles the z-adic precision
+        each round, so ceil(log2(r)) rounds suffice.  The result is checked.
         """
         if self._inverse_table is None:
             units = self.indices(ElementFilter.UNITS)
-            c0 = units % self.q
-            if self.s == 1:
-                # v**(p-2) of every residue v by square-and-multiply; products < p**2 < 2**32
-                inv0, power = np.ones(self.p, np.int64), np.arange(self.p, dtype=np.int64)
-                e = self.p - 2
-                while e:
-                    if e & 1:
-                        inv0 = inv0 * power % self.p
-                    power, e = power * power % self.p, e >> 1
-                y = inv0[c0]
-            else:
-                y = self._exp[(-self._log[c0]) % (self.q - 1)]
+            inv0, power = np.ones(self.q, np.int64), np.arange(self.q, dtype=np.int64)
+            e = self.q - 2
+            while e:
+                if e & 1:
+                    inv0 = self.mul_many(inv0, power)
+                power, e = self.mul_many(power, power), e >> 1
+            y = inv0[units % self.q]
             two = np.int64(self.from_int(2))
             for _ in range((self.r - 1).bit_length()):
                 y = self.mul_many(y, self.sub_many(two, self.mul_many(units, y)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -154,7 +156,47 @@ def test_fqtr_ring_axioms(triple):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic: F_q[t]/(t^r) Cayley tables against the digit path
+# arithmetic: F_q[t]/(t^r) against schoolbook F_q arithmetic
+
+
+def _field_mul(a, b, p, modulus):
+    """Schoolbook product of two F_q elements given by base-p digit indices."""
+    s = len(modulus) - 1
+    da, db = ([v // p**i % p for i in range(s)] for v in (a, b))
+    prod = [0] * (2 * s - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] += x * y
+    for m in range(2 * s - 2, s - 1, -1):  # x**m = -x**(m-s) * (c_0 + ... + c_(s-1) x**(s-1))
+        for i in range(s):
+            prod[m - s + i] -= prod[m] * modulus[i]
+    return sum(c % p * p**i for i, c in enumerate(prod[:s]))
+
+
+def _field_add(a, b, p, s):
+    """Sum of two F_q elements given by base-p digit indices, digit by digit."""
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(s))
+
+
+def _fqtr_tables(p, s, r):
+    """add, mul and neg of F_q[t]/(t^r) on every index: coefficients of
+    t**k add in F_q, and a product is the truncated convolution of the
+    coefficient vectors, with each coefficient pair multiplied by
+    _field_mul.  The F_q operations are tabulated once, then gathered."""
+    q, modulus = p**s, smallest_irreducible(p, s)
+    fadd = np.array([[_field_add(x, y, p, s) for y in range(q)] for x in range(q)])
+    fmul = np.array([[_field_mul(x, y, p, modulus) for y in range(q)] for x in range(q)])
+    idx = np.arange(q**r)
+    ca, cb = idx[:, None] // q ** np.arange(r) % q, idx // q ** np.arange(r)[:, None] % q
+    add, mul = 0, 0
+    for k in range(r):
+        add = add + fadd[ca[:, k : k + 1], cb[k]] * q**k
+        coeff = 0
+        for i in range(k + 1):
+            coeff = fadd[coeff, fmul[ca[:, i : i + 1], cb[k - i]]]
+        mul = mul + coeff * q**k
+    return add, mul, np.argmax(add == 0, axis=1)
+
 
 # Every FQTR ring that the tests or the benchmark use, whether or not it
 # is under the table cap, two with an odd number of base-p digits, and
@@ -178,7 +220,7 @@ TABLE_RINGS = {
 def _table_and_digit_rings(monkeypatch, p, s, r):
     """Two fresh copies of one FQTR ring: the first with its Cayley tables
     built (the cap raised to its size if need be), the second held on the
-    digit path by a zero table cap."""
+    per-call digit path by a zero table cap."""
     monkeypatch.setattr(ring_module, "_TABLE_MAX_SIZE", (p**s) ** r)
     tabled = Ring(p, s, r, RingFamily.FQTR)
     assert tabled._cayley() is not None
@@ -190,13 +232,16 @@ def _table_and_digit_rings(monkeypatch, p, s, r):
 
 @pytest.mark.parametrize("params", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
 def test_cayley_tables_match_digit_path(monkeypatch, params):
+    # both paths against the schoolbook tables, on every pair of indices
+    add, mul, neg = _fqtr_tables(*params)
     tabled, digits = _table_and_digit_rings(monkeypatch, *params)
     idx = np.arange(tabled.size, dtype=np.int64)
     a, b = idx[:, None], idx[None, :]
-    for op in ("add_many", "sub_many", "mul_many"):
-        np.testing.assert_array_equal(getattr(tabled, op)(a, b), getattr(digits, op)(a, b))
-    np.testing.assert_array_equal(tabled.neg_many(idx), digits.neg_many(idx))
-    assert (tabled.add_many(tabled.sub_many(a, b), b) == a).all()
+    for ring in (tabled, digits):
+        np.testing.assert_array_equal(ring.add_many(a, b), add)
+        np.testing.assert_array_equal(ring.sub_many(a, b), add[a, neg[b]])
+        np.testing.assert_array_equal(ring.mul_many(a, b), mul)
+        np.testing.assert_array_equal(ring.neg_many(idx), neg)
     assert digits._cayley_tables is None
 
 
@@ -254,6 +299,23 @@ def test_ring_above_table_cap_stays_on_digit_path():
     assert ring._cayley_tables is None
 
 
+def test_digit_path_memory():
+    # 10 base-3 digits: addition walks them one at a time and the product
+    # contracts blocks of cells, so no (cells, digits) array is built
+    ring = make_ring(3, 5, 2, "fqtr")  # F_243[t]/(t^2)
+    a, b = np.random.default_rng(243).integers(0, ring.size, size=(2, 10**6))
+    some = np.arange(0, 10**6, 9973)  # one cell in each of about 100 product blocks
+    for op, scalar in (("add_many", ring.add), ("mul_many", ring.mul)):
+        tracemalloc.start()
+        try:
+            out = getattr(ring, op)(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 10**6, op
+        assert out[some].tolist() == [scalar(x, y) for x, y in zip(a[some].tolist(), b[some].tolist())]
+
+
 def test_characteristic(z9, f9t2):
     # Z/9 has characteristic 9, F_9[t]/(t^2) has characteristic 3
     one = z9.one.index
@@ -275,49 +337,27 @@ def test_field_multiplication_oracle():
             assert ring.mul(a, b) == c0 + 3 * c1
 
 
-def _field_mul(a, b, p, modulus):
-    """Schoolbook product of two F_q elements given by base-p digit indices."""
-    s = len(modulus) - 1
-    da, db = ([v // p**i % p for i in range(s)] for v in (a, b))
-    prod = [0] * (2 * s - 1)
-    for i, x in enumerate(da):
-        for j, y in enumerate(db):
-            prod[i + j] += x * y
-    for m in range(2 * s - 2, s - 1, -1):  # x**m = -x**(m-s) * (c_0 + ... + c_(s-1) x**(s-1))
-        for i in range(s):
-            prod[m - s + i] -= prod[m] * modulus[i]
-    return sum(c % p * p**i for i, c in enumerate(prod[:s]))
-
-
-def _generates(c, p, q, modulus):
-    """Whether c**((q-1)/l) != 1 for every prime l dividing q - 1."""
-    primes = [ell for ell in range(2, q) if (q - 1) % ell == 0 and is_prime(ell)]
-    for ell in primes:
-        acc, base, e = 1, c, (q - 1) // ell
-        while e:
-            if e & 1:
-                acc = _field_mul(acc, base, p, modulus)
-            base, e = _field_mul(base, base, p, modulus), e >> 1
-        if acc == 1:
-            return False
-    return True
-
-
-# every F_q with s > 1 and q <= 3**7
+# every F_q with s > 1 and q <= 3**7, then the extremes of the float64
+# contraction: the largest p with s = 2, the largest p and the largest s
 SMALL_FIELDS = [(p, s) for s in range(2, 8) for p in range(3, 47) if is_prime(p) and p**s <= 3**7]
+EXTREME_FIELDS = [(251, 2), (65521, 1), (3, 10)]
 
 
-@pytest.mark.parametrize("p,s", SMALL_FIELDS, ids=[f"f:{p**s}:1" for p, s in SMALL_FIELDS])
-def test_field_exp_log_list_the_smallest_generator(p, s):
+@pytest.mark.parametrize(
+    "p,s", SMALL_FIELDS + EXTREME_FIELDS, ids=[f"f:{p**s}:1" for p, s in SMALL_FIELDS + EXTREME_FIELDS]
+)
+def test_field_mul_and_inverse_match_schoolbook(p, s):
     ring = make_ring(p, s, 1, "fqtr")
-    q, exp, log, modulus = ring.q, ring._exp, ring._log, ring.modulus_coeffs
-    assert sorted(exp.tolist()) == list(range(1, q))  # q - 1 distinct units
-    g = int(exp[1])
-    for i in range(q - 1):
-        assert _field_mul(int(exp[i]), g, p, modulus) == exp[(i + 1) % (q - 1)]
-        assert log[exp[i]] == i
-    assert _generates(g, p, q, modulus)
-    assert not any(_generates(c, p, q, modulus) for c in range(p, g))
+    q, modulus = ring.q, smallest_irreducible(p, s)
+    if q <= 81:
+        a, b = (v.ravel() for v in np.indices((q, q)))
+    else:
+        a, b = np.random.default_rng(q).integers(0, q, size=(2, 4000))
+        a[0] = b[0] = q - 1  # every base-p digit p - 1
+    expected = [_field_mul(x, y, p, modulus) for x, y in zip(a.tolist(), b.tolist())]
+    assert ring.mul_many(a, b).tolist() == expected
+    units = ring.indices(ElementFilter.UNITS)
+    assert (ring.mul_many(units, ring.inverse_table()[units]) == 1).all()
 
 
 def test_fqtr_uniformizer_nilpotent(f9t2):
