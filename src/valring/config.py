@@ -16,7 +16,7 @@ CHUNK_CELLS = 4_000_000
 MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r (ring.py)
 MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense graph and its SVD (graph.py)
 MAX_N = 4  # largest tuple-length parameter n of the fold (sets.py)
-MAX_TUPLE_COUNT = 50_000_000  # largest number of tuples the fold visits (sets.py)
+MAX_FOLD_CELLS = 50_000_000  # most support pairs one pass of the fold visits (sets.py)
 # largest |U|*|V| the direct edge count takes on, a route cap: the grouped
 # kernel visits far fewer cells (graph.py)
 MAX_PAIR_COUNT = 30_000_000

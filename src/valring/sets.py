@@ -12,15 +12,14 @@ from A^2 x (A+A)^{n-1} x A^{n-1} and fold them through
 
 Every reader of the fold takes one :class:`FoldSets` record, the sets
 A, A+A, A^2 and nA^2 with n, which ``fold_sets`` builds once after
-checking 2 <= n <= ``MAX_N``; a replay builds it once and hands the
-same record to the fold and to the graph embeddings.  The fold itself
-(``_form_values``) checks that A consists of units and that the tuple
-count fits ``MAX_TUPLE_COUNT``.
-
-``count_form_solutions`` counts tuples whose value lands in nA^2 (a
-membership test per tuple), ``form_energy`` is the sum of squared
-multiplicities of all values; the pipelines read both from one
-``form_value_histogram``, and tests check the routes against each other.
+checking 2 <= n <= ``MAX_N``; a replay hands the same record to the
+fold and to the graph embeddings.  ``form_value_histogram`` counts the
+fold as the convolution 1_{A^2} * h^{*(n-1)}, h the histogram of
+(b - c)^2 over A+A x A, without listing its T tuples: each convolution
+pass pairs two supports through ``add_many``, exact in both additive
+groups; no pass visits more than T or ``MAX_FOLD_CELLS`` cells.
+``count_form_solutions`` (its mass on nA^2) and ``form_energy`` (the sum
+of its squares) read it; ``_form_values`` lists the tuples for tests.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
-from .config import CHUNK_CELLS, MAX_N, MAX_TUPLE_COUNT
+from .config import CHUNK_CELLS, MAX_FOLD_CELLS, MAX_N
 from .errors import BadArity, BadIndex, BadSize, NotUnits, RingMismatch, TooLarge
 from .ring import Element, ElementFilter, Ring
 
@@ -43,10 +42,12 @@ __all__ = [
     "restrict_to_units",
     "FoldSets",
     "fold_sets",
+    "check_fold_cells",
     "count_form_solutions",
     "form_energy",
     "form_value_histogram",
     "form_tuple_count",
+    "histogram_energy",
     "triple_product_sizes",
     "sample_unit_subset",
 ]
@@ -175,30 +176,26 @@ def _same_ring(a: ElementSet, b: ElementSet) -> None:
 # -- pointwise set algebra ----------------------------------------------------
 
 
-def _pairwise_mask(ring: Ring, left: np.ndarray, right: np.ndarray, op) -> np.ndarray:
-    """Boolean mask of {op(a, b)} over all pairs, chunked to bound memory."""
-    seen = np.zeros(ring.size, dtype=bool)
-    if len(left) == 0 or len(right) == 0:
-        return seen
-    step = max(1, CHUNK_CELLS // len(right))
-    for lo in range(0, len(left), step):
-        block = op(left[lo : lo + step, None], right[None, :])
-        seen[block.reshape(-1)] = True
-    return seen
+def _pair_counts(ring: Ring, x: np.ndarray, y: np.ndarray, op, wx=None, wy=None) -> np.ndarray:
+    """counts[z] = sum of wx[i]*wy[j] (1 unweighted) over the pairs with
+    op(x[i], y[j]) = z, CHUNK_CELLS cells at a time; exact below 2^53."""
+    counts = np.zeros(ring.size, dtype=np.int64)
+    step = max(1, CHUNK_CELLS // max(1, len(y)))
+    for lo in range(0, len(x), step):
+        block = op(x[lo : lo + step, None], y[None, :]).reshape(-1)
+        w = None if wx is None else (wx[lo : lo + step, None] * wy[None, :]).reshape(-1)
+        counts += np.bincount(block, w, ring.size).astype(np.int64, copy=False)
+    return counts
 
 
 def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
     _same_ring(a, b)
-    return ElementSet(
-        a.ring, _pairwise_mask(a.ring, a.indices(), b.indices(), a.ring.add_many)
-    )
+    return ElementSet(a.ring, _pair_counts(a.ring, a.indices(), b.indices(), a.ring.add_many) > 0)
 
 
 def productset(a: ElementSet, b: ElementSet) -> ElementSet:
     _same_ring(a, b)
-    return ElementSet(
-        a.ring, _pairwise_mask(a.ring, a.indices(), b.indices(), a.ring.mul_many)
-    )
+    return ElementSet(a.ring, _pair_counts(a.ring, a.indices(), b.indices(), a.ring.mul_many) > 0)
 
 
 def square_set(a: ElementSet) -> ElementSet:
@@ -250,56 +247,60 @@ def form_tuple_count(f: FoldSets) -> int:
     return f.sq.card * (f.plus.card * f.a.card) ** (f.n - 1)
 
 
+def check_fold_cells(cells: int) -> None:
+    """Refuse a fold pass over more than MAX_FOLD_CELLS support pairs."""
+    if cells > MAX_FOLD_CELLS:
+        raise TooLarge(f"{cells} support pairs exceed cap {MAX_FOLD_CELLS}; shrink A or n")
+
+
 def _form_values(f: FoldSets) -> np.ndarray:
-    """Folded values x + sum (b_i - c_i)^2 for every tuple, flattened."""
-    if not f.a.all_units():
-        raise NotUnits("the base set must consist of units")
+    """Test oracle: the folded value x + sum (b_i - c_i)^2 of every tuple."""
     total = form_tuple_count(f)
-    if total > MAX_TUPLE_COUNT:
-        raise TooLarge(f"{total} tuples exceed cap {MAX_TUPLE_COUNT}; shrink A or n")
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
+    if total > CHUNK_CELLS:
+        raise TooLarge(f"{total} tuples exceed {CHUNK_CELLS}, the oracle's one pass")
     ring = f.a.ring
     diffs = ring.sub_many(f.plus.indices()[:, None], f.a.indices()[None, :]).reshape(-1)
     sq_diffs = ring.mul_many(diffs, diffs)
     vals = f.sq.indices()
     for _ in range(f.n - 1):
-        vals = _combine_add(ring, vals, sq_diffs)
+        vals = ring.add_many(vals[:, None], sq_diffs[None, :]).reshape(-1)
     return vals
-
-
-def _combine_add(ring: Ring, vals: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    out = np.empty(len(vals) * len(terms), dtype=np.int64)
-    step = max(1, CHUNK_CELLS // max(1, len(terms)))
-    pos = 0
-    for lo in range(0, len(vals), step):
-        block = ring.add_many(vals[lo : lo + step, None], terms[None, :]).reshape(-1)
-        out[pos : pos + block.size] = block
-        pos += block.size
-    return out
-
-
-def count_form_solutions(f: FoldSets) -> int:
-    """Tuples whose folded value lies in nA^2.
-
-    Implemented as a membership test per tuple; tests cross-check it
-    against the histogram route and a scalar brute-force oracle.
-    """
-    return int(f.target.mask()[_form_values(f)].sum())
 
 
 def form_value_histogram(f: FoldSets) -> np.ndarray:
     """Multiplicity of each ring value under the fold (length = ring size)."""
-    vals = _form_values(f)
-    return np.bincount(vals, minlength=f.a.ring.size).astype(np.int64)
+    if not f.a.all_units():
+        raise NotUnits("the base set must consist of units")
+    total = form_tuple_count(f)
+    if total >= 2**53:  # every count is at most T: the float64 weights stay exact
+        raise TooLarge(f"{total} tuples reach 2^53; counts would round")
+    ring = f.a.ring
+    check_fold_cells(f.plus.card * f.a.card)
+    diff = _pair_counts(ring, f.plus.indices(), f.a.indices(), ring.sub_many)
+    d = np.flatnonzero(diff)
+    h = np.bincount(ring.mul_many(d, d), diff[d], ring.size).astype(np.int64)
+    y = np.flatnonzero(h)
+    hist = f.sq.mask().astype(np.int64)
+    for _ in range(f.n - 1):
+        x = np.flatnonzero(hist)
+        check_fold_cells(len(x) * len(y))
+        hist = _pair_counts(ring, x, y, ring.add_many, hist[x], h[y])
+    return hist
+
+
+def histogram_energy(hist: np.ndarray) -> int:
+    """Sum of squared multiplicities, in Python ints: E <= T^2 outgrows int64."""
+    return sum(c * c for c in hist.tolist())
+
+
+def count_form_solutions(f: FoldSets) -> int:
+    """Tuples whose folded value lies in nA^2."""
+    return int(form_value_histogram(f)[f.target.mask()].sum())
 
 
 def form_energy(f: FoldSets) -> int:
     """Sum of squared multiplicities over all values (collision energy)."""
-    hist = form_value_histogram(f)
-    # exact in int64: E <= T^2 for T tuples, and T <= MAX_TUPLE_COUNT = 5*10^7
-    # gives E <= 2.5*10^15 < 2^63 (a cap below 3*10^9 keeps it exact)
-    return int(hist @ hist)
+    return histogram_energy(form_value_histogram(f))
 
 
 def triple_product_sizes(

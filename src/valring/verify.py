@@ -36,8 +36,10 @@ from .graph import (
 from .ring import ElementFilter, Ring
 from .sets import (
     ElementSet,
+    check_fold_cells,
     fold_sets,
     form_value_histogram,
+    histogram_energy,
     restrict_to_units,
     sample_unit_subset,
     triple_product_sizes,
@@ -177,6 +179,8 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
     q, r = ring.q, ring.r
     warnings: list = []
     a = _prepare(a_in, warnings)
+    # the fold's first pass visits |A+A|*|A| >= |A|^2 cells: refuse before any sumset
+    check_fold_cells(a.card**2)
     f = fold_sets(a, n)
     k, s, sq, tgt = a.card, f.plus, f.sq, f.target
     sizes = {
@@ -187,7 +191,7 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
         "n_a_sq": tgt.card,
     }
 
-    # one fold gives N (tuples valued in nA^2) and E (int64-exact, see form_energy)
+    # one fold gives N (tuples valued in nA^2) and E
     hist = form_value_histogram(f)
     sol = int(hist[tgt.mask()].sum())
     lower = sq.card * k ** (2 * n - 2)
@@ -206,7 +210,7 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
         )
     else:
         d, name, sym = 2 * n, "energy", "E"
-        stat = energy = int(hist @ hist)
+        stat = energy = histogram_energy(hist)
         steps["cauchy_schwarz"] = _step(
             sol * sol <= tgt.card * energy,
             "exact",

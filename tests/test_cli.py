@@ -377,6 +377,9 @@ _RING_WORK = ("ring.is_prime", "ring.factor_prime_power", "cli.factor_prime_powe
     (["ring", "info", "--ring", "z:1000000000039:1"], _RING_WORK),
     (["ring", "info", "--ring", "f:100000000000031:1"], _RING_WORK),
     (["graph", "build", "--ring", "z:3:2", "--d", "10000000"], ("graph.class_count",)),
+    # |A|^2 past MAX_FOLD_CELLS: refused before the sumsets of the fold sets
+    (["verify", "thm1", "--ring", "z:65521:1", "--set", "units", "--n", "2"], ("sets.sumset",)),
+    (["verify", "thm2", "--ring", "z:3:10", "--set", "units"], ("sets.sumset",)),
 ])
 def test_run_rejects_oversize_specs_before_any_work(argv, untouched, capsys, monkeypatch):
     def refuse(*args):

@@ -9,6 +9,7 @@ from valring import (
     BadArity,
     BadIndex,
     BadSize,
+    ElementFilter,
     ElementSet,
     NotUnits,
     RingMismatch,
@@ -228,18 +229,12 @@ def test_square_halving_z25(units):
 # counting statistics for x + sum of squared differences
 
 
-def _brute_count(ring, a_ids, n):
-    """Scalar reference: x + sum (b_i - c_i)^2 landing in n*A^2,
+def _brute_hist(ring, a_ids, n):
+    """Scalar reference: the multiplicity of each value x + sum (b_i - c_i)^2,
     with x in A^2, b_i in A+A, c_i in A."""
     sq = sorted({ring.mul(i, i) for i in a_ids})
     ss = sorted({ring.add(i, j) for i in a_ids for j in a_ids})
-    target = set()
-    for combo in itertools.product(sq, repeat=n):
-        acc = 0
-        for v in combo:
-            acc = ring.add(acc, v)
-        target.add(acc)
-    count = 0
+    hist = [0] * ring.size
     for x in sq:
         for bs in itertools.product(ss, repeat=n - 1):
             for cs in itertools.product(a_ids, repeat=n - 1):
@@ -247,9 +242,20 @@ def _brute_count(ring, a_ids, n):
                 for b, c in zip(bs, cs):
                     d = ring.sub(b, c)
                     acc = ring.add(acc, ring.mul(d, d))
-                if acc in target:
-                    count += 1
-    return count
+                hist[acc] += 1
+    return hist
+
+
+def _brute_count(ring, a_ids, n):
+    """Scalar reference: tuples whose folded value lands in n*A^2."""
+    sq = sorted({ring.mul(i, i) for i in a_ids})
+    target = set()
+    for combo in itertools.product(sq, repeat=n):
+        acc = 0
+        for v in combo:
+            acc = ring.add(acc, v)
+        target.add(acc)
+    return sum(c for v, c in enumerate(_brute_hist(ring, a_ids, n)) if v in target)
 
 
 def test_count_frozen_z9(z9):
@@ -261,31 +267,66 @@ def test_count_frozen_z9(z9):
     assert int(hist.sum()) == form_tuple_count(f) == 12
 
 
-def test_count_matches_bruteforce():
+def test_count_matches_bruteforce(z9, z25, f9t2):
     cases = [
-        (make_ring(3, 1, 2), [1, 2], 2),
-        (make_ring(3, 1, 2), [1, 2, 4], 2),
-        (make_ring(3, 1, 2), [1, 2], 3),
+        (z9, [1, 2], 2),
+        (z9, [1, 2, 4], 2),
+        (z9, [1, 2], 3),
         (make_ring(5, 1, 1), [1, 2, 3], 2),
         (make_ring(3, 2, 1, "fqtr"), [1, 3, 5], 2),
+        (z25, [1, 2, 3, 7], 2),
+        (z25, [1, 6], 3),
+        (f9t2, [1, 5, 10, 33], 2),
+        (f9t2, [2, 70], 3),
     ]
     for ring, ids, n in cases:
         f = fold_sets(ElementSet.from_indices(ring, ids), n)
+        hist = form_value_histogram(f)
+        assert hist.tolist() == _brute_hist(ring, ids, n)
+        assert np.array_equal(hist, np.bincount(_form_values(f), minlength=ring.size))
         assert count_form_solutions(f) == _brute_count(ring, ids, n)
 
 
-@given(st.lists(st.sampled_from([1, 2, 4, 5, 7, 8]), min_size=1, max_size=6), st.sampled_from([2, 3]))
-def test_energy_is_sum_of_squared_multiplicities(ids, n):
-    ring = make_ring(3, 1, 2)
+@st.composite
+def _fold_case(draw):
+    spec = draw(st.sampled_from([(3, 1, 2), (5, 1, 2), (3, 2, 1, "fqtr"), (3, 1, 2, "fqtr")]))
+    ring = make_ring(*spec)
+    units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
+    ids = draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
+    return ring, ids, draw(st.sampled_from([2, 3, 4]))
+
+
+@given(_fold_case())
+def test_energy_is_sum_of_squared_multiplicities(case):
+    ring, ids, n = case
     a = ElementSet.from_indices(ring, ids)
     f = fold_sets(a, n)
     hist = form_value_histogram(f)
+    assert np.array_equal(hist, np.bincount(_form_values(f), minlength=ring.size))
     assert form_energy(f) == sum(int(c) ** 2 for c in hist)
     assert int(hist.sum()) == form_tuple_count(f)
     # mass inside n*A^2 is exactly the solution count
     target = iterated_sumset(square_set(a), n)
     inside = sum(int(hist[i]) for i in target)
     assert inside == count_form_solutions(f)
+
+
+def test_histogram_counts_past_the_listing(f9t2):
+    # 1 224 440 064 tuples: the convolution counts what no listing could hold
+    f = fold_sets(ElementSet.units(f9t2), 3)
+    hist = form_value_histogram(f)
+    assert int(hist.sum()) == form_tuple_count(f) == 1_224_440_064
+    with pytest.raises(TooLarge):
+        _form_values(f)
+    # n = 4: E = 630621991703380994555904 > 2^63, summed in Python ints
+    f4 = fold_sets(ElementSet.units(f9t2), 4)
+    energy, n_sol = form_energy(f4), count_form_solutions(f4)
+    assert energy == 630621991703380994555904 > 2**63
+    assert n_sol * n_sol <= f4.target.card * energy  # Cauchy-Schwarz
+    # past 2^53 tuples the float64 counts could round: refused
+    z7 = make_ring(7, 1, 4)
+    with pytest.raises(TooLarge, match="2\\^53"):
+        form_value_histogram(fold_sets(ElementSet.units(z7), 4))
 
 
 def test_form_arg_validation(z9, monkeypatch):
@@ -297,16 +338,15 @@ def test_form_arg_validation(z9, monkeypatch):
     monkeypatch.setattr(sets_module, "MAX_N", 2)
     with pytest.raises(BadArity):
         fold_sets(a, 3)
-    with pytest.raises(NotUnits):
-        _form_values(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2))
-    # the public readers go through the same checks
-    with pytest.raises(NotUnits):
-        count_form_solutions(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2))
-    monkeypatch.setattr(sets_module, "MAX_TUPLE_COUNT", 4)
-    with pytest.raises(TooLarge):
-        _form_values(fold_sets(a, 2))
-    with pytest.raises(TooLarge):
-        count_form_solutions(fold_sets(a, 2))
+    # the public readers refuse non-units and passes over the cell cap
+    readers = (count_form_solutions, form_energy, form_value_histogram)
+    for reader in readers:
+        with pytest.raises(NotUnits):
+            reader(fold_sets(ElementSet.from_indices(z9, [0, 1]), 2))
+    monkeypatch.setattr(sets_module, "MAX_FOLD_CELLS", 4)  # the first pass has |A+A|*|A| = 6
+    for reader in readers:
+        with pytest.raises(TooLarge):
+            reader(fold_sets(a, 2))
 
 
 def test_triple_product_sizes_frozen(z9):

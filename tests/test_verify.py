@@ -208,6 +208,16 @@ def test_thm2_bound_only_n3(z9):
     assert rep.hard_pass
 
 
+def test_thm2_energy_past_int64(f9t2):
+    # 7.1 * 10^12 tuples; int64 would wrap E to 1598799546263011328
+    rep = verify_thm2_pipeline(ElementSet.units(f9t2), 4)
+    energy, n_sol = rep.counts["energy"], rep.counts["solutions"]
+    assert energy == 630621991703380994555904 > 2**63
+    assert n_sol * n_sol <= rep.sizes["n_a_sq"] * energy
+    assert rep.steps["cauchy_schwarz"]["passed"]
+    assert rep.embed["mode"] == "bound-only" and rep.hard_pass
+
+
 @given(st.integers(2, 6), st.integers(0, 2**32))
 def test_thm2_hard_chain_z9(k, seed):
     ring = make_ring(3, 1, 2)
