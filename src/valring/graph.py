@@ -212,19 +212,21 @@ def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
 def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Integer matrix of the ring's dot products dot(left_i, right_j).
 
-    Over Z/p^r the block is k outer-product sums of entries in [0, size)
-    and one reduction, in int32 when k * (size - 1)**2 < 2**31 bounds
-    every sum and in int64 otherwise (exact: size <= MAX_RING_SIZE =
-    2**16).  Integer arithmetic keeps it off BLAS and its threads.
+    On one-digit rings (Z/p^r and F_p, where an index is its residue mod
+    m = size) the block is k outer-product sums of entries in [0, m) and
+    one reduction, in int32 when k * (m - 1)**2 < 2**31 bounds every sum
+    and in int64 otherwise (exact: m <= MAX_RING_SIZE = 2**16).  Integer
+    arithmetic keeps it off BLAS and its threads.  Other rings multiply
+    and add through the ring.
     """
-    if ring.family.value == "zpr":
+    if ring.n == 1:
         k = left.shape[1]
-        dtype = np.int32 if k * (ring.size - 1) ** 2 < 2**31 else np.int64
+        dtype = np.int32 if k * (ring.m - 1) ** 2 < 2**31 else np.int64
         left, right = np.asarray(left, dtype), np.asarray(right, dtype)
         acc = np.zeros((len(left), len(right)), dtype=dtype)
         for j in range(k):
             acc += np.multiply.outer(left[:, j], right[:, j])
-        acc %= ring.size
+        acc %= ring.m
         return acc
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(left.shape[1]):

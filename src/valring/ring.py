@@ -14,40 +14,36 @@ uniformizer z (z = p for ZPR, z = t for FQTR), every element factors as
 zero.  Characteristic 2 is rejected everywhere because the constructions
 downstream divide by 2.
 
-Elements are identified with integer indices in [0, q**r) through a
-fixed mixed-radix encoding: the element with z-adic digits c_0, ...,
-c_{r-1} (each a residue-field element, itself encoded as an integer in
-[0, q) via base-p digits for s > 1) has index sum(c_k * q**k).  For ZPR
-the index is simply the integer residue, so arithmetic is plain modular
-arithmetic; for FQTR the index is a positional base-p numeral of the
-full coefficient vector, so addition is digitwise and never carries.
+Both families share one representation: a ring is a free Z/m-module of
+rank n with a basis e_0, ..., e_(n-1) and a structure tensor B, where
+B[i, j] holds the coordinates of e_i * e_j.  Z/p**r is m = p**r, n = 1,
+B = [[1]]; F_q[t]/(t**r) is m = p, n = r*s, with e_(k*s + l) = t**k * x**l.
+An element's index is the base-m numeral sum(a_k * m**k) of its
+coordinates.  That is the integer residue for Z/p**r and, for
+F_q[t]/(t**r), the mixed-radix index sum(c_k * q**k) of its z-adic
+digits c_k in [0, q), so in both families ``a % q`` is the residue mod
+z and the valuation is the first nonzero base-q digit.
 
 The :class:`Ring` methods ending in ``_many`` operate on numpy arrays
 of indices with broadcasting and are the backbone of the set-operation
 and graph modules; the scalar methods (``add``, ``mul``, ``inv``,
-``valuation``, ...) wrap them.  ZPR arithmetic is integer arithmetic
-modulo p**r.
+``valuation``, ...) wrap them.  There is one arithmetic path.
+Addition, subtraction and negation act on each digit mod m and never
+carry between digits.  Digit k of a*b is sum_ij a_i * b_j * B[i, j, k]
+mod m, one contraction with B.  It runs in float64, which is exact
+because every sum is below n**2 * (m-1)**3 < 2**53 (the largest value
+over the supported rings is 2.8e14, at m = 65521, n = 1).  A ring of at
+most ``_TABLE_MAX_SIZE`` elements, Z/p**r or F_q[t]/(t**r), evaluates the
+digitwise sum and the contraction once on the full index grid into
+Cayley tables: a size x size add table, a size x size mul table and a
+negation vector, so each of ``add_many``, ``mul_many`` and ``neg_many``
+is one gather and ``sub_many`` is two (``add[a, neg[b]]``).  The tables
+are built on the ring's first arithmetic call and :func:`make_ring`
+caches rings, so one build serves every later caller in the process.
+Larger rings add digitwise and contract on each call.
 
-An FQTR index's r*s base-p digits are its coordinates over F_p in the
-basis e_(k*s + l) = t**k * x**l.  A ring builds its structure tensor B
-once, on construction: B[i, j] holds the digits of e_i * e_j, so digit k
-of a*b is sum_ij a_i * b_j * B[i, j, k] mod p.  That contraction is the
-one FQTR multiply.  It runs in float64, which is exact because every sum
-is below n**2 * (p-1)**3 < 2**53 (n = r*s; the largest value over the
-supported rings is 2.8e14, at p = 65521, n = 1).  Addition, subtraction
-and negation act on each digit mod p and never carry.  A ring of at most
-``_TABLE_MAX_SIZE`` elements evaluates the digitwise sum and the
-contraction once on the full index grid into Cayley tables: a size x
-size add table, a size x size mul table and a negation vector, so each
-of ``add_many``, ``mul_many`` and ``neg_many`` is one gather and
-``sub_many`` is two (``add[a, neg[b]]``).  The tables are built on the
-ring's first FQTR arithmetic call and :func:`make_ring` caches rings, so
-one build serves every later caller in the process; the cap keeps the
-build cheap enough that a one-shot call on a small ring does not lose
-time to it.  Larger rings add digitwise and contract on each call.
-
-In both families the inverse of a residue v is the Fermat power
-v**(q-2), and Newton steps lift it to the inverse of each unit.
+The inverse of a residue v is the Fermat power v**(q-2), and Newton
+steps lift it to the inverse of each unit.
 
 Rings and elements are immutable apart from those lazily built caches
 (the Cayley tables and the inverse table).  Each build is idempotent:
@@ -89,14 +85,15 @@ __all__ = [
     "smallest_irreducible",
 ]
 
-# FQTR rings of at most this many elements add, subtract, negate and
-# multiply by Cayley-table gathers; larger rings add digitwise and contract
-# with the structure tensor on each call.  On a 2-core host, over 10**5
-# products on f:9:2, a gather takes 0.9 ms per add or mul and the per-call
-# path 11 and 22 ms.  The build costs a one-shot `verify thm1 --set 1,2
-# --n 2` in a fresh process at most 2.5 ms up to 125 elements (f:5:3), but
-# 5 ms on f:13:2 (169) and 26 ms on f:7:3 (343), where it outweighs the few
-# products the call needs.
+# Rings of at most this many elements, Z/p**r and F_q[t]/(t**r) alike,
+# add, subtract, negate and multiply by Cayley-table gathers; larger rings
+# add digitwise and contract with the structure tensor on each call.  On a
+# 2-core host a gather over 10**5 products takes 0.6-0.9 ms, the per-call
+# path 4-26 ms.  The cap is not the one-shot crossover: in a fresh process
+# `verify thm1 --set 1,2 --n 2` takes 5.1 ms with the tables against
+# 4.2 ms without on z:5:3, 5.2 against 4.5 on z:11:2, 8.4 against 5.7 on
+# f:5:3 and 6.4 against 5.3 on f:11:2 (medians of 11 runs), so the build
+# pays only in a process that makes many products.
 _TABLE_MAX_SIZE = 125
 
 
@@ -225,12 +222,14 @@ class _CayleyTables(NamedTuple):
 class Ring:
     """One finite valuation ring; construct through :func:`make_ring`.
 
-    An FQTR ring builds its structure tensor on construction.  A ring of
-    at most ``_TABLE_MAX_SIZE`` elements does its arithmetic by gathers
-    from Cayley tables that it builds on its first arithmetic call, by
-    evaluating the digitwise sum and the tensor contraction once on every
-    pair of indices; a larger one evaluates them on each call.  Both give
-    int64 results of the broadcast shape of the inputs.
+    Every ring is n digits over Z/m with a structure tensor B, chosen once
+    in ``__init__`` (see the module docstring); the arithmetic methods read
+    only m, n and B.  A ring of at most ``_TABLE_MAX_SIZE`` elements does
+    its arithmetic by gathers from Cayley tables that it builds on its
+    first arithmetic call, by evaluating the digitwise sum and the tensor
+    contraction once on every pair of indices; a larger one evaluates them
+    on each call.  Both give int64 results of the broadcast shape of the
+    inputs.
 
     Attributes
     ----------
@@ -241,6 +240,10 @@ class Ring:
     size : int
         Ring cardinality q**r.
     family : RingFamily
+        A label: names, descriptors and the cache key read it.
+    m, n : int
+        Digit modulus and digit count: p**r and 1 for ZPR, p and r*s for
+        FQTR.  An index is the base-m numeral of its n coordinates.
     modulus_coeffs : tuple[int, ...] | None
         Ascending coefficients of the irreducible defining F_q over
         F_p, or None when s = 1.
@@ -266,16 +269,19 @@ class Ring:
 
         self.modulus_coeffs = smallest_irreducible(p, s) if s > 1 else None
         self._q_pows = self.q ** np.arange(r, dtype=np.int64)
-        self._pp_full = self.p ** np.arange(r * s, dtype=np.int64)
-        self._tensor = self._structure_tensor() if family is RingFamily.FQTR else None
+        if family is RingFamily.ZPR:
+            self.m, self.n, self._tensor = self.size, 1, np.ones((1, 1))
+        else:
+            self.m, self.n, self._tensor = p, r * s, self._structure_tensor()
+        self._m_pows = self.m ** np.arange(self.n, dtype=np.int64)
         self._key = (family, p, s, r, self.modulus_coeffs)
         self._inverse_table: Optional[np.ndarray] = None
         self._cayley_tables: Optional[_CayleyTables] = None
 
-    # -- FQTR arithmetic: the structure tensor, per-call ops, Cayley tables --
+    # -- arithmetic: the structure tensor, per-call ops, Cayley tables -------
 
     def _structure_tensor(self) -> np.ndarray:
-        """(n, n*n) float64 with n = r*s: column i*n + j = base-p digits of e_i * e_j.
+        """B of F_q[t]/(t**r), (n, n*n) float64: column i*n + j = digits of e_i * e_j.
 
         e_(k*s + l) = t**k * x**l, so e_i * e_j is t**(k_i + k_j), zero from
         t**r on, times x**(l_i + l_j), reduced by the monic modulus.
@@ -294,49 +300,49 @@ class Ring:
         return np.ascontiguousarray(tensor.T, dtype=np.float64)
 
     def _digit_rows(self, v: np.ndarray) -> np.ndarray:
-        """(r*s, len(v)) float64: row k holds base-p digit k of each index in v."""
-        rows = np.empty((self.r * self.s, len(v)))
-        for k in range(len(rows)):
-            rows[k] = v % self.p
-            v = v // self.p
+        """(n, len(v)) float64: row k holds base-m digit k of each index in v."""
+        rows = np.empty((self.n, len(v)))
+        for k in range(self.n):
+            rows[k] = v % self.m
+            v = v // self.m
         return rows
 
     def _contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a*b on FQTR indices: digit k is sum_ij a_i * b_j * B[i, j, k] mod p.
+        """a*b on indices: digit k is sum_ij a_i * b_j * B[i, j, k] mod m.
 
-        The sums are float64 and exact: each of the n**2 terms (n = r*s)
-        is at most (p-1)**3, so every sum is below n**2 * (p-1)**3, which
-        is at most 2.8e14 < 2**53 over the supported rings (p = 65521,
-        n = 1).  The cells go in blocks whose n**2 digit products take
-        2 MB, so they stay in cache between the product and the matmul.
+        The sums are float64 and exact: each of the n**2 terms is at most
+        (m-1)**3, so every sum is below n**2 * (m-1)**3, which is at most
+        2.8e14 < 2**53 over the supported rings (m = 65521, n = 1).  The
+        cells go in blocks whose n**2 digit products take 2 MB, so they
+        stay in cache between the product and the matmul.
         """
         shape = np.broadcast_shapes(a.shape, b.shape)
         a, b = (np.broadcast_to(v, shape).reshape(-1) for v in (a, b))
-        n = self.r * self.s
+        n = self.n
         out = np.empty(a.size, dtype=np.int64)
         step = max(1, (1 << 18) // (n * n))
         for lo in range(0, a.size, step):
             da, db = (self._digit_rows(v[lo : lo + step]) for v in (a, b))
             sums = self._tensor @ (da[:, None] * db).reshape(n * n, -1)
-            out[lo : lo + step] = self._pp_full @ (sums.astype(np.int64) % self.p)
+            out[lo : lo + step] = self._m_pows @ (sums.astype(np.int64) % self.m)
         return out.reshape(shape)
 
     def _digitwise(self, op, a, b) -> np.ndarray:
-        """op(a, b) mod p on each base-p digit, reassembled one digit at a time.
+        """op(a, b) mod m on each base-m digit, reassembled one digit at a time.
 
         Addition never carries between digits, so sums, differences and
         negations (differences from 0) all take this one step.  Walking
         the digits keeps the temporaries to a few arrays of the output's
         size.
         """
-        p = self.p
+        m = self.m
         out = np.zeros(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=np.int64)
-        for w in self._pp_full:
-            out += op(a // w % p, b // w % p) % p * w
+        for w in self._m_pows:
+            out += op(a // w % m, b // w % m) % m * w
         return out
 
     def _cayley(self) -> Optional[_CayleyTables]:
-        """The FQTR Cayley tables, built on first use; None above the cap.
+        """The Cayley tables, built on first use; None above the cap.
 
         ``add`` and ``mul`` are :meth:`_digitwise` and :meth:`_contract` on
         every pair of indices, ``neg`` is the digitwise difference from 0.
@@ -376,8 +382,6 @@ class Ring:
     def add_many(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (a + b) % self.size
         tables = self._cayley()
         if tables is None:
             return self._digitwise(np.add, a, b)
@@ -385,8 +389,6 @@ class Ring:
 
     def neg_many(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (self.size - a) % self.size
         tables = self._cayley()
         if tables is None:
             return self._digitwise(np.subtract, np.int64(0), a)
@@ -395,8 +397,6 @@ class Ring:
     def sub_many(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (a - b) % self.size
         tables = self._cayley()
         if tables is None:
             return self._digitwise(np.subtract, a, b)
@@ -405,8 +405,6 @@ class Ring:
     def mul_many(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.family is RingFamily.ZPR:
-            return (a * b) % self.size
         tables = self._cayley()
         if tables is None:
             return self._contract(a, b)
@@ -476,9 +474,7 @@ class Ring:
 
     def from_int(self, k: int) -> int:
         """Image of the integer k under the unique map Z -> R."""
-        if self.family is RingFamily.ZPR:
-            return k % self.size
-        return k % self.p
+        return k % self.m
 
     # -- enumeration ---------------------------------------------------------
 
@@ -586,7 +582,7 @@ def check_ring_size(base: int, exp: int) -> None:
         raise TooLarge(f"ring has more than {MAX_RING_SIZE} elements")
 
 
-_make_ring_cached = lru_cache(maxsize=64)(Ring)  # keyed on (p, s, r, family)
+_make_ring_cached = lru_cache(maxsize=64)(Ring)  # keyed on the constructor's arguments
 
 
 def make_ring(

@@ -209,12 +209,16 @@ def test_pair_edge_count_rejects_bad_rows(desc):
 
 
 @pytest.mark.parametrize(
-    "p,k",
-    # k * (p - 1)**2 just under 2**31, then just over
-    [(26737, 3), (26759, 3), (23167, 4), (23173, 4)],
+    "p,k,family",
+    # k * (p - 1)**2 just under 2**31, then just over, on z:p:1 and f:p:1
+    [
+        pytest.param(p, k, family, id=f"{p}-{k}" + ("-fqtr" if family == "fqtr" else ""))
+        for family in ("zpr", "fqtr")
+        for p, k in [(26737, 3), (26759, 3), (23167, 4), (23173, 4)]
+    ],
 )
-def test_dot_block_exact_near_the_int32_bound(p, k):
-    ring = make_ring(p, 1, 1)
+def test_dot_block_exact_near_the_int32_bound(p, k, family):
+    ring = make_ring(p, 1, 1, family)
     rng = np.random.default_rng(p)
     left, right = (ring.size - 1 - rng.integers(0, 3, size=(m, k)) for m in (20, 30))
     expected = [

@@ -20,6 +20,7 @@ from valring import (
     TooLarge,
     make_ring,
 )
+from valring.graph import _dot_block
 from valring.ring import is_prime, smallest_irreducible
 
 
@@ -198,42 +199,57 @@ def _fqtr_tables(p, s, r):
     return add, mul, np.argmax(add == 0, axis=1)
 
 
+def _zpr_tables(p, s, r):
+    """add, mul and neg of Z/p^r on every index: plain integers mod p**r."""
+    idx = np.arange(p**r)
+    return (idx[:, None] + idx) % p**r, idx[:, None] * idx % p**r, -idx % p**r
+
+
+_ORACLE_TABLES = {"zpr": _zpr_tables, "fqtr": _fqtr_tables}
+
 # Every FQTR ring that the tests or the benchmark use, whether or not it
 # is under the table cap, two with an odd number of base-p digits, and
 # fields of degree s >= 3: up to the cap (f:125:1) and over it (f:9:3).
+# Z/p^r rings below the cap, at it (z:5:3) and over it (z:3:5).
 TABLE_RINGS = {
-    "f:3:1": (3, 1, 1),
-    "f:9:1": (3, 2, 1),
-    "f:3:2": (3, 1, 2),
-    "f:9:2": (3, 2, 2),
-    "f:25:1": (5, 2, 1),
-    "f:13:2": (13, 1, 2),
-    "f:5:3": (5, 1, 3),
-    "f:3:5": (3, 1, 5),
-    "f:27:1": (3, 3, 1),
-    "f:81:1": (3, 4, 1),
-    "f:125:1": (5, 3, 1),
-    "f:9:3": (3, 2, 3),
+    "f:3:1": (3, 1, 1, "fqtr"),
+    "f:9:1": (3, 2, 1, "fqtr"),
+    "f:3:2": (3, 1, 2, "fqtr"),
+    "f:9:2": (3, 2, 2, "fqtr"),
+    "f:25:1": (5, 2, 1, "fqtr"),
+    "f:13:2": (13, 1, 2, "fqtr"),
+    "f:5:3": (5, 1, 3, "fqtr"),
+    "f:3:5": (3, 1, 5, "fqtr"),
+    "f:27:1": (3, 3, 1, "fqtr"),
+    "f:81:1": (3, 4, 1, "fqtr"),
+    "f:125:1": (5, 3, 1, "fqtr"),
+    "f:9:3": (3, 2, 3, "fqtr"),
+    "z:3:2": (3, 1, 2, "zpr"),
+    "z:5:2": (5, 1, 2, "zpr"),
+    "z:11:2": (11, 1, 2, "zpr"),
+    "z:5:3": (5, 1, 3, "zpr"),
+    "z:3:5": (3, 1, 5, "zpr"),
 }
 
 
-def _table_and_digit_rings(monkeypatch, p, s, r):
-    """Two fresh copies of one FQTR ring: the first with its Cayley tables
+def _table_and_digit_rings(monkeypatch, p, s, r, family):
+    """Two fresh copies of one ring: the first with its Cayley tables
     built (the cap raised to its size if need be), the second held on the
     per-call digit path by a zero table cap."""
     monkeypatch.setattr(ring_module, "_TABLE_MAX_SIZE", (p**s) ** r)
-    tabled = Ring(p, s, r, RingFamily.FQTR)
+    tabled = Ring(p, s, r, RingFamily(family))
     assert tabled._cayley() is not None
     monkeypatch.setattr(ring_module, "_TABLE_MAX_SIZE", 0)
-    digits = Ring(p, s, r, RingFamily.FQTR)
+    digits = Ring(p, s, r, RingFamily(family))
     assert digits._cayley() is None
     return tabled, digits
 
 
 @pytest.mark.parametrize("params", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
 def test_cayley_tables_match_digit_path(monkeypatch, params):
-    # both paths against the schoolbook tables, on every pair of indices
-    add, mul, neg = _fqtr_tables(*params)
+    # both paths against the oracle tables (schoolbook F_q[t]/(t^r), or
+    # integers mod p**r), on every pair of indices
+    add, mul, neg = _ORACLE_TABLES[params[-1]](*params[:-1])
     tabled, digits = _table_and_digit_rings(monkeypatch, *params)
     idx = np.arange(tabled.size, dtype=np.int64)
     a, b = idx[:, None], idx[None, :]
@@ -258,45 +274,65 @@ def test_cayley_tables_match_digit_path(monkeypatch, params):
     ids=["int", "int64", "column-by-row", "1-d", "1-d-by-scalar", "empty"],
 )
 def test_both_paths_keep_dtype_and_broadcast_shape(monkeypatch, a, b):
-    tabled, digits = _table_and_digit_rings(monkeypatch, 3, 2, 2)
     shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-    for ring in (tabled, digits):
-        for out in (ring.add_many(a, b), ring.sub_many(a, b), ring.mul_many(a, b)):
-            assert out.dtype == np.int64
-            assert out.shape == shape
-        neg = ring.neg_many(a)
-        assert neg.dtype == np.int64
-        assert neg.shape == np.shape(a)
-    for op in ("add_many", "sub_many", "mul_many"):
-        np.testing.assert_array_equal(getattr(tabled, op)(a, b), getattr(digits, op)(a, b))
-    assert tabled.add(5, 7) == digits.add(5, 7)
-    assert tabled.mul(5, 7) == digits.mul(5, 7)
+    for params in (TABLE_RINGS["f:9:2"], (3, 1, 4, "zpr")):  # both 81 elements
+        tabled, digits = _table_and_digit_rings(monkeypatch, *params)
+        for ring in (tabled, digits):
+            for out in (ring.add_many(a, b), ring.sub_many(a, b), ring.mul_many(a, b)):
+                assert out.dtype == np.int64
+                assert out.shape == shape
+            neg = ring.neg_many(a)
+            assert neg.dtype == np.int64
+            assert neg.shape == np.shape(a)
+        for op in ("add_many", "sub_many", "mul_many"):
+            np.testing.assert_array_equal(getattr(tabled, op)(a, b), getattr(digits, op)(a, b))
+        assert tabled.add(5, 7) == digits.add(5, 7)
+        assert tabled.mul(5, 7) == digits.mul(5, 7)
 
 
 def test_ring_at_table_cap_builds_tables():
-    ring = make_ring(5, 1, 3, "fqtr")  # F_5[t]/(t^3), 125 elements
-    assert ring.size <= ring_module._TABLE_MAX_SIZE
-    assert ring.add(1, 2) == 3
-    assert ring._cayley_tables is not None
+    for family in ("fqtr", "zpr"):
+        ring = make_ring(5, 1, 3, family)  # F_5[t]/(t^3) or Z/125, 125 elements
+        assert ring.size <= ring_module._TABLE_MAX_SIZE
+        assert ring.add(1, 2) == 3
+        assert ring._cayley_tables is not None
 
 
 def test_ring_above_table_cap_stays_on_digit_path():
-    ring = make_ring(7, 2, 2, "fqtr")  # F_49[t]/(t^2), 2401 elements
-    assert ring.size > ring_module._TABLE_MAX_SIZE
-    rng = np.random.default_rng(49)
-    a, b, c = rng.integers(0, ring.size, size=(3, 500))
-    one = ring.one.index
-    assert (ring.add_many(a, b) == ring.add_many(b, a)).all()
-    assert (ring.mul_many(a, b) == ring.mul_many(b, a)).all()
-    assert (ring.add_many(ring.add_many(a, b), c) == ring.add_many(a, ring.add_many(b, c))).all()
-    assert (ring.mul_many(ring.mul_many(a, b), c) == ring.mul_many(a, ring.mul_many(b, c))).all()
-    left = ring.mul_many(a, ring.add_many(b, c))
-    right = ring.add_many(ring.mul_many(a, b), ring.mul_many(a, c))
-    assert (left == right).all()
-    assert (ring.add_many(a, ring.neg_many(a)) == 0).all()
-    assert (ring.add_many(ring.sub_many(a, b), b) == a).all()
-    assert (ring.mul_many(a, one) == a).all()
-    assert ring._cayley_tables is None
+    for params in ((7, 2, 2, "fqtr"), (7, 1, 4, "zpr")):
+        ring = make_ring(*params)  # F_49[t]/(t^2) or Z/2401, 2401 elements
+        assert ring.size > ring_module._TABLE_MAX_SIZE
+        rng = np.random.default_rng(49)
+        a, b, c = rng.integers(0, ring.size, size=(3, 500))
+        one = ring.one.index
+        assert (ring.add_many(a, b) == ring.add_many(b, a)).all()
+        assert (ring.mul_many(a, b) == ring.mul_many(b, a)).all()
+        assert (ring.add_many(ring.add_many(a, b), c) == ring.add_many(a, ring.add_many(b, c))).all()
+        assert (ring.mul_many(ring.mul_many(a, b), c) == ring.mul_many(a, ring.mul_many(b, c))).all()
+        left = ring.mul_many(a, ring.add_many(b, c))
+        right = ring.add_many(ring.mul_many(a, b), ring.mul_many(a, c))
+        assert (left == right).all()
+        assert (ring.add_many(a, ring.neg_many(a)) == 0).all()
+        assert (ring.add_many(ring.sub_many(a, b), b) == a).all()
+        assert (ring.mul_many(a, one) == a).all()
+        assert ring._cayley_tables is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 127, 65521])
+def test_prime_field_is_one_ring_in_both_families(p):
+    # z:p:1 and f:p:1 are the same field; below the cap every pair is
+    # checked, above it (p = 127, 65521) 10**4 seeded pairs
+    zp, fp = make_ring(p, 1, 1, "zpr"), make_ring(p, 1, 1, "fqtr")
+    if p <= ring_module._TABLE_MAX_SIZE:
+        a, b = np.arange(p)[:, None], np.arange(p)[None, :]
+    else:
+        a, b = np.random.default_rng(p).integers(0, p, size=(2, 10**4))
+    for op in ("add_many", "sub_many", "mul_many"):
+        np.testing.assert_array_equal(getattr(zp, op)(a, b), getattr(fp, op)(a, b))
+    np.testing.assert_array_equal(zp.neg_many(a), fp.neg_many(a))
+    np.testing.assert_array_equal(zp.inverse_table(), fp.inverse_table())
+    left, right = (np.random.default_rng(p + k).integers(0, p, size=(k, 3)) for k in (20, 30))
+    np.testing.assert_array_equal(_dot_block(zp, left, right), _dot_block(fp, left, right))
 
 
 def test_digit_path_memory():
