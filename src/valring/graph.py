@@ -32,12 +32,19 @@ sum s_j v_j^2 - t), so
 
 The pinned 1 forces distinct tuples onto distinct classes, so the edge
 count equals the statistic exactly; the two public embeddings only pick
-the blocks and signs.  Edges between two explicit class lists are
-counted without the dense biadjacency, whether or not it fits: rows that
-share their first d-1 coordinates are grouped, each pair of groups is
-priced once, and the left rows, one last coordinate x at a time, look
-their counts up in x's int32 table of last-coordinate products.  The
-dense graph serves its spectrum and id-based counts on its own vertices.
+the blocks and signs.  The builder never lists the N tuples: block j is
+axis j of a numpy broadcast, so the columns -2 s_j u_j and v_j and the
+squares are ring ops on one block each, and only the sum column and the
+canonical rows are N long.  Each side is canonicalised one column at a
+time into one (N, d) array and audited by sorting its row keys and
+testing neighbours for equality.
+
+Edges between two explicit class lists are counted without the dense
+biadjacency, whether or not it fits: rows that share their first d-1
+coordinates are grouped, each pair of groups is priced once, and the
+left rows, one last coordinate x at a time, look their counts up in x's
+int32 table of last-coordinate products.  The dense graph serves its
+spectrum and id-based counts on its own vertices.
 """
 
 from __future__ import annotations
@@ -473,7 +480,14 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
 
 
 class EmbeddedSets:
-    """Two vertex-class lists whose edge count equals a set statistic."""
+    """Two vertex-class lists whose edge count equals a set statistic.
+
+    ``audit`` is "ok" when both sides were built, which checks that no two
+    tuples share a class, and "skipped" when a side has more than
+    ``MAX_EMBED_SIZE`` rows.  The rows are None unless both sides were
+    built and |U|*|V| <= ``MAX_PAIR_COUNT``: past that cap
+    ``pair_edge_count`` refuses them, so an audited side is not kept.
+    """
 
     def __init__(
         self,
@@ -484,6 +498,7 @@ class EmbeddedSets:
         v_rows: Optional[np.ndarray],
         u_count: int,
         v_count: int,
+        audit: str,
     ):
         self.ring = ring
         self.n = n
@@ -492,12 +507,7 @@ class EmbeddedSets:
         self.v_rows = v_rows
         self.u_count = u_count
         self.v_count = v_count
-
-    @property
-    def audit(self) -> str:
-        """Return "ok" when both sides were built (building checks
-        injectivity), "skipped" when the size cap left them out."""
-        return "ok" if self.u_rows is not None else "skipped"
+        self.audit = audit
 
     def __repr__(self) -> str:
         return (
@@ -506,11 +516,24 @@ class EmbeddedSets:
         )
 
 
-def _finish_side(ring: Ring, raw: np.ndarray, expect: int) -> np.ndarray:
-    rows = canonicalize_rows(ring, raw)
-    _, first = np.unique(_row_keys(ring, rows), return_index=True)
-    rows = rows[first]
-    if len(rows) != expect:
+def _finish_side(ring: Ring, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Canonical rows of the tuple grid whose coordinate c broadcasts from cols[c].
+
+    Every row is scaled by the inverse of its first unit coordinate, one
+    column at a time into a single (N, d) array.  Injectivity is audited
+    on the sorted row keys: two equal neighbours are two tuples in one
+    class.  Rows come in grid order; no caller reads their order.
+    """
+    shape = np.broadcast_shapes(*(col.shape for col in cols))
+    lead = np.zeros(shape, dtype=np.int64)
+    for col in reversed(cols):
+        np.copyto(lead, col, where=col % ring.q != 0)
+    inv = ring.inverse_table()[lead]
+    rows = np.empty((inv.size, len(cols)), dtype=np.int64)
+    for c, col in enumerate(cols):
+        rows[:, c] = ring.mul_many(col, inv).reshape(-1)
+    keys = np.sort(_row_keys(ring, rows))
+    if (keys[1:] == keys[:-1]).any():
         raise AssertionError(
             "embedding lost injectivity: distinct tuples collided in one class"
         )
@@ -527,36 +550,39 @@ def _embed_blocks(
 
     Each block is the index array of one set.  The last block of a side
     holds x (for U) or t (for V); block j before it carries the sign
-    ``signs[j]``.  The module docstring gives the coordinates.
+    ``signs[j]``.  The module docstring gives the coordinates.  Block j
+    lies on axis j of a broadcast over the blocks, so the columns
+    -2 s_j u_j and v_j and the squares are ring ops on one block each;
+    only the sum column and the canonical rows are N = prod |block| long.
+    Each side is canonicalised and audited by :func:`_finish_side`; past
+    ``MAX_PAIR_COUNT`` the rows of U are dropped before V is built.
     """
     ring = f.a.ring
     d = len(signs) + 2
     u_count = math.prod(len(b) for b in u_blocks)
     v_count = math.prod(len(b) for b in v_blocks)
     if max(u_count, v_count) > MAX_EMBED_SIZE:
-        return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count)
+        return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count, "skipped")
 
-    u, v = _grid(u_blocks), _grid(v_blocks)
-    u_cols = [
-        ring.mul_many(np.int64(ring.from_int(-2 * s)), u[:, j]) for j, s in enumerate(signs)
-    ]
-    u_cols.append(ring.add_many(_signed_squares(ring, u, signs), u[:, -1]))
-    u_cols.append(np.ones(len(u), dtype=np.int64))
-    v_cols = [v[:, j] for j in range(len(signs))]
-    v_cols.append(np.ones(len(v), dtype=np.int64))
-    v_cols.append(ring.sub_many(_signed_squares(ring, v, signs), v[:, -1]))
-    u_rows = _finish_side(ring, np.stack(u_cols, axis=1), u_count)
-    v_rows = _finish_side(ring, np.stack(v_cols, axis=1), v_count)
-    return EmbeddedSets(ring, f.n, d, u_rows, v_rows, u_count, v_count)
-
-
-def _signed_squares(ring: Ring, cols: np.ndarray, signs: Sequence[int]) -> np.ndarray:
-    """sum_j signs[j] * cols[:, j]**2 over the first len(signs) columns."""
-    acc = np.zeros(len(cols), dtype=np.int64)
+    k = len(signs) + 1
+    u, v = (
+        [b.reshape((1,) * j + (-1,) + (1,) * (k - 1 - j)) for j, b in enumerate(blocks)]
+        for blocks in (u_blocks, v_blocks)
+    )
+    one = np.ones((1,) * k, dtype=np.int64)
+    u_sum, v_sum = u[-1], ring.neg_many(v[-1])
     for j, s in enumerate(signs):
-        square = ring.mul_many(cols[:, j], cols[:, j])
-        acc = ring.add_many(acc, square) if s > 0 else ring.sub_many(acc, square)
-    return acc
+        op = ring.add_many if s > 0 else ring.sub_many
+        u_sum = op(u_sum, ring.mul_many(u[j], u[j]))
+        v_sum = op(v_sum, ring.mul_many(v[j], v[j]))
+    u_cols = [ring.mul_many(np.int64(ring.from_int(-2 * s)), u[j]) for j, s in enumerate(signs)]
+    # pair_edge_count refuses rows past MAX_PAIR_COUNT: audit each side, keep neither
+    keep = u_count * v_count <= MAX_PAIR_COUNT
+    u_rows = _finish_side(ring, u_cols + [u_sum, one])
+    u_rows = u_rows if keep else None
+    v_rows = _finish_side(ring, v[:-1] + [one, v_sum])
+    v_rows = v_rows if keep else None
+    return EmbeddedSets(ring, f.n, d, u_rows, v_rows, u_count, v_count, "ok")
 
 
 def embed_solution_sets(f: FoldSets) -> EmbeddedSets:

@@ -188,14 +188,23 @@ def _pair_counts(ring: Ring, x: np.ndarray, y: np.ndarray, op, wx=None, wy=None)
     return counts
 
 
-def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
+def _pair_support(a: ElementSet, b: ElementSet, op) -> ElementSet:
+    """The set of op(x, y) over x in a, y in b, marked CHUNK_CELLS cells at a time."""
     _same_ring(a, b)
-    return ElementSet(a.ring, _pair_counts(a.ring, a.indices(), b.indices(), a.ring.add_many) > 0)
+    x, y = a.indices(), b.indices()
+    seen = np.zeros(a.ring.size, dtype=bool)
+    step = max(1, CHUNK_CELLS // max(1, len(y)))
+    for lo in range(0, len(x), step):
+        seen[op(x[lo : lo + step, None], y[None, :])] = True
+    return ElementSet(a.ring, seen)
+
+
+def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
+    return _pair_support(a, b, a.ring.add_many)
 
 
 def productset(a: ElementSet, b: ElementSet) -> ElementSet:
-    _same_ring(a, b)
-    return ElementSet(a.ring, _pair_counts(a.ring, a.indices(), b.indices(), a.ring.mul_many) > 0)
+    return _pair_support(a, b, a.ring.mul_many)
 
 
 def square_set(a: ElementSet) -> ElementSet:

@@ -540,3 +540,103 @@ def test_embed_skip_mode(z9, monkeypatch):
     assert emb.audit == "skipped"
     assert emb.u_rows is None and emb.v_rows is None
     assert emb.u_count == 6  # counts still reported for the bound-only route
+
+
+def test_embed_past_pair_cap_audits_and_drops_rows(z9, monkeypatch):
+    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
+    monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", 6 * 6)
+    kept = embed_solution_sets(f)
+    assert kept.audit == "ok" and len(kept.u_rows) == len(kept.v_rows) == 6
+    monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", 6 * 6 - 1)
+    dropped = embed_solution_sets(f)
+    assert dropped.audit == "ok"
+    assert dropped.u_rows is None and dropped.v_rows is None
+    assert (dropped.u_count, dropped.v_count) == (6, 6)
+
+
+def _oracle_rows(ring, blocks, signs, side):
+    """Each block tuple's canonical class, one tuple at a time, in the module
+    docstring's coordinates: U = (-2 s_j u_j, sum s_j u_j^2 + x, 1) and
+    V = (v_j, 1, sum s_j v_j^2 - t)."""
+    out = set()
+    for *heads, last in itertools.product(*(b.tolist() for b in blocks)):
+        total = 0
+        for h, s in zip(heads, signs):
+            sq = ring.mul(h, h)
+            total = ring.add(total, sq) if s > 0 else ring.sub(total, sq)
+        if side == "u":
+            coords = [ring.mul(ring.from_int(-2 * s), h) for h, s in zip(heads, signs)]
+            coords += [ring.add(total, last), 1]
+        else:
+            coords = heads + [1, ring.sub(total, last)]
+        out.add(canonicalize(ring, coords))
+    return out
+
+
+@pytest.mark.parametrize(
+    "desc,members,n",
+    [
+        ("z:3:2", [1, 2, 4], 2),
+        ("z:5:2", [1, 2, 3, 7], 2),
+        ("f:9:1", [1, 2, 4, 5], 2),
+        ("f:3:2", [1, 2, 4, 5], 2),
+        ("f:9:2", [1, 2, 10, 13], 2),
+        ("z:3:2", [1, 2, 4], 3),
+        ("f:3:2", [1, 2, 4], 3),
+    ],
+)
+def test_embeddings_match_per_tuple_canonicalize(desc, members, n):
+    ring = parse_ring(desc)
+    f = fold_sets(ElementSet.from_indices(ring, members), n)
+    m = n - 1
+    a, plus, sq, target = (s.indices() for s in (f.a, f.plus, f.sq, f.target))
+    cases = (
+        (embed_solution_sets, [plus] * m + [sq], [a] * m + [target], [1] * m),
+        (
+            embed_energy_sets,
+            [plus] * m + [a] * m + [sq],
+            [a] * m + [plus] * m + [sq],
+            [1] * m + [-1] * m,
+        ),
+    )
+    for embed, u_blocks, v_blocks, signs in cases:
+        emb = embed(f)
+        assert emb.audit == "ok"
+        for rows, blocks, side in ((emb.u_rows, u_blocks, "u"), (emb.v_rows, v_blocks, "v")):
+            got = set(map(tuple, rows.tolist()))
+            assert len(got) == len(rows)
+            assert got == _oracle_rows(ring, blocks, signs, side)
+
+
+@pytest.mark.parametrize("pair_cap", [None, 0])
+@pytest.mark.parametrize("side", ["u", "v"])
+def test_embed_collision_fails_the_audit(z9, monkeypatch, side, pair_cap):
+    # a repeated entry in one block puts two tuples in one class; the audit
+    # runs whether or not the rows are kept
+    if pair_cap is not None:
+        monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", pair_cap)
+    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
+    a, plus, sq, target = (s.indices() for s in (f.a, f.plus, f.sq, f.target))
+    u_blocks, v_blocks = [plus, sq], [a, target]
+    if side == "u":
+        u_blocks[0] = np.concatenate([plus, plus[:1]])
+    else:
+        v_blocks[1] = np.concatenate([target, target[:1]])
+    with pytest.raises(AssertionError, match="injectivity"):
+        graph_module._embed_blocks(f, u_blocks, v_blocks, [1])
+
+
+def test_embed_energy_sets_memory(f9t2):
+    # the first 30 units: 34 020 rows per side, audited, then dropped past
+    # MAX_PAIR_COUNT; the tuple grid is never listed
+    units = f9t2.indices(ElementFilter.UNITS)[:30]
+    f = fold_sets(ElementSet.from_indices(f9t2, units), 2)
+    embed_energy_sets(f)  # inverse and Cayley tables are built outside the trace
+    tracemalloc.start()
+    try:
+        emb = embed_energy_sets(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emb.audit == "ok" and emb.u_count == emb.v_count == 34020
+    assert peak < 5 * 10**6

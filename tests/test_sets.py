@@ -174,6 +174,16 @@ def test_productset_frozen(z9):
     assert _ids(square_set(ElementSet.units(z9))) == [1, 4, 7]
 
 
+@pytest.mark.parametrize("rows_per_chunk", [1, 3, 100])
+def test_sumset_and_productset_chunks_match_pairs(f9t2, monkeypatch, rows_per_chunk):
+    a = ElementSet.from_indices(f9t2, [1, 2, 5, 10, 13, 30, 44])
+    b = ElementSet.from_indices(f9t2, [0, 3, 7, 11, 12, 80])
+    monkeypatch.setattr(sets_module, "CHUNK_CELLS", rows_per_chunk * b.card)
+    pairs = list(itertools.product(_ids(a), _ids(b)))
+    assert _ids(sumset(a, b)) == sorted({f9t2.add(x, y) for x, y in pairs})
+    assert _ids(productset(a, b)) == sorted({f9t2.mul(x, y) for x, y in pairs})
+
+
 def test_iterated_sumset_frozen(z9):
     sq = square_set(ElementSet.from_indices(z9, [1, 2]))  # {1, 4}
     assert _ids(iterated_sumset(sq, 1)) == [1, 4]
