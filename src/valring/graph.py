@@ -138,18 +138,34 @@ def canonicalize(ring: Ring, coords: Sequence[Union[int, Element]]) -> tuple[int
     return tuple(int(c) for c in row[0])
 
 
-def canonicalize_rows(ring: Ring, rows: np.ndarray) -> np.ndarray:
-    """Vectorized canonicalization of an (N, d) index array."""
-    rows = np.asarray(rows, dtype=np.int64)
-    if len(rows) == 0:
-        return rows.reshape(0, rows.shape[-1] if rows.ndim == 2 else 0)
-    unit = rows % ring.q != 0
-    if not unit.any(axis=1).all():
+def canonicalize_rows(
+    ring: Ring, rows: Union[np.ndarray, list[np.ndarray]]
+) -> np.ndarray:
+    """Canonical representatives of many vectors, as an (N, d) int64 array.
+
+    ``rows`` is an (N, d) index array, or a list of d index arrays that
+    broadcast to one shape: the columns of a grid of N vectors, taken in
+    C order, so the grid itself is never listed.  The lead of a vector is
+    its first unit coordinate (AllNonUnits if it has none); one inverse
+    gather and one multiply per column fill the result.
+    """
+    if isinstance(rows, list):
+        cols = [np.asarray(col, dtype=np.int64) for col in rows]
+        shape = np.broadcast_shapes(*(col.shape for col in cols))
+    else:
+        rows = np.asarray(rows, dtype=np.int64)
+        cols, shape = list(rows.T), rows.shape[:1]
+    lead = np.zeros(shape, dtype=np.int64)
+    for col in reversed(cols):
+        np.copyto(lead, col, where=col % ring.q != 0)
+    inv = ring.inverse_table()[lead]  # 0 exactly where no coordinate is a unit
+    del lead  # N fewer int64 cells held while the columns are scaled
+    if not inv.all():
         raise AllNonUnits("some vector has no unit coordinate")
-    pivot = unit.argmax(axis=1)
-    lead = rows[np.arange(len(rows)), pivot]
-    inv = ring.inverse_table()[lead]
-    return ring.mul_many(rows, inv[:, None])
+    out = np.empty((inv.size, len(cols)), dtype=np.int64)
+    for c, col in enumerate(cols):
+        out[:, c] = ring.mul_many(col, inv).reshape(-1)
+    return out
 
 
 def _capped_class_count(ring: Ring, d: int) -> int:
@@ -480,14 +496,7 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
 
 
 class EmbeddedSets:
-    """Two vertex-class lists whose edge count equals a set statistic.
-
-    ``audit`` is "ok" when both sides were built, which checks that no two
-    tuples share a class, and "skipped" when a side has more than
-    ``MAX_EMBED_SIZE`` rows.  The rows are None unless both sides were
-    built and |U|*|V| <= ``MAX_PAIR_COUNT``: past that cap
-    ``pair_edge_count`` refuses them, so an audited side is not kept.
-    """
+    """Two vertex-class lists whose edge count equals a set statistic."""
 
     def __init__(
         self,
@@ -498,7 +507,6 @@ class EmbeddedSets:
         v_rows: Optional[np.ndarray],
         u_count: int,
         v_count: int,
-        audit: str,
     ):
         self.ring = ring
         self.n = n
@@ -507,7 +515,12 @@ class EmbeddedSets:
         self.v_rows = v_rows
         self.u_count = u_count
         self.v_count = v_count
-        self.audit = audit
+
+    @property
+    def audit(self) -> str:
+        """Return "ok" when both sides were built (building checks
+        injectivity), "skipped" when the size cap left them out."""
+        return "ok" if self.u_rows is not None else "skipped"
 
     def __repr__(self) -> str:
         return (
@@ -516,23 +529,16 @@ class EmbeddedSets:
         )
 
 
-def _finish_side(ring: Ring, cols: Sequence[np.ndarray]) -> np.ndarray:
+def _finish_side(ring: Ring, cols: list[np.ndarray]) -> np.ndarray:
     """Canonical rows of the tuple grid whose coordinate c broadcasts from cols[c].
 
-    Every row is scaled by the inverse of its first unit coordinate, one
-    column at a time into a single (N, d) array.  Injectivity is audited
-    on the sorted row keys: two equal neighbours are two tuples in one
-    class.  Rows come in grid order; no caller reads their order.
+    :func:`canonicalize_rows` scales the grid column by column.  Injectivity
+    is audited on the sorted row keys: two equal neighbours are two tuples
+    in one class.  Rows come in grid order; no caller reads their order.
     """
-    shape = np.broadcast_shapes(*(col.shape for col in cols))
-    lead = np.zeros(shape, dtype=np.int64)
-    for col in reversed(cols):
-        np.copyto(lead, col, where=col % ring.q != 0)
-    inv = ring.inverse_table()[lead]
-    rows = np.empty((inv.size, len(cols)), dtype=np.int64)
-    for c, col in enumerate(cols):
-        rows[:, c] = ring.mul_many(col, inv).reshape(-1)
-    keys = np.sort(_row_keys(ring, rows))
+    rows = canonicalize_rows(ring, cols)
+    keys = _row_keys(ring, rows)
+    keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise AssertionError(
             "embedding lost injectivity: distinct tuples collided in one class"
@@ -554,15 +560,14 @@ def _embed_blocks(
     lies on axis j of a broadcast over the blocks, so the columns
     -2 s_j u_j and v_j and the squares are ring ops on one block each;
     only the sum column and the canonical rows are N = prod |block| long.
-    Each side is canonicalised and audited by :func:`_finish_side`; past
-    ``MAX_PAIR_COUNT`` the rows of U are dropped before V is built.
+    Each side is canonicalised and audited by :func:`_finish_side`.
     """
     ring = f.a.ring
     d = len(signs) + 2
     u_count = math.prod(len(b) for b in u_blocks)
     v_count = math.prod(len(b) for b in v_blocks)
     if max(u_count, v_count) > MAX_EMBED_SIZE:
-        return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count, "skipped")
+        return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count)
 
     k = len(signs) + 1
     u, v = (
@@ -570,19 +575,25 @@ def _embed_blocks(
         for blocks in (u_blocks, v_blocks)
     )
     one = np.ones((1,) * k, dtype=np.int64)
-    u_sum, v_sum = u[-1], ring.neg_many(v[-1])
-    for j, s in enumerate(signs):
-        op = ring.add_many if s > 0 else ring.sub_many
-        u_sum = op(u_sum, ring.mul_many(u[j], u[j]))
-        v_sum = op(v_sum, ring.mul_many(v[j], v[j]))
     u_cols = [ring.mul_many(np.int64(ring.from_int(-2 * s)), u[j]) for j, s in enumerate(signs)]
-    # pair_edge_count refuses rows past MAX_PAIR_COUNT: audit each side, keep neither
-    keep = u_count * v_count <= MAX_PAIR_COUNT
-    u_rows = _finish_side(ring, u_cols + [u_sum, one])
-    u_rows = u_rows if keep else None
+    u_rows = _finish_side(ring, u_cols + [_signed_sum(ring, u, signs, u[-1]), one])
+    v_sum = _signed_sum(ring, v, signs, ring.neg_many(v[-1]))
     v_rows = _finish_side(ring, v[:-1] + [one, v_sum])
-    v_rows = v_rows if keep else None
-    return EmbeddedSets(ring, f.n, d, u_rows, v_rows, u_count, v_count, "ok")
+    return EmbeddedSets(ring, f.n, d, u_rows, v_rows, u_count, v_count)
+
+
+def _signed_sum(
+    ring: Ring, blocks: Sequence[np.ndarray], signs: Sequence[int], total: np.ndarray
+) -> np.ndarray:
+    """total + sum_j signs[j] * blocks[j]**2, broadcast over the blocks.
+
+    Called once per side, so U's N-long sum column is freed before V's is
+    made.
+    """
+    for block, s in zip(blocks, signs):
+        square = ring.mul_many(block, block)
+        total = ring.add_many(total, square) if s > 0 else ring.sub_many(total, square)
+    return total
 
 
 def embed_solution_sets(f: FoldSets) -> EmbeddedSets:

@@ -129,8 +129,7 @@ def _edge_route(ring: Ring, d: int, emb) -> dict:
     the others take the closed-form bound.  U and V are distinct classes,
     so a graph that fits has |U|*|V| <= MAX_GRAPH_CLASSES**2 <=
     MAX_PAIR_COUNT, and the count never refuses where the graph fits.
-    An embedding without rows (skipped, or past MAX_PAIR_COUNT) is
-    bound-only.
+    A skipped embedding has no rows and is bound-only.
     """
     n_cls = class_count(ring, d)
     deg = class_degree(ring, d)

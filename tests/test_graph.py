@@ -138,6 +138,15 @@ def test_canonicalize_rows_matches_scalar(f9t2):
         assert canonicalize(f9t2, vec) == expected
 
 
+def test_canonicalize_rows_takes_grid_columns(f9t2):
+    a, b = np.array([0, 3, 10, 44, 72]), np.array([1, 5, 28, 80])  # 0 and 72 are not units
+    grid = np.array(list(itertools.product(a.tolist(), b.tolist())), dtype=np.int64)
+    out = canonicalize_rows(f9t2, [a[:, None], b[None, :]])
+    assert np.array_equal(out, canonicalize_rows(f9t2, grid))
+    with pytest.raises(AllNonUnits):  # the vector (0, 9) has no unit coordinate
+        canonicalize_rows(f9t2, [np.array([0, 1])[:, None], np.array([1, 9])[None, :]])
+
+
 def test_enumerate_classes_frozen_f3():
     ring = make_ring(3, 1, 1)
     rows = enumerate_classes(ring, 2)
@@ -542,18 +551,6 @@ def test_embed_skip_mode(z9, monkeypatch):
     assert emb.u_count == 6  # counts still reported for the bound-only route
 
 
-def test_embed_past_pair_cap_audits_and_drops_rows(z9, monkeypatch):
-    f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
-    monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", 6 * 6)
-    kept = embed_solution_sets(f)
-    assert kept.audit == "ok" and len(kept.u_rows) == len(kept.v_rows) == 6
-    monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", 6 * 6 - 1)
-    dropped = embed_solution_sets(f)
-    assert dropped.audit == "ok"
-    assert dropped.u_rows is None and dropped.v_rows is None
-    assert (dropped.u_count, dropped.v_count) == (6, 6)
-
-
 def _oracle_rows(ring, blocks, signs, side):
     """Each block tuple's canonical class, one tuple at a time, in the module
     docstring's coordinates: U = (-2 s_j u_j, sum s_j u_j^2 + x, 1) and
@@ -608,13 +605,9 @@ def test_embeddings_match_per_tuple_canonicalize(desc, members, n):
             assert got == _oracle_rows(ring, blocks, signs, side)
 
 
-@pytest.mark.parametrize("pair_cap", [None, 0])
 @pytest.mark.parametrize("side", ["u", "v"])
-def test_embed_collision_fails_the_audit(z9, monkeypatch, side, pair_cap):
-    # a repeated entry in one block puts two tuples in one class; the audit
-    # runs whether or not the rows are kept
-    if pair_cap is not None:
-        monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", pair_cap)
+def test_embed_collision_fails_the_audit(z9, side):
+    # a repeated entry in one block puts two tuples in one class
     f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
     a, plus, sq, target = (s.indices() for s in (f.a, f.plus, f.sq, f.target))
     u_blocks, v_blocks = [plus, sq], [a, target]
@@ -627,8 +620,8 @@ def test_embed_collision_fails_the_audit(z9, monkeypatch, side, pair_cap):
 
 
 def test_embed_energy_sets_memory(f9t2):
-    # the first 30 units: 34 020 rows per side, audited, then dropped past
-    # MAX_PAIR_COUNT; the tuple grid is never listed
+    # the first 30 units: 34 020 rows per side, built and audited without
+    # listing the tuple grid
     units = f9t2.indices(ElementFilter.UNITS)[:30]
     f = fold_sets(ElementSet.from_indices(f9t2, units), 2)
     embed_energy_sets(f)  # inverse and Cayley tables are built outside the trace
