@@ -8,7 +8,11 @@ as ratios, since implied constants carry no testable content at desk
 scale.  Asymptotically flavored steps degrade gracefully: when a dense
 graph or a direct edge count is out of reach, the pipeline keeps whatever
 inequality is still provable from the theoretical second singular value
-and marks the rest skipped.
+and marks the rest skipped.  Each of the paper's bounds is written once:
+the right-hand sides and thm2's hypothesis bound in ``_growth_bounds``,
+the hypothesis test in ``_hypothesis`` and the floor 2q^(r-1) in
+``_floor``.  The replays, ``classify_regime`` and ``bound_ratio_scan`` all
+read them, so they report the same float for the same bound.
 """
 
 from __future__ import annotations
@@ -100,12 +104,29 @@ class RegimeVerdict:
         return _field_dict(self)
 
 
-def _recommended_floor(ring: Ring) -> int:
-    return 2 * ring.size // ring.q
+def _growth_bounds(q: int, r: int, k: int, n: int) -> tuple:
+    """thm1's two terms, thm2's right-hand side and thm2's hypothesis bound
+    q^(r+(n-1)(2r-1)) on |A+A|^(n-1)*|A|^n, for |A| = k in dimension n."""
+    return (
+        q ** (r / n) * k ** ((n - 1) / n),
+        k ** ((3 * n - 2) / n) / q ** ((n - 1) * (2 * r - 1) / n),
+        q ** (r / (2 * n - 1)) * k ** ((2 * n - 2) / (2 * n - 1)),
+        q ** (r + (n - 1) * (2 * r - 1)),
+    )
+
+
+def _hypothesis(aa_card: int, k: int, n: int, rhs: int, c3: float = 1.0) -> dict:
+    lhs = aa_card ** (n - 1) * k**n
+    return {"lhs": lhs, "rhs": rhs, "met": lhs >= Fraction(c3) * rhs}
+
+
+def _floor(ring: Ring) -> int:
+    """2q^(r-1): regime 3's least |A|, and the size below which a replay warns."""
+    return 2 * ring.q ** (ring.r - 1)
 
 
 def _prepare(a: ElementSet, warnings: list) -> ElementSet:
-    floor = _recommended_floor(a.ring)
+    floor = _floor(a.ring)
     if a.card < floor:
         warnings.append(
             f"|A| = {a.card} is below the recommended floor 2*q^(r-1) = {floor}"
@@ -183,6 +204,7 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
     check_fold_cells(a.card**2)
     f = fold_sets(a, n)
     k, s, sq, tgt = a.card, f.plus, f.sq, f.target
+    t1, t2, t3, hyp_rhs = _growth_bounds(q, r, k, n)
     sizes = {
         "a": a_in.card,
         "a_units": k,
@@ -203,11 +225,7 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
     if kind == "thm1":
         d, name, sym = n + 1, "solutions", "N"
         stat, energy, hypothesis = sol, None, None
-        embed = embed_solution_sets
-        rhs = min(
-            q ** (r / n) * k ** ((n - 1) / n),
-            k ** ((3 * n - 2) / n) / q ** ((n - 1) * (2 * r - 1) / n),
-        )
+        embed, rhs = embed_solution_sets, min(t1, t2)
     else:
         d, name, sym = 2 * n, "energy", "E"
         stat = energy = histogram_energy(hist)
@@ -216,11 +234,8 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
             "exact",
             f"N^2 = {sol * sol} vs |nA^2|*E = {tgt.card * energy}",
         )
-        embed = embed_energy_sets
-        rhs = q ** (r / (2 * n - 1)) * k ** ((2 * n - 2) / (2 * n - 1))
-        hyp_lhs = s.card ** (n - 1) * k**n
-        hyp_rhs = q ** (r + (n - 1) * (2 * r - 1))
-        hypothesis = {"lhs": hyp_lhs, "rhs": hyp_rhs, "met": hyp_lhs >= hyp_rhs}
+        embed, rhs = embed_energy_sets, t3
+        hypothesis = _hypothesis(s.card, k, n, hyp_rhs)
     counts = {
         "solutions": sol,
         "energy": energy,
@@ -341,43 +356,6 @@ def check_square_halving(
 # -- regime classification --------------------------------------------------------
 
 
-def _exact_thresholds(q: int, r: int, constants: Sequence[float]) -> tuple:
-    """x * |x|**23 for the thresholds x = c1*q^(r-1/3), c2*q^(r-3/8), 2q^(r-1).
-
-    These are rationals and increase with x, so they compare exactly with
-    each other and with |A|**24, where the float thresholds can miss by an ulp.
-    """
-    c1, c2 = Fraction(constants[0]), Fraction(constants[1])
-    pairs = ((c1, 24 * r - 8), (c2, 24 * r - 9), (Fraction(2), 24 * r - 24))
-    return tuple(c**23 * abs(c) * q**e for c, e in pairs)
-
-
-def _regime_core(
-    q: int, r: int, size: int, aa_card: int, constants: Sequence[float]
-) -> tuple[Optional[int], dict, bool, Optional[float]]:
-    """The cascade, compared exactly; the float thresholds are for display."""
-    c1, c2, c3 = constants
-    floor = 2 * q ** (r - 1)
-    thresholds = {
-        "regime1_min_size": c1 * q ** (r - 1 / 3),
-        "regime2_min_size": c2 * q ** (r - 3 / 8),
-        "regime3_min_size": float(floor),
-        "hypothesis_rhs": c3 * q ** (3 * r - 1),
-    }
-    for name, value in thresholds.items():
-        if not math.isfinite(value):
-            raise TooLarge(f"{name} is {value}: the constants overflow a float")
-    hyp = aa_card * size**2 >= Fraction(c3) * q ** (3 * r - 1)
-    t1, t2, _ = _exact_thresholds(q, r, constants)
-    if size**24 >= t1:
-        return 1, thresholds, hyp, q ** (r / 2) * math.sqrt(size)
-    if size**24 >= t2:
-        return 2, thresholds, hyp, size**2 / q ** ((2 * r - 1) / 2)
-    if size >= floor and hyp:
-        return 3, thresholds, hyp, q ** (r / 3) * size ** (2 / 3)
-    return None, thresholds, hyp, None
-
-
 def classify_regime(
     a: ElementSet, constants: Sequence[float] = (1.0, 1.0, 1.0)
 ) -> RegimeVerdict:
@@ -387,53 +365,57 @@ def classify_regime(
     |A| >= c2*q^(r-3/8); regime 3 requires |A| >= 2q^(r-1) together with
     |A+A|*|A|^2 >= c3*q^(3r-1).  The first band that matches (top down)
     wins.  Bands that are empty for this ring's parameters are reported
-    rather than adjusted.
+    rather than adjusted.  The bands compare exactly; the float thresholds
+    are for display, and constants that overflow them are refused before
+    A+A is built.  ``rhs`` is the n = 2 replay's term for the regime
+    (thm1's first or second, or thm2's), so with the default constants it
+    equals that replay's ``ratio.rhs``.
     """
-    q, r = a.ring.q, a.ring.r
+    q, r, k = a.ring.q, a.ring.r, a.card
+    c1, c2, c3 = constants
+    floor = _floor(a.ring)
+    t1, t2, t3, hyp_rhs = _growth_bounds(q, r, k, 2)
+    thresholds = {
+        "regime1_min_size": c1 * q ** (r - 1 / 3),
+        "regime2_min_size": c2 * q ** (r - 3 / 8),
+        "regime3_min_size": float(floor),
+        "hypothesis_rhs": c3 * hyp_rhs,
+    }
+    for name, value in thresholds.items():
+        if not math.isfinite(value):
+            raise TooLarge(f"{name} is {value}: the constants overflow a float")
+    # x*|x|**23 for each size threshold x: rationals increasing with x, so
+    # they compare exactly with each other and with |A|**24
+    e1, e2, e3 = (
+        c**23 * abs(c) * q**e
+        for c, e in ((Fraction(c1), 24 * r - 8), (Fraction(c2), 24 * r - 9), (floor, 0))
+    )
     f = fold_sets(a, 2)
     aa, sq2 = f.plus, f.target
+    hyp = _hypothesis(aa.card, k, 2, hyp_rhs, c3)["met"]
+    if k**24 >= e1:
+        regime, rhs = 1, t1
+    elif k**24 >= e2:
+        regime, rhs = 2, t2
+    elif k**24 >= e3 and hyp:
+        regime, rhs = 3, t3
+    else:
+        regime, rhs = None, None
     lhs = max(aa.card, sq2.card)
-    regime, thresholds, hyp, rhs = _regime_core(q, r, a.card, aa.card, constants)
-    t1, t2, t3 = _exact_thresholds(q, r, constants)
-    empty = []
-    if t2 >= t1:
-        empty.append(2)
-    if t3 >= t2:
-        empty.append(3)
     return RegimeVerdict(
         regime=regime,
-        constants={"c1": constants[0], "c2": constants[1], "c3": constants[2]},
+        constants={"c1": c1, "c2": c2, "c3": c3},
         thresholds=thresholds,
-        sizes={"a": a.card, "a_plus_a": aa.card, "sq_plus_sq": sq2.card},
+        sizes={"a": k, "a_plus_a": aa.card, "sq_plus_sq": sq2.card},
         lhs=lhs,
         rhs=rhs,
         ratio=(lhs / rhs) if rhs else None,
         hypothesis_met=hyp,
-        empty_regimes=empty,
+        empty_regimes=[band for band, lo, hi in ((2, e2, e1), (3, e3, e2)) if lo >= hi],
     )
 
 
 # -- scans and search --------------------------------------------------------------
-
-
-def _scan_trial(ring: Ring, k: int, child_seed: int, constants: Sequence[float]) -> dict:
-    f = fold_sets(sample_unit_subset(ring, k, child_seed), 2)
-    aa, sq2 = f.plus, f.target
-    lhs = max(aa.card, sq2.card)
-    q, r = ring.q, ring.r
-    rhs1 = min(q ** (r / 2) * math.sqrt(k), k**2 / q ** ((2 * r - 1) / 2))
-    rhs2 = q ** (r / 3) * k ** (2 / 3)
-    regime, _, hyp, _ = _regime_core(q, r, k, aa.card, constants)
-    return {
-        "k": k,
-        "lhs": lhs,
-        "aa": aa.card,
-        "sq2": sq2.card,
-        "thm1": lhs / rhs1,
-        "thm2": lhs / rhs2,
-        "regime": regime,
-        "hyp": hyp,
-    }
 
 
 def bound_ratio_scan(
@@ -447,7 +429,11 @@ def bound_ratio_scan(
 
     Deterministic in (ring, sizes, trials, seed, constants): each trial
     draws its set from its own child seed, derived from the master seed
-    and the trial's (size, trial) coordinates.
+    and the trial's (size, trial) coordinates.  Each set is classified by
+    ``classify_regime``; its thm1 and thm2 ratios divide the verdict's
+    ``lhs`` by the n = 2 replays' right-hand sides, so trial t of size
+    index si has the ratios of those replays on
+    ``sample_unit_subset(ring, k, derive_seed(seed, si, t))``.
     """
     check_count("trials", trials, 1)
     unit_total = ring.unit_count
@@ -458,22 +444,23 @@ def bound_ratio_scan(
     rows = []
     for si, k in enumerate(sizes):
         per = [
-            _scan_trial(ring, k, derive_seed(seed, si, t), constants)
+            classify_regime(sample_unit_subset(ring, k, derive_seed(seed, si, t)), constants)
             for t in range(trials)
         ]
         regimes = {"1": 0, "2": 0, "3": 0, "none": 0}
-        for rec in per:
-            regimes[str(rec["regime"]) if rec["regime"] else "none"] += 1
+        for v in per:
+            regimes[str(v.regime) if v.regime else "none"] += 1
         base = {
             "size": k,
             "trials": trials,
-            "lhs_min": min(r_["lhs"] for r_ in per),
-            "lhs_max": max(r_["lhs"] for r_ in per),
+            "lhs_min": min(v.lhs for v in per),
+            "lhs_max": max(v.lhs for v in per),
             "regime_counts": regimes,
-            "hypothesis_met": sum(1 for r_ in per if r_["hyp"]),
+            "hypothesis_met": sum(1 for v in per if v.hypothesis_met),
         }
-        for theorem in ("thm1", "thm2"):
-            ratios = sorted(r_[theorem] for r_ in per)
+        t1, t2, t3, _ = _growth_bounds(ring.q, ring.r, k, 2)
+        for theorem, rhs in (("thm1", min(t1, t2)), ("thm2", t3)):
+            ratios = sorted(v.lhs / rhs for v in per)
             rows.append(
                 {
                     **base,

@@ -380,6 +380,9 @@ _RING_WORK = ("ring.is_prime", "ring.factor_prime_power", "cli.factor_prime_powe
     # |A|^2 past MAX_FOLD_CELLS: refused before the sumsets of the fold sets
     (["verify", "thm1", "--ring", "z:65521:1", "--set", "units", "--n", "2"], ("sets.sumset",)),
     (["verify", "thm2", "--ring", "z:3:10", "--set", "units"], ("sets.sumset",)),
+    # constants that overflow a float threshold: refused before A+A is built
+    (["classify", "--ring", "z:3:2", "--set", "units", "--constants", "1e308,1e308,1e308"],
+     ("sets.sumset",)),
 ])
 def test_run_rejects_oversize_specs_before_any_work(argv, untouched, capsys, monkeypatch):
     def refuse(*args):

@@ -17,6 +17,7 @@ from valring import (
     build_graph,
     check_square_halving,
     classify_regime,
+    derive_seed,
     extremal_search,
     lambda3_bound,
     make_ring,
@@ -304,6 +305,33 @@ def test_scan_seed_changes_output(z25):
     a = bound_ratio_scan(z25, [6], trials=8, seed=1)
     b = bound_ratio_scan(z25, [6], trials=8, seed=2)
     assert a != b
+
+
+def test_classify_and_scan_read_the_replays_bounds(monkeypatch):
+    # the bounds do not depend on the edge route: skip z:7:2's 2793-class SVD
+    monkeypatch.setattr(graph_module, "MAX_GRAPH_CLASSES", 2000)
+    # f:27:1 with |A| = 9 sits on the regime-1 boundary, where thm1's two terms
+    # meet; z:3001:1 with |A| = 2921 is where math.sqrt(k) and k ** 0.5 differ
+    sweep = {
+        "z:3:2": range(1, 7), "z:5:2": (2, 5, 8, 10, 12, 13, 15, 20),
+        "z:7:2": (5, 14, 18, 20, 23, 30, 42), "f:9:2": (8, 18, 24, 30, 35, 50, 72),
+        "z:3:3": (3, 9, 17, 18), "f:27:1": (9,), "z:3001:1": (2921,),
+    }
+    seed, seen = 7, set()
+    for spec, sizes in sweep.items():
+        ring = parse_ring(spec)
+        for k in sizes:
+            a = sample_unit_subset(ring, k, derive_seed(seed, 0, 0))
+            v = classify_regime(a)
+            thm1, thm2 = verify_thm1_pipeline(a, 2), verify_thm2_pipeline(a, 2)
+            seen.add(v.regime)
+            if v.regime is not None:
+                assert v.rhs == (thm2 if v.regime == 3 else thm1).ratio["rhs"], (spec, k)
+            assert v.hypothesis_met == thm2.hypothesis["met"], (spec, k)
+            row1, row2 = bound_ratio_scan(ring, [k], 1, seed)["rows"]
+            assert row1["ratio_min"] == thm1.ratio["ratio"], (spec, k)
+            assert row2["ratio_min"] == thm2.ratio["ratio"], (spec, k)
+    assert seen == {1, 2, 3, None}
 
 
 def test_scan_rejects_bad_sizes(z25):
