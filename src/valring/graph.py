@@ -70,7 +70,7 @@ from .errors import (
     BadIndex,
     TooLarge,
 )
-from .ring import Element, ElementFilter, Ring
+from .ring import ElementFilter, Ring
 from .sets import FoldSets
 
 __all__ = [
@@ -95,8 +95,8 @@ __all__ = [
 # while they read at most this many cells, so a call with many x values and
 # few rows each does not pay a pass per x
 _MERGE_CELLS = 2**14
-# _dot_zero_block and _zero_dot_count work in row blocks of about this many
-# cells, so their temporaries stay in cache and are reused rather than held
+# _zero_dot_count works in row blocks of about this many cells, so its
+# temporaries stay in cache and are reused rather than held
 _BLOCK_CELLS = 2**16
 
 
@@ -126,15 +126,9 @@ def lambda3_bound(ring: Ring, d: int) -> float:
 # -- canonical representatives ------------------------------------------------
 
 
-def canonicalize(ring: Ring, coords: Sequence[Union[int, Element]]) -> tuple[int, ...]:
+def canonicalize(ring: Ring, coords: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of the unit-scaling class of one vector."""
-    idx = []
-    for c in coords:
-        if isinstance(c, Element):
-            c = c.index
-        ring._check_index(int(c))
-        idx.append(int(c))
-    row = canonicalize_rows(ring, np.array([idx], dtype=np.int64))
+    row = canonicalize_rows(ring, ring.check_indices(coords).reshape(1, -1))
     return tuple(int(c) for c in row[0])
 
 
@@ -157,7 +151,7 @@ def canonicalize_rows(
         cols, shape = list(rows.T), rows.shape[:1]
     lead = np.zeros(shape, dtype=np.int64)
     for col in reversed(cols):
-        np.copyto(lead, col, where=col % ring.q != 0)
+        np.copyto(lead, col, where=ring.is_unit_many(col))
     inv = ring.inverse_table()[lead]  # 0 exactly where no coordinate is a unit
     del lead  # N fewer int64 cells held while the columns are scaled
     if not inv.all():
@@ -258,22 +252,23 @@ def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _dot_zero_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """uint8 matrix of [dot(left_i, right_j) == 0], _BLOCK_CELLS cells at a time."""
-    out = np.empty((len(left), len(right)), dtype=np.uint8)
+def _zero_dot_count(
+    ring: Ring, left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] = None
+) -> int:
+    """Number of pairs with dot(left_i, right_j) == 0, _BLOCK_CELLS cells at a time.
+
+    With ``out``, a (len(left), len(right)) array, each row block of
+    [dot(left_i, right_j) == 0] is also written into it: the dense graph.
+    """
+    total = 0
     step = max(1, _BLOCK_CELLS // max(1, len(right)))
     for lo in range(0, len(left), step):
-        out[lo : lo + step] = _dot_block(ring, left[lo : lo + step], right) == 0
-    return out
-
-
-def _zero_dot_count(ring: Ring, left: np.ndarray, right: np.ndarray) -> int:
-    """Number of pairs with dot(left_i, right_j) == 0, _BLOCK_CELLS cells at a time."""
-    step = max(1, _BLOCK_CELLS // max(1, len(right)))
-    return sum(
-        int(np.count_nonzero(_dot_block(ring, left[lo : lo + step], right) == 0))
-        for lo in range(0, len(left), step)
-    )
+        zero = _dot_block(ring, left[lo : lo + step], right) == 0
+        if out is not None:
+            out[lo : lo + step] = zero
+        total += int(np.count_nonzero(zero))
+        del zero  # one block held at a time: freed before the next is made
+    return total
 
 
 class OrthGraph:
@@ -299,8 +294,8 @@ class OrthGraph:
 def build_graph(ring: Ring, d: int) -> OrthGraph:
     """Build (and cache) the dense graph, auditing biregularity; TooLarge over the cap."""
     classes = enumerate_classes(ring, d)
-    n = len(classes)
-    m = _dot_zero_block(ring, classes, classes)
+    m = np.empty((len(classes), len(classes)), dtype=np.uint8)
+    _zero_dot_count(ring, classes, classes, out=m)
     deg = class_degree(ring, d)
     rows_ok = (m.sum(axis=1, dtype=np.int64) == deg).all()
     cols_ok = (m.sum(axis=0, dtype=np.int64) == deg).all()
@@ -374,16 +369,13 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     Temporaries are chunked to CHUNK_CELLS cells, or to one right group's
     tables when that is larger.
     """
-    left = np.asarray(left_rows, dtype=np.int64)
-    right = np.asarray(right_rows, dtype=np.int64)
+    left, right = ring.check_indices(left_rows), ring.check_indices(right_rows)
     if left.ndim != 2 or right.ndim != 2 or not 0 < left.shape[1] == right.shape[1]:
         raise BadIndex("rows must be two (N, d) arrays of one width d >= 1")
     nl, nr = len(left), len(right)
     if nl == 0 or nr == 0:
         return 0
     size = ring.size
-    if min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= size:
-        raise BadIndex(f"row entries must be ring indices in [0, {size})")
     if nl * nr > MAX_PAIR_COUNT:
         raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
     l_keys, r_keys = _row_keys(ring, left[:, :-1]), _row_keys(ring, right[:, :-1])

@@ -27,7 +27,9 @@ z and the valuation is the first nonzero base-q digit.
 The :class:`Ring` methods ending in ``_many`` operate on numpy arrays
 of indices with broadcasting and are the backbone of the set-operation
 and graph modules; the scalar methods (``add``, ``mul``, ``inv``,
-``valuation``, ...) wrap them.  There is one arithmetic path.
+``valuation``, ...) are thin wrappers of them.  An element is its index
+everywhere, an int or an int64 array, and :meth:`Ring.check_indices` is
+the one range check.  There is one arithmetic path.
 Addition, subtraction and negation act on each digit mod m and never
 carry between digits.  Digit k of a*b is sum_ij a_i * b_j * B[i, j, k]
 mod m, one contraction with B.  It runs in float64, which is exact
@@ -45,16 +47,15 @@ Larger rings add digitwise and contract on each call.
 The inverse of a residue v is the Fermat power v**(q-2), and Newton
 steps lift it to the inverse of each unit.
 
-Rings and elements are immutable apart from those lazily built caches
-(the Cayley tables and the inverse table).  Each build is idempotent:
-two threads that race on one ring both compute the same arrays and one
-assignment wins, so a ring is safe to share across threads.
+Rings are immutable apart from those lazily built caches (the Cayley
+tables and the inverse table).  Each build is idempotent: two threads
+that race on one ring both compute the same arrays and one assignment
+wins, so a ring is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -68,7 +69,6 @@ from .errors import (
     NonPrime,
     NotAUnit,
     NotPrimePower,
-    RingMismatch,
     TooLarge,
     ValringError,
 )
@@ -76,7 +76,6 @@ from .errors import (
 __all__ = [
     "Ring",
     "RingFamily",
-    "Element",
     "ElementFilter",
     "make_ring",
     "check_ring_size",
@@ -364,8 +363,7 @@ class Ring:
 
     def coeffs(self, index: int) -> tuple[int, ...]:
         """z-adic digits (c_0, ..., c_{r-1}) of an element index."""
-        self._check_index(index)
-        return tuple(int(d) for d in self._qdigits(np.int64(index)))
+        return tuple(int(d) for d in self._qdigits(self.check_indices(index)))
 
     def from_coeffs(self, digits: Iterable[int]) -> int:
         ds = list(digits)
@@ -373,9 +371,21 @@ class Ring:
             raise BadIndex(f"bad digit vector {ds} for {self.descriptor}")
         return sum(d * self.q**k for k, d in enumerate(ds))
 
-    def _check_index(self, a: int) -> None:
-        if not 0 <= a < self.size:
-            raise BadIndex(f"index {a} outside [0, {self.size})")
+    def check_indices(self, a) -> np.ndarray:
+        """``a``, an index or an array or sequence of them, as int64.
+
+        BadIndex unless every entry lies in [0, size); an empty input
+        passes.  One compare covers both ends, since a negative entry
+        read as unsigned is at least 2**63.
+        """
+        try:
+            a = np.asarray(a, dtype=np.int64)
+        except OverflowError:
+            raise BadIndex(f"an index outside [0, {self.size})") from None
+        bad = a.view(np.uint64) >= self.size
+        if bad.any():
+            raise BadIndex(f"index {a[bad].flat[0]} outside [0, {self.size})")
+        return a
 
     # -- arithmetic on index arrays ------------------------------------------
 
@@ -416,28 +426,34 @@ class Ring:
         nz = digits != 0
         return np.where(nz.any(axis=-1), nz.argmax(axis=-1), self.r)
 
+    def is_unit_many(self, a) -> np.ndarray:
+        """Which indices are units: i is one iff q does not divide it, i.e. its
+        residue mod z is nonzero.  Every reader of the unit rule calls this."""
+        return np.asarray(a, dtype=np.int64) % self.q != 0
+
     # -- scalar arithmetic on indices ----------------------------------------
 
+    # Each checks its arguments first: the _many methods take their indices
+    # on trust, and a gather would wrap a negative one.
+
     def add(self, a: int, b: int) -> int:
-        return int(self.add_many(a, b))
+        return int(self.add_many(self.check_indices(a), self.check_indices(b)))
 
     def sub(self, a: int, b: int) -> int:
-        return int(self.sub_many(a, b))
+        return int(self.sub_many(self.check_indices(a), self.check_indices(b)))
 
     def neg(self, a: int) -> int:
-        return int(self.neg_many(a))
+        return int(self.neg_many(self.check_indices(a)))
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.mul_many(a, b))
+        return int(self.mul_many(self.check_indices(a), self.check_indices(b)))
 
     def valuation(self, a: int) -> int:
         """z-adic valuation: r for zero, else the first nonzero digit."""
-        self._check_index(a)
-        return int(self.valuation_many(a))
+        return int(self.valuation_many(self.check_indices(a)))
 
     def is_unit(self, a: int) -> bool:
-        self._check_index(a)
-        return a % self.q != 0
+        return bool(self.is_unit_many(self.check_indices(a)))
 
     def inv(self, a: int) -> int:
         """Inverse of a unit, looked up in :meth:`inverse_table`."""
@@ -483,24 +499,15 @@ class Ring:
         all_idx = np.arange(self.size, dtype=np.int64)
         if kind is ElementFilter.ALL:
             return all_idx
-        unit_mask = all_idx % self.q != 0
+        unit_mask = self.is_unit_many(all_idx)
         if kind is ElementFilter.UNITS:
             return all_idx[unit_mask]
         return all_idx[~unit_mask]
 
-    def element(self, index: int) -> "Element":
-        return Element(self, index)
-
     @property
-    def one(self) -> "Element":
-        return Element(self, 1)
-
-    @property
-    def uniformizer(self) -> "Element":
-        # z = 0 when r = 1 (the ring is a field)
-        if self.r < 2:
-            return Element(self, 0)
-        return Element(self, self.from_coeffs([0, 1]))
+    def uniformizer(self) -> int:
+        """Index of z, whose digits are (0, 1): q, or 0 when r = 1 (a field)."""
+        return self.q if self.r > 1 else 0
 
     def ideal_size(self, k: int) -> int:
         """Cardinality of the ideal generated by z**k."""
@@ -518,57 +525,6 @@ class Ring:
 
     def __repr__(self) -> str:
         return f"Ring({self.descriptor})"
-
-
-@dataclass(frozen=True)
-class Element:
-    """A ring element, identified by its canonical index."""
-
-    ring: Ring
-    index: int
-
-    def __post_init__(self):
-        self.ring._check_index(self.index)
-
-    def _same(self, other: "Element") -> None:
-        if not isinstance(other, Element):
-            raise TypeError(f"cannot combine Element with {type(other).__name__}")
-        if other.ring != self.ring:
-            raise RingMismatch(
-                f"elements of {self.ring.descriptor} and {other.ring.descriptor}"
-            )
-
-    def __add__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.ring, self.ring.add(self.index, other.index))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.ring, self.ring.sub(self.index, other.index))
-
-    def __mul__(self, other: "Element") -> "Element":
-        self._same(other)
-        return Element(self.ring, self.ring.mul(self.index, other.index))
-
-    def __neg__(self) -> "Element":
-        return Element(self.ring, self.ring.neg(self.index))
-
-    def inverse(self) -> "Element":
-        return Element(self.ring, self.ring.inv(self.index))
-
-    @property
-    def valuation(self) -> int:
-        return self.ring.valuation(self.index)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.ring.is_unit(self.index)
-
-    def coeffs(self) -> tuple[int, ...]:
-        return self.ring.coeffs(self.index)
-
-    def __repr__(self) -> str:
-        return f"<{self.index} in {self.ring.descriptor}>"
 
 
 def check_ring_size(base: int, exp: int) -> None:

@@ -25,13 +25,13 @@ of its squares) read it; ``_form_values`` lists the tuples for tests.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .config import CHUNK_CELLS, MAX_FOLD_CELLS, MAX_N
 from .errors import BadArity, BadIndex, BadSize, NotUnits, RingMismatch, TooLarge
-from .ring import Element, ElementFilter, Ring
+from .ring import ElementFilter, Ring
 
 __all__ = [
     "ElementSet",
@@ -71,18 +71,10 @@ class ElementSet:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def from_indices(cls, ring: Ring, indices: Iterable[Union[int, Element]]) -> "ElementSet":
-        checked = []
-        for i in indices:
-            if isinstance(i, Element):
-                if i.ring != ring:
-                    raise RingMismatch("element from a different ring")
-                i = i.index
-            i = int(i)
-            ring._check_index(i)
-            checked.append(i)
+    def from_indices(cls, ring: Ring, indices: Sequence[int]) -> "ElementSet":
+        """The set of a sequence or array of indices; BadIndex if one is out of range."""
         mask = np.zeros(ring.size, dtype=bool)
-        mask[checked] = True
+        mask[ring.check_indices(indices)] = True
         return cls(ring, mask)
 
     @classmethod
@@ -100,12 +92,11 @@ class ElementSet:
 
     @classmethod
     def units(cls, ring: Ring) -> "ElementSet":
-        # the rule of Ring.indices: index i is a unit iff q does not divide i
-        return cls(ring, np.arange(ring.size) % ring.q != 0)
+        return cls(ring, ring.is_unit_many(np.arange(ring.size)))
 
     @classmethod
     def maximal_ideal(cls, ring: Ring) -> "ElementSet":
-        return cls(ring, np.arange(ring.size) % ring.q == 0)
+        return cls(ring, ~ring.is_unit_many(np.arange(ring.size)))
 
     # -- views ---------------------------------------------------------------
 
@@ -122,11 +113,7 @@ class ElementSet:
     def mask(self) -> np.ndarray:
         return self._mask
 
-    def __contains__(self, item: Union[int, Element]) -> bool:
-        if isinstance(item, Element):
-            if item.ring != self.ring:
-                return False
-            item = item.index
+    def __contains__(self, item: int) -> bool:
         return 0 <= item < self.ring.size and bool(self._mask[item])
 
     def __iter__(self) -> Iterator[int]:
@@ -329,7 +316,7 @@ def triple_product_sizes(
 
 def sample_unit_subset(ring: Ring, k: int, seed: int) -> ElementSet:
     """Uniform random k-subset of the units, deterministic in the seed."""
-    units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
+    units = ring.indices(ElementFilter.UNITS).tolist()  # random.sample refuses an ndarray
     if not 1 <= k <= len(units):
         raise BadSize(f"need 1 <= k <= {len(units)} for {ring.descriptor}, got {k}")
     return ElementSet.from_indices(ring, random.Random(seed).sample(units, k))

@@ -310,8 +310,9 @@ def check_square_halving(
     sizes are sampled.  The two-to-one structure is verified first: the
     preimage of each unit square is exactly a pair {y, -y}.
     """
-    units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
-    sq_of = {u: ring.mul(u, u) for u in units}
+    unit_idx = ring.indices(ElementFilter.UNITS)
+    units = unit_idx.tolist()
+    sq_of = dict(zip(units, ring.mul_many(unit_idx, unit_idx).tolist()))
     fibers: dict = {}
     for u in units:
         fibers.setdefault(sq_of[u], set()).add(u)
@@ -533,7 +534,7 @@ def extremal_search(ring: Ring, k: int, iters: int, seed: int) -> dict:
     best objective so far in chain order, hence non-increasing.
     """
     check_count("iters", iters, 0)
-    units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
+    units = ring.indices(ElementFilter.UNITS).tolist()
     if not 1 <= k <= len(units):
         raise BadSize(f"size {k} outside [1, {len(units)}] for {ring.descriptor}")
     if k == len(units):

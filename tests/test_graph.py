@@ -104,6 +104,9 @@ def test_canonicalize_scalar(z9):
     assert canonicalize(z9, (0, 3, 5)) == (0, 6, 1)
     with pytest.raises(AllNonUnits):
         canonicalize(z9, (0, 3, 6))
+    for bad in (9, -1):
+        with pytest.raises(BadIndex):
+            canonicalize(z9, (1, bad, 2))
 
 
 @given(st.integers(1, 8), st.lists(st.integers(0, 8), min_size=3, max_size=3))
@@ -120,7 +123,7 @@ def test_canonicalize_is_scale_invariant(u, vec):
 def _canonicalize_reference(ring, vec):
     """Scale by the inverse of the first unit coordinate, found by search."""
     pivot = next(c for c in vec if ring.is_unit(c))
-    inv = next(y for y in range(ring.size) if ring.mul(pivot, y) == ring.one.index)
+    inv = next(y for y in range(ring.size) if ring.mul(pivot, y) == 1)
     return tuple(ring.mul(inv, c) for c in vec)
 
 
@@ -241,11 +244,14 @@ def test_dot_block_exact_near_the_int32_bound(p, k, family):
 def test_dot_zero_block_row_blocks_match_one_block(desc, monkeypatch):
     ring = parse_ring(desc)
     classes = enumerate_classes(ring, 3)
-    whole = graph_module._dot_zero_block(ring, classes, classes)
-    assert whole.sum() == len(classes) * class_degree(ring, 3)
+    whole = np.full((len(classes), len(classes)), 2, dtype=np.uint8)
+    count = graph_module._zero_dot_count(ring, classes, classes, out=whole)
+    assert count == whole.sum() == len(classes) * class_degree(ring, 3)
     # blocks of 4 rows; 117 and 91 classes leave a short last block
     monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 4 * len(classes))
-    assert np.array_equal(graph_module._dot_zero_block(ring, classes, classes), whole)
+    blocked = np.full_like(whole, 2)
+    assert graph_module._zero_dot_count(ring, classes, classes, out=blocked) == count
+    assert np.array_equal(blocked, whole)
 
 
 def test_spectrum_frozen_f3():
@@ -318,7 +324,7 @@ def test_pair_edge_count_cap(z9, monkeypatch):
 
 
 def _pairwise_count(ring, left, right):
-    return int(graph_module._dot_zero_block(ring, left, right).sum())
+    return graph_module._zero_dot_count(ring, left, right)
 
 
 def _random_side(ring, rng, d, rows, prefixes, last):
@@ -431,7 +437,7 @@ def test_pair_edge_count_fallback_row_blocks(monkeypatch):
     ring = make_ring(65521, 1, 1)
     left, right = _near_top_rows(ring, 8, 4)
     expected = _pairwise_count(ring, left, right)
-    assert int(graph_module._dot_zero_block(ring, left[56:], right).sum()) > 0
+    assert _pairwise_count(ring, left[56:], right) > 0
     monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 7 * len(right))
     assert pair_edge_count(ring, left, right) == expected
 

@@ -9,14 +9,12 @@ from valring import ring as ring_module
 from valring import (
     BadFamilyCombo,
     BadIndex,
-    Element,
     ElementFilter,
     EvenPrime,
     NotAUnit,
     NonPrime,
     Ring,
     RingFamily,
-    RingMismatch,
     TooLarge,
     make_ring,
 )
@@ -153,7 +151,7 @@ def test_fqtr_ring_axioms(triple):
     right = ring.add(ring.mul(a, b), ring.mul(a, c))
     assert left == right
     assert ring.add(a, ring.neg(a)) == 0
-    assert ring.mul(a, ring.one.index) == a
+    assert ring.mul(a, 1) == a
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +302,6 @@ def test_ring_above_table_cap_stays_on_digit_path():
         assert ring.size > ring_module._TABLE_MAX_SIZE
         rng = np.random.default_rng(49)
         a, b, c = rng.integers(0, ring.size, size=(3, 500))
-        one = ring.one.index
         assert (ring.add_many(a, b) == ring.add_many(b, a)).all()
         assert (ring.mul_many(a, b) == ring.mul_many(b, a)).all()
         assert (ring.add_many(ring.add_many(a, b), c) == ring.add_many(a, ring.add_many(b, c))).all()
@@ -314,7 +311,7 @@ def test_ring_above_table_cap_stays_on_digit_path():
         assert (left == right).all()
         assert (ring.add_many(a, ring.neg_many(a)) == 0).all()
         assert (ring.add_many(ring.sub_many(a, b), b) == a).all()
-        assert (ring.mul_many(a, one) == a).all()
+        assert (ring.mul_many(a, 1) == a).all()
         assert ring._cayley_tables is None
 
 
@@ -354,10 +351,8 @@ def test_digit_path_memory():
 
 def test_characteristic(z9, f9t2):
     # Z/9 has characteristic 9, F_9[t]/(t^2) has characteristic 3
-    one = z9.one.index
-    assert z9.add(z9.add(one, one), one) != 0
-    fone = f9t2.one.index
-    assert f9t2.add(f9t2.add(fone, fone), fone) == 0
+    assert z9.add(z9.add(1, 1), 1) != 0
+    assert f9t2.add(f9t2.add(1, 1), 1) == 0
 
 
 def test_field_multiplication_oracle():
@@ -397,7 +392,7 @@ def test_field_mul_and_inverse_match_schoolbook(p, s):
 
 
 def test_fqtr_uniformizer_nilpotent(f9t2):
-    t = f9t2.uniformizer.index
+    t = f9t2.uniformizer
     assert f9t2.valuation(t) == 1
     assert f9t2.mul(t, t) == 0
     # t * (a0 + a1 t) = a0 t, killing the top coefficient
@@ -428,31 +423,62 @@ def test_valuation_level_counts(maker):
 def test_inverse_on_units(maker):
     ring = make_ring(*maker)
     for x in ring.indices(ElementFilter.UNITS):
-        assert ring.mul(int(x), ring.inv(int(x))) == ring.one.index
+        assert ring.mul(int(x), ring.inv(int(x))) == 1
     with pytest.raises(NotAUnit):
         ring.inv(0)
     with pytest.raises(NotAUnit):
-        ring.inv(ring.uniformizer.index)
+        ring.inv(ring.uniformizer)
 
 
 @pytest.mark.parametrize("maker", [(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
 def test_scalar_twins_reject_bad_index(maker):
     ring = make_ring(*maker)
-    for bad in (-1, ring.size):
-        with pytest.raises(BadIndex):
-            ring.valuation(bad)
-        with pytest.raises(BadIndex):
-            ring.inv(bad)
+    for bad in (-1, ring.size, 2**70):
+        for scalar in (ring.valuation, ring.inv, ring.is_unit, ring.coeffs, ring.neg):
+            with pytest.raises(BadIndex):
+                scalar(bad)
+        for binary in (ring.add, ring.sub, ring.mul):
+            for args in ((bad, 1), (1, bad)):
+                with pytest.raises(BadIndex):
+                    binary(*args)
+
+
+@pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
+def test_check_indices_checks_all_entries_at_once(maker):
+    ring = make_ring(*maker)
+    every = np.arange(ring.size)
+    assert ring.check_indices(every) is every  # int64 input is not copied
+    assert ring.check_indices([0, ring.size - 1]).tolist() == [0, ring.size - 1]
+    assert ring.check_indices(5).shape == () and ring.check_indices([]).size == 0
+    for bad in (-1, ring.size, np.iinfo(np.int64).min):
+        grid = np.zeros((3, 4), dtype=np.int64)
+        grid[2, 1] = bad
+        for a in (bad, grid, grid.T, [1, 2, int(bad)]):
+            with pytest.raises(BadIndex):
+                ring.check_indices(a)
+    with pytest.raises(BadIndex):
+        ring.check_indices([1, 2**64])
 
 
 def test_unit_iff_valuation_zero(z25):
     for x in range(25):
         assert z25.is_unit(x) == (z25.valuation(x) == 0)
+    assert z25.is_unit_many(range(25)).tolist() == [z25.is_unit(x) for x in range(25)]
+
+
+@pytest.mark.parametrize(
+    "maker,z",
+    [((3, 1, 3, "zpr"), 3), ((3, 2, 2, "fqtr"), 9), ((7, 1, 1, "zpr"), 0), ((3, 2, 1, "fqtr"), 0)],
+)
+def test_uniformizer_is_an_index(maker, z):
+    ring = make_ring(*maker)
+    assert type(ring.uniformizer) is int and ring.uniformizer == z
+    assert ring.coeffs(z) == ((0, 1) + (0,) * (ring.r - 2) if ring.r > 1 else (0,))
 
 
 def test_uniformizer_power_chain():
     ring = make_ring(3, 1, 3)
-    z = ring.uniformizer.index
+    z = ring.uniformizer
     assert z == 3
     zz = ring.mul(z, z)
     assert ring.valuation(zz) == 2
@@ -491,29 +517,3 @@ def test_from_int(z9, f9t2):
     assert f9t2.from_int(3) == 0
     assert f9t2.from_int(4) == 1
 
-
-# ---------------------------------------------------------------------------
-# Element wrapper
-
-
-def test_element_operators(z9):
-    a = z9.element(2)
-    b = z9.element(5)
-    assert (a + b).index == 7
-    assert (a * b).index == 1
-    assert (a - b).index == 6
-    assert (-a).index == 7
-    assert a.inverse().index == 5
-    assert a.is_unit
-    assert z9.element(3).valuation == 1
-
-
-def test_element_ring_mismatch(z9, z25):
-    with pytest.raises(RingMismatch):
-        _ = z9.element(1) + z25.element(1)
-
-
-def test_element_is_hashable(z9):
-    seen = {z9.element(1), z9.element(1), z9.element(2)}
-    assert len(seen) == 2
-    assert Element(z9, 1) in seen
