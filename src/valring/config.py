@@ -11,12 +11,14 @@ SPECTRAL_TOL = 1e-6
 # their temporaries and changes no result
 CHUNK_CELLS = 4_000_000
 
-# Size caps, each compared in one module; none is set per call.  make_ring and
-# build_graph key their caches on what they build.
+# Size caps, each compared in the module named beside it; none is set per call.
+# make_ring and build_graph key their caches on what they build.
 MAX_RING_SIZE = 1 << 16  # largest ring cardinality q**r (ring.py)
 MAX_GRAPH_CLASSES = 5000  # largest per-side class count of a dense graph and its SVD (graph.py)
 MAX_N = 4  # largest tuple-length parameter n of the fold (sets.py)
-MAX_FOLD_CELLS = 50_000_000  # most support pairs one pass of the fold visits (sets.py)
+# most support pairs one pass of the fold visits (sets.py), and most subset
+# element visits of check_square_halving (verify.py)
+MAX_FOLD_CELLS = 50_000_000
 # largest |U|*|V| the direct edge count takes on, a route cap: the grouped
 # kernel visits far fewer cells (graph.py)
 MAX_PAIR_COUNT = 30_000_000

@@ -85,6 +85,7 @@ __all__ = [
     "spectrum",
     "edge_count",
     "pair_edge_count",
+    "edge_route",
     "mixing_random_pairs",
     "EmbeddedSets",
     "embed_solution_sets",
@@ -162,26 +163,38 @@ def canonicalize_rows(
     return out
 
 
-def _capped_class_count(ring: Ring, d: int) -> int:
-    """class_count(ring, d), or TooLarge when it exceeds MAX_GRAPH_CLASSES.
-
-    class_count >= q**((d-1)r) and q >= 3, so (d-1)r is clipped at the
-    cap's bit length; the closed form runs only on small exponents.
-    """
+def _graph_classes(ring: Ring, d: int) -> Optional[int]:
+    """class_count(ring, d) where it fits MAX_GRAPH_CLASSES, else None.  It
+    is at least q**((d-1)r) with q >= 3, so (d-1)r is clipped at the cap's
+    bit length and the closed form runs only on small exponents."""
     _check_dim(d)
     clipped = min((d - 1) * ring.r, MAX_GRAPH_CLASSES.bit_length())
     if ring.q**clipped <= MAX_GRAPH_CLASSES:
         count = class_count(ring, d)
         if count <= MAX_GRAPH_CLASSES:
             return count
-    raise TooLarge(
-        f"more than {MAX_GRAPH_CLASSES} classes per side for {ring.descriptor}, d={d}"
-    )
+    return None
+
+
+def edge_route(ring: Ring, d: int, u_count: int, v_count: int) -> str:
+    """The replay's route for e(U, V), from closed forms alone: "bound-only"
+    past MAX_EMBED_SIZE on a side (no rows are built) or past MAX_PAIR_COUNT
+    on |U|*|V| (pair_edge_count refuses), else "graph" where the classes fit
+    MAX_GRAPH_CLASSES, else "direct".  U and V are distinct classes, so a
+    graph that fits has |U|*|V| <= MAX_GRAPH_CLASSES**2 <= MAX_PAIR_COUNT:
+    the count never refuses where the graph fits."""
+    if max(u_count, v_count) > MAX_EMBED_SIZE or u_count * v_count > MAX_PAIR_COUNT:
+        return "bound-only"
+    return "direct" if _graph_classes(ring, d) is None else "graph"
 
 
 def enumerate_classes(ring: Ring, d: int) -> np.ndarray:
     """All canonical representatives, rows sorted lexicographically."""
-    expected = _capped_class_count(ring, d)
+    expected = _graph_classes(ring, d)
+    if expected is None:
+        raise TooLarge(
+            f"more than {MAX_GRAPH_CLASSES} classes per side for {ring.descriptor}, d={d}"
+        )
     ideal = ring.indices(ElementFilter.MAXIMAL_IDEAL)
     everything = ring.indices(ElementFilter.ALL)
     one = np.array([1], dtype=np.int64)

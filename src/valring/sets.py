@@ -12,12 +12,13 @@ from A^2 x (A+A)^{n-1} x A^{n-1} and fold them through
 
 Every reader of the fold takes one :class:`FoldSets` record, the sets
 A, A+A, A^2 and nA^2 with n, which ``fold_sets`` builds once after
-checking 2 <= n <= ``MAX_N``; a replay hands the same record to the
-fold and to the graph embeddings.  ``form_value_histogram`` counts the
-fold as the convolution 1_{A^2} * h^{*(n-1)}, h the histogram of
-(b - c)^2 over A+A x A, without listing its T tuples: each convolution
-pass pairs two supports through ``add_many``, exact in both additive
-groups; no pass visits more than T or ``MAX_FOLD_CELLS`` cells.
+checking |A|^2 <= ``MAX_FOLD_CELLS`` and 2 <= n <= ``MAX_N``; a replay
+hands the same record to the fold and to the graph embeddings.
+``form_value_histogram`` counts the fold as the convolution
+1_{A^2} * h^{*(n-1)}, h the histogram of (b - c)^2 over A+A x A, without
+listing its T tuples: each convolution pass pairs two supports through
+``add_many``, exact in both additive groups; no pass visits more than T
+or ``MAX_FOLD_CELLS`` cells.
 ``count_form_solutions`` (its mass on nA^2) and ``form_energy`` (the sum
 of its squares) read it; ``_form_values`` lists the tuples for tests.
 """
@@ -231,7 +232,11 @@ class FoldSets(NamedTuple):
 
 
 def fold_sets(a: ElementSet, n: int) -> FoldSets:
-    """Check 2 <= n <= MAX_N, then build A^2, A+A and nA^2 once each."""
+    """Check |A|^2 against MAX_FOLD_CELLS and 2 <= n <= MAX_N, then build A^2,
+    A+A and nA^2 once each.  A+A takes |A|^2 support pairs, as does the fold's
+    first pass (|A+A|*|A| >= |A|^2), so an oversize A is refused before any
+    set is built."""
+    check_fold_cells(a.card**2)
     if not 2 <= n <= MAX_N:
         raise BadArity(f"need 2 <= n <= {MAX_N}, got {n}")
     sq = square_set(a)

@@ -25,12 +25,13 @@ from itertools import combinations
 from statistics import median
 from typing import Optional, Sequence
 
-from .config import SPECTRAL_TOL, check_count, derive_seed
+from .config import MAX_FOLD_CELLS, SPECTRAL_TOL, check_count, derive_seed
 from .errors import BadSize, NotUnits, TooLarge
 from .graph import (
     build_graph,
     class_count,
     class_degree,
+    edge_route,
     embed_energy_sets,
     embed_solution_sets,
     lambda3_bound,
@@ -142,29 +143,14 @@ def _prepare(a: ElementSet, warnings: list) -> ElementSet:
 
 
 def _edge_route(ring: Ring, d: int, emb) -> dict:
-    """Count e(U, V) exactly where possible and price the mixing bound.
-
-    Every route with rows counts through pair_edge_count, which refuses
-    past MAX_PAIR_COUNT (bound-only).  The dense graph, refused past
-    MAX_GRAPH_CLASSES (direct), only supplies sigma_2 to the graph route;
-    the others take the closed-form bound.  U and V are distinct classes,
-    so a graph that fits has |U|*|V| <= MAX_GRAPH_CLASSES**2 <=
-    MAX_PAIR_COUNT, and the count never refuses where the graph fits.
-    A skipped embedding has no rows and is bound-only.
-    """
+    """Count e(U, V) off bound-only and price the mixing bound on ``edge_route``'s route."""
     n_cls = class_count(ring, d)
     deg = class_degree(ring, d)
-    edges = None
-    mode = "bound-only"
+    mode = edge_route(ring, d, emb.u_count, emb.v_count)
+    edges = None if mode == "bound-only" else pair_edge_count(ring, emb.u_rows, emb.v_rows)
     lam, kind = lambda3_bound(ring, d), "theoretical"
-    if emb.u_rows is not None:
-        try:
-            edges, mode = pair_edge_count(ring, emb.u_rows, emb.v_rows), "direct"
-            g = build_graph(ring, d)
-        except TooLarge:
-            pass
-        else:
-            lam, kind, mode = float(spectrum(g)[1]), "computed", "graph"
+    if mode == "graph":
+        lam, kind = float(spectrum(build_graph(ring, d))[1]), "computed"
     pair_geom = math.sqrt(emb.u_count * emb.v_count)
     main = deg * emb.u_count * emb.v_count / n_cls
     return {
@@ -200,8 +186,6 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
     q, r = ring.q, ring.r
     warnings: list = []
     a = _prepare(a_in, warnings)
-    # the fold's first pass visits |A+A|*|A| >= |A|^2 cells: refuse before any sumset
-    check_fold_cells(a.card**2)
     f = fold_sets(a, n)
     k, s, sq, tgt = a.card, f.plus, f.sq, f.target
     t1, t2, t3, hyp_rhs = _growth_bounds(q, r, k, n)
@@ -301,16 +285,31 @@ def verify_thm2_pipeline(a_in: ElementSet, n: int) -> PipelineReport:
 # -- square halving -------------------------------------------------------------
 
 
+def _check_halving_visits(u: int, top: int, samples: int) -> None:
+    """Refuse past MAX_FOLD_CELLS element visits: sum k*C(u, k) over the
+    enumerated sizes k <= top, plus ``samples`` draws of each larger size."""
+    visits = samples * (u * (u + 1) - top * (top + 1)) // 2
+    for k in range(1, top + 1):
+        if visits > MAX_FOLD_CELLS:
+            break
+        visits += k * math.comb(u, k)
+    if visits > MAX_FOLD_CELLS:
+        raise TooLarge(f"at least {visits} element visits exceed cap {MAX_FOLD_CELLS}")
+
+
 def check_square_halving(
     ring: Ring, exhaustive_limit: int, samples: int = 200, seed: int = 0
 ) -> dict:
     """Check |A|/2 <= |A^2| <= |A| over unit subsets, plus the fiber audit.
 
     Subsets of size up to ``exhaustive_limit`` are enumerated, larger
-    sizes are sampled.  The two-to-one structure is verified first: the
-    preimage of each unit square is exactly a pair {y, -y}.
+    sizes are sampled; TooLarge, before any subset, when their element
+    visits pass MAX_FOLD_CELLS.  The two-to-one structure is verified
+    first: the preimage of each unit square is exactly a pair {y, -y}.
     """
     unit_idx = ring.indices(ElementFilter.UNITS)
+    top = min(exhaustive_limit, len(unit_idx))
+    _check_halving_visits(len(unit_idx), top, samples)
     units = unit_idx.tolist()
     sq_of = dict(zip(units, ring.mul_many(unit_idx, unit_idx).tolist()))
     fibers: dict = {}
@@ -332,7 +331,6 @@ def check_square_halving(
         if not (2 * sq_card >= card and sq_card <= card):
             violations.append({"set": sorted(subset), "sq_card": sq_card})
 
-    top = min(exhaustive_limit, len(units))
     for size in range(1, top + 1):
         for combo in combinations(units, size):
             check(combo)
@@ -441,6 +439,7 @@ def bound_ratio_scan(
     for k in sizes:
         if not 1 <= k <= unit_total:
             raise BadSize(f"size {k} outside [1, {unit_total}] for {ring.descriptor}")
+        check_fold_cells(k * k)  # what fold_sets refuses, before any size is scanned
 
     rows = []
     for si, k in enumerate(sizes):

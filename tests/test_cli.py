@@ -380,6 +380,10 @@ _RING_WORK = ("ring.is_prime", "ring.factor_prime_power", "cli.factor_prime_powe
     # |A|^2 past MAX_FOLD_CELLS: refused before the sumsets of the fold sets
     (["verify", "thm1", "--ring", "z:65521:1", "--set", "units", "--n", "2"], ("sets.sumset",)),
     (["verify", "thm2", "--ring", "z:3:10", "--set", "units"], ("sets.sumset",)),
+    # every command that builds A+A refuses |A|^2 past MAX_FOLD_CELLS the same way
+    (["classify", "--ring", "z:3:10", "--set", "units"], ("sets.sumset",)),
+    (["scan", "ratios", "--ring", "z:3:10", "--sizes", "2,39366"], ("sets.sumset",)),
+    (["search", "extremal", "--ring", "z:3:10", "--sizes", "39366"], ("sets.sumset",)),
     # constants that overflow a float threshold: refused before A+A is built
     (["classify", "--ring", "z:3:2", "--set", "units", "--constants", "1e308,1e308,1e308"],
      ("sets.sumset",)),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from valring import (
     BadSize,
     ElementSet,
     NotUnits,
+    TooLarge,
     bound_ratio_scan,
     build_graph,
     check_square_halving,
@@ -47,6 +49,35 @@ def test_square_halving_sampled_z25(z25):
     assert rep["passed"]
     assert rep["checked_exhaustive"] == 20 + 190 + 1140
     assert rep["checked_sampled"] == 17 * 5
+
+
+@pytest.mark.parametrize("spec,kwargs", [
+    ((7, 1, 3), {"exhaustive_limit": 4}),  # C(294, 4) = 3.0e8 subsets
+    ((65521, 1, 1), {"exhaustive_limit": 1, "samples": 5}),  # about 1.1e10 draws
+])
+def test_square_halving_refuses_before_it_enumerates(spec, kwargs, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a subset was enumerated before the cap was checked")
+
+    monkeypatch.setattr(verify_module, "combinations", refuse)
+    ring = make_ring(*spec)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="element visits"):
+        check_square_halving(ring, **kwargs)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("limit,samples,visits", [
+    (8, 0, 1_883_680),  # sum_{k <= 8} k*C(20, k), acceptance criterion 5
+    (3, 5, 20 + 380 + 3420 + 5 * (210 - 6)),  # and 5 draws of each size 4..20
+])
+def test_square_halving_cap_counts_every_visit(limit, samples, visits, monkeypatch):
+    ring = make_ring(5, 1, 2)
+    monkeypatch.setattr(verify_module, "MAX_FOLD_CELLS", visits)
+    check_square_halving(ring, exhaustive_limit=limit, samples=samples)
+    monkeypatch.setattr(verify_module, "MAX_FOLD_CELLS", visits - 1)
+    with pytest.raises(TooLarge):
+        check_square_halving(ring, exhaustive_limit=limit, samples=samples)
 
 
 def test_square_fibers_are_negation_pairs(z9):
@@ -108,7 +139,6 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
     a = ElementSet.units(z9)
     dense = verify_thm1_pipeline(a, 2).embed
     assert dense["mode"] == "graph" and dense["classes_per_side"] == 117
-    build_graph.cache_clear()  # a cached graph would skip the class cap
     with monkeypatch.context() as m:
         m.setattr(graph_module, "MAX_GRAPH_CLASSES", 116)
         direct = verify_thm1_pipeline(a, 2).embed
@@ -124,11 +154,30 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
         assert skipped["audit"] == "skipped" and skipped["mode"] == "bound-only"
 
 
+def test_edge_route_at_each_cap(z9, monkeypatch):
+    route = graph_module.edge_route
+    side, pairs = graph_module.MAX_EMBED_SIZE, graph_module.MAX_PAIR_COUNT
+    # MAX_EMBED_SIZE on one side
+    assert route(z9, 3, side, 1) == route(z9, 3, 1, side) == "graph"
+    assert route(z9, 3, side + 1, 1) == route(z9, 3, 1, side + 1) == "bound-only"
+    # MAX_PAIR_COUNT on |U|*|V|
+    assert route(z9, 3, 6000, 5000) == "graph" and 6000 * 5000 == pairs
+    with monkeypatch.context() as m:
+        m.setattr(graph_module, "MAX_EMBED_SIZE", pairs + 1)  # only the pair cap binds
+        assert route(z9, 3, pairs, 1) == "graph"
+        assert route(z9, 3, pairs + 1, 1) == "bound-only"
+    # MAX_GRAPH_CLASSES on the class count
+    assert graph_module.class_count(z9, 4) == 1080 and route(z9, 4, 10, 10) == "graph"
+    assert graph_module.class_count(z9, 5) == 9801 and route(z9, 5, 10, 10) == "direct"
+    assert route(z9, 5, pairs, 2) == "bound-only"
+
+
 def test_every_graph_that_fits_has_a_pair_count():
     # U and V are distinct classes, so |U|*|V| <= MAX_GRAPH_CLASSES**2
     assert graph_module.MAX_GRAPH_CLASSES**2 <= graph_module.MAX_PAIR_COUNT, (
-        "_edge_route counts e(U, V) with pair_edge_count on the graph route too; "
-        "a dense cap past sqrt(MAX_PAIR_COUNT) would leave fitting graphs without a count"
+        "edge_route tests MAX_PAIR_COUNT before the class cap, and the graph route counts "
+        "e(U, V) too; a dense cap past sqrt(MAX_PAIR_COUNT) would send graphs that fit "
+        "to bound-only"
     )
 
 
