@@ -35,7 +35,7 @@ from .graph import (
     pair_edge_count,
     spectrum,
 )
-from .ring import ElementFilter, Ring, RingFamily, make_ring
+from .ring import Ring, RingFamily, make_ring
 from .sets import (
     ElementSet,
     FoldSets,

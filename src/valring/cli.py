@@ -154,7 +154,7 @@ def _handle_verify_thm(ns: argparse.Namespace, ring: Ring):
     a = _one_set(ns, ring)
     fn = verify_thm1_pipeline if ns.command == "verify thm1" else verify_thm2_pipeline
     report = fn(a, ns.n)
-    return report.to_dict(), report.hard_pass
+    return report._asdict(), report.hard_pass
 
 
 def _handle_verify_hpv(ns: argparse.Namespace, ring: Ring):
@@ -182,7 +182,7 @@ def _handle_scan(ns: argparse.Namespace, ring: Ring):
 def _handle_classify(ns: argparse.Namespace, ring: Ring):
     a = _one_set(ns, ring)
     verdict = classify_regime(a, ns.constants)
-    payload = {"kind": "regime", "ring": ring.descriptor, **verdict.to_dict()}
+    payload = {"kind": "regime", "ring": ring.descriptor, **verdict._asdict()}
     return payload, True
 
 

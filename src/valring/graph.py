@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import random
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,8 +70,8 @@ from .errors import (
     BadIndex,
     TooLarge,
 )
-from .ring import ElementFilter, Ring
-from .sets import FoldSets
+from .ring import Ring
+from .sets import ElementSet, FoldSets
 
 __all__ = [
     "class_count",
@@ -195,8 +195,8 @@ def enumerate_classes(ring: Ring, d: int) -> np.ndarray:
         raise TooLarge(
             f"more than {MAX_GRAPH_CLASSES} classes per side for {ring.descriptor}, d={d}"
         )
-    ideal = ring.indices(ElementFilter.MAXIMAL_IDEAL)
-    everything = ring.indices(ElementFilter.ALL)
+    ideal = ElementSet.maximal_ideal(ring).indices()
+    everything = np.arange(ring.size, dtype=np.int64)
     one = np.array([1], dtype=np.int64)
     blocks = []
     for pivot in range(d):
@@ -500,38 +500,21 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
 # -- statistic-preserving vertex embeddings -------------------------------------
 
 
-class EmbeddedSets:
-    """Two vertex-class lists whose edge count equals a set statistic."""
+class EmbeddedSets(NamedTuple):
+    """Two vertex-class lists whose edge count equals a set statistic;
+    the rows are None when the size cap left them out."""
 
-    def __init__(
-        self,
-        ring: Ring,
-        n: int,
-        d: int,
-        u_rows: Optional[np.ndarray],
-        v_rows: Optional[np.ndarray],
-        u_count: int,
-        v_count: int,
-    ):
-        self.ring = ring
-        self.n = n
-        self.d = d
-        self.u_rows = u_rows
-        self.v_rows = v_rows
-        self.u_count = u_count
-        self.v_count = v_count
+    d: int
+    u_rows: Optional[np.ndarray]
+    v_rows: Optional[np.ndarray]
+    u_count: int
+    v_count: int
 
     @property
     def audit(self) -> str:
         """Return "ok" when both sides were built (building checks
         injectivity), "skipped" when the size cap left them out."""
         return "ok" if self.u_rows is not None else "skipped"
-
-    def __repr__(self) -> str:
-        return (
-            f"EmbeddedSets(d={self.d}, |U|={self.u_count}, |V|={self.v_count}, "
-            f"audit={self.audit})"
-        )
 
 
 def _finish_side(ring: Ring, cols: list[np.ndarray]) -> np.ndarray:
@@ -572,7 +555,7 @@ def _embed_blocks(
     u_count = math.prod(len(b) for b in u_blocks)
     v_count = math.prod(len(b) for b in v_blocks)
     if max(u_count, v_count) > MAX_EMBED_SIZE:
-        return EmbeddedSets(ring, f.n, d, None, None, u_count, v_count)
+        return EmbeddedSets(d, None, None, u_count, v_count)
 
     k = len(signs) + 1
     u, v = (
@@ -584,7 +567,7 @@ def _embed_blocks(
     u_rows = _finish_side(ring, u_cols + [_signed_sum(ring, u, signs, u[-1]), one])
     v_sum = _signed_sum(ring, v, signs, ring.neg_many(v[-1]))
     v_rows = _finish_side(ring, v[:-1] + [one, v_sum])
-    return EmbeddedSets(ring, f.n, d, u_rows, v_rows, u_count, v_count)
+    return EmbeddedSets(d, u_rows, v_rows, u_count, v_count)
 
 
 def _signed_sum(

@@ -76,7 +76,6 @@ from .errors import (
 __all__ = [
     "Ring",
     "RingFamily",
-    "ElementFilter",
     "make_ring",
     "check_ring_size",
     "is_prime",
@@ -99,12 +98,6 @@ _TABLE_MAX_SIZE = 125
 class RingFamily(enum.Enum):
     ZPR = "zpr"
     FQTR = "fqtr"
-
-
-class ElementFilter(enum.Enum):
-    ALL = "all"
-    UNITS = "units"
-    MAXIMAL_IDEAL = "maximal_ideal"
 
 
 def is_prime(n: int) -> bool:
@@ -470,7 +463,7 @@ class Ring:
         each round, so ceil(log2(r)) rounds suffice.  The result is checked.
         """
         if self._inverse_table is None:
-            units = self.indices(ElementFilter.UNITS)
+            units = np.flatnonzero(self.is_unit_many(np.arange(self.size)))
             inv0, power = np.ones(self.q, np.int64), np.arange(self.q, dtype=np.int64)
             e = self.q - 2
             while e:
@@ -491,18 +484,6 @@ class Ring:
     def from_int(self, k: int) -> int:
         """Image of the integer k under the unique map Z -> R."""
         return k % self.m
-
-    # -- enumeration ---------------------------------------------------------
-
-    def indices(self, kind: ElementFilter = ElementFilter.ALL) -> np.ndarray:
-        kind = ElementFilter(kind)
-        all_idx = np.arange(self.size, dtype=np.int64)
-        if kind is ElementFilter.ALL:
-            return all_idx
-        unit_mask = self.is_unit_many(all_idx)
-        if kind is ElementFilter.UNITS:
-            return all_idx[unit_mask]
-        return all_idx[~unit_mask]
 
     @property
     def uniformizer(self) -> int:

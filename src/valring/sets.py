@@ -32,7 +32,7 @@ import numpy as np
 
 from .config import CHUNK_CELLS, MAX_FOLD_CELLS, MAX_N
 from .errors import BadArity, BadIndex, BadSize, NotUnits, RingMismatch, TooLarge
-from .ring import ElementFilter, Ring
+from .ring import Ring
 
 __all__ = [
     "ElementSet",
@@ -321,7 +321,7 @@ def triple_product_sizes(
 
 def sample_unit_subset(ring: Ring, k: int, seed: int) -> ElementSet:
     """Uniform random k-subset of the units, deterministic in the seed."""
-    units = ring.indices(ElementFilter.UNITS).tolist()  # random.sample refuses an ndarray
+    units = ElementSet.units(ring).indices().tolist()  # random.sample refuses an ndarray
     if not 1 <= k <= len(units):
         raise BadSize(f"need 1 <= k <= {len(units)} for {ring.descriptor}, got {k}")
     return ElementSet.from_indices(ring, random.Random(seed).sample(units, k))

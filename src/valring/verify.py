@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import combinations
 from statistics import median
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .config import MAX_FOLD_CELLS, SPECTRAL_TOL, check_count, derive_seed
 from .errors import BadSize, NotUnits, TooLarge
@@ -38,7 +37,7 @@ from .graph import (
     pair_edge_count,
     spectrum,
 )
-from .ring import ElementFilter, Ring
+from .ring import Ring
 from .sets import (
     ElementSet,
     check_fold_cells,
@@ -63,14 +62,7 @@ __all__ = [
 ]
 
 
-def _field_dict(record) -> dict:
-    """The record's fields by name, sharing its values: callers serialise
-    the dict and never mutate it, so the deep copy of asdict buys nothing."""
-    return {f.name: getattr(record, f.name) for f in fields(record)}
-
-
-@dataclass
-class PipelineReport:
+class PipelineReport(NamedTuple):
     kind: str
     ring: str
     n: int
@@ -85,12 +77,8 @@ class PipelineReport:
     warnings: list
     hard_pass: bool
 
-    def to_dict(self) -> dict:
-        return _field_dict(self)
 
-
-@dataclass
-class RegimeVerdict:
+class RegimeVerdict(NamedTuple):
     regime: Optional[int]
     constants: dict
     thresholds: dict
@@ -100,9 +88,6 @@ class RegimeVerdict:
     ratio: Optional[float]
     hypothesis_met: bool
     empty_regimes: list
-
-    def to_dict(self) -> dict:
-        return _field_dict(self)
 
 
 def _growth_bounds(q: int, r: int, k: int, n: int) -> tuple:
@@ -303,11 +288,14 @@ def check_square_halving(
     """Check |A|/2 <= |A^2| <= |A| over unit subsets, plus the fiber audit.
 
     Subsets of size up to ``exhaustive_limit`` are enumerated, larger
-    sizes are sampled; TooLarge, before any subset, when their element
+    sizes are sampled.  BadSize when either count is outside
+    [0, MAX_TRIALS]; TooLarge, before any subset, when their element
     visits pass MAX_FOLD_CELLS.  The two-to-one structure is verified
     first: the preimage of each unit square is exactly a pair {y, -y}.
     """
-    unit_idx = ring.indices(ElementFilter.UNITS)
+    check_count("exhaustive_limit", exhaustive_limit, 0)
+    check_count("samples", samples, 0)
+    unit_idx = ElementSet.units(ring).indices()
     top = min(exhaustive_limit, len(unit_idx))
     _check_halving_visits(len(unit_idx), top, samples)
     units = unit_idx.tolist()
@@ -533,7 +521,7 @@ def extremal_search(ring: Ring, k: int, iters: int, seed: int) -> dict:
     best objective so far in chain order, hence non-increasing.
     """
     check_count("iters", iters, 0)
-    units = ring.indices(ElementFilter.UNITS).tolist()
+    units = ElementSet.units(ring).indices().tolist()
     if not 1 <= k <= len(units):
         raise BadSize(f"size {k} outside [1, {len(units)}] for {ring.descriptor}")
     if k == len(units):

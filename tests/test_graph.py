@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import json
+import pathlib
+import time
 import tracemalloc
 
 import numpy as np
@@ -13,7 +16,6 @@ from valring import (
     AllNonUnits,
     BadIndex,
     MAX_GRAPH_CLASSES,
-    ElementFilter,
     ElementSet,
     TooLarge,
     build_graph,
@@ -268,6 +270,20 @@ def test_spectrum_frozen_z9(z9):
     assert sv[1] == pytest.approx(27**0.5, abs=1e-8)
 
 
+def test_survey_skips_a_huge_dimension_at_once():
+    # the class count at d = 5 * 10**6 has millions of digits: the survey
+    # takes build_graph's clipped refusal instead of computing it
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "spectral_survey.py"
+    spec = importlib.util.spec_from_file_location("spectral_survey", path)
+    survey_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey_module)
+    start = time.perf_counter()
+    rows = survey_module.survey(["z:3:2"], [2, 5_000_000])
+    assert time.perf_counter() - start < 1.0
+    assert rows[0]["classes"] == 12 and not rows[0]["skipped"]
+    assert rows[1] == {"ring": "z:3:2", "d": 5_000_000, "classes": None, "skipped": True}
+
+
 def test_edge_count_identities(z9):
     g = build_graph(z9, 3)
     every = range(g.n_classes)
@@ -335,7 +351,7 @@ def _random_side(ring, rng, d, rows, prefixes, last):
     if last == "zero":
         side[:, -1] = 0
     elif last == "non-unit":
-        side[:, -1] = rng.choice(ring.indices(ElementFilter.MAXIMAL_IDEAL), size=rows)
+        side[:, -1] = rng.choice(ElementSet.maximal_ideal(ring).indices(), size=rows)
     else:
         side[:, -1] = rng.integers(0, ring.size, size=rows)
     return side
@@ -628,7 +644,7 @@ def test_embed_collision_fails_the_audit(z9, side):
 def test_embed_energy_sets_memory(f9t2):
     # the first 30 units: 34 020 rows per side, built and audited without
     # listing the tuple grid
-    units = f9t2.indices(ElementFilter.UNITS)[:30]
+    units = ElementSet.units(f9t2).indices()[:30]
     f = fold_sets(ElementSet.from_indices(f9t2, units), 2)
     embed_energy_sets(f)  # inverse and Cayley tables are built outside the trace
     tracemalloc.start()

@@ -9,7 +9,7 @@ from valring import ring as ring_module
 from valring import (
     BadFamilyCombo,
     BadIndex,
-    ElementFilter,
+    ElementSet,
     EvenPrime,
     NotAUnit,
     NonPrime,
@@ -387,7 +387,7 @@ def test_field_mul_and_inverse_match_schoolbook(p, s):
         a[0] = b[0] = q - 1  # every base-p digit p - 1
     expected = [_field_mul(x, y, p, modulus) for x, y in zip(a.tolist(), b.tolist())]
     assert ring.mul_many(a, b).tolist() == expected
-    units = ring.indices(ElementFilter.UNITS)
+    units = ElementSet.units(ring).indices()
     assert (ring.mul_many(units, ring.inverse_table()[units]) == 1).all()
 
 
@@ -422,7 +422,7 @@ def test_valuation_level_counts(maker):
 @pytest.mark.parametrize("maker", [(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
 def test_inverse_on_units(maker):
     ring = make_ring(*maker)
-    for x in ring.indices(ElementFilter.UNITS):
+    for x in ElementSet.units(ring):
         assert ring.mul(int(x), ring.inv(int(x))) == 1
     with pytest.raises(NotAUnit):
         ring.inv(0)
@@ -486,15 +486,15 @@ def test_uniformizer_power_chain():
 
 
 # ---------------------------------------------------------------------------
-# enumeration filters and coefficient encoding
+# unit partition and coefficient encoding
 
 
 @pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
 def test_filters_partition(maker):
     ring = make_ring(*maker)
-    every = set(int(i) for i in ring.indices(ElementFilter.ALL))
-    units = set(int(i) for i in ring.indices(ElementFilter.UNITS))
-    ideal = set(int(i) for i in ring.indices(ElementFilter.MAXIMAL_IDEAL))
+    every = set(ElementSet.full(ring))
+    units = set(ElementSet.units(ring))
+    ideal = set(ElementSet.maximal_ideal(ring))
     assert every == set(range(ring.size))
     assert units | ideal == every
     assert units & ideal == set()

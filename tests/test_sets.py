@@ -9,7 +9,6 @@ from valring import (
     BadArity,
     BadIndex,
     BadSize,
-    ElementFilter,
     ElementSet,
     NotUnits,
     RingMismatch,
@@ -304,7 +303,7 @@ def test_count_matches_bruteforce(z9, z25, f9t2):
 def _fold_case(draw):
     spec = draw(st.sampled_from([(3, 1, 2), (5, 1, 2), (3, 2, 1, "fqtr"), (3, 1, 2, "fqtr")]))
     ring = make_ring(*spec)
-    units = [int(u) for u in ring.indices(ElementFilter.UNITS)]
+    units = list(ElementSet.units(ring))
     ids = draw(st.lists(st.sampled_from(units), min_size=1, max_size=4))
     return ring, ids, draw(st.sampled_from([2, 3, 4]))
 

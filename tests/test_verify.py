@@ -1,4 +1,5 @@
-import dataclasses
+import contextlib
+import io
 import json
 import math
 import time
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from valring import graph as graph_module
 from valring import verify as verify_module
-from valring.cli import parse_ring
+from valring.cli import parse_ring, run
 from valring import (
     BadSize,
     ElementSet,
@@ -80,6 +81,15 @@ def test_square_halving_cap_counts_every_visit(limit, samples, visits, monkeypat
         check_square_halving(ring, exhaustive_limit=limit, samples=samples)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"exhaustive_limit": -3},
+    {"exhaustive_limit": 2, "samples": -5},
+])
+def test_square_halving_refuses_negative_counts(kwargs):
+    with pytest.raises(BadSize):
+        check_square_halving(make_ring(3, 1, 2), **kwargs)
+
+
 def test_square_fibers_are_negation_pairs(z9):
     # explicit fibers in Z/9: 1 <- {1,8}, 4 <- {2,7}, 7 <- {4,5}
     fibers = {}
@@ -109,7 +119,7 @@ def test_thm1_frozen_z9(z9):
     assert rep.ratio["lhs"] == 3
     assert any("floor" in w for w in rep.warnings)
     assert rep.hypothesis is None
-    assert rep.to_dict()["counts"]["solutions"] == 8
+    assert rep._asdict()["counts"]["solutions"] == 8
 
 
 def test_thm1_drops_nonunits(z9):
@@ -181,9 +191,17 @@ def test_every_graph_that_fits_has_a_pair_count():
     )
 
 
-def test_to_dict_gives_the_asdict_bytes():
-    # one report per route, and one verdict
-    records = []
+def _cli_payload(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        run(argv)
+    payload = json.loads(out.getvalue())
+    del payload["schema"]
+    return payload
+
+
+def test_asdict_gives_the_cli_payload_bytes():
+    # one report per route, and one verdict, each against the CLI's payload
     for desc, fn, k, mode in [
         ("z:3:2", verify_thm1_pipeline, 6, "graph"),
         ("z:5:2", verify_thm2_pipeline, 6, "direct"),
@@ -191,11 +209,12 @@ def test_to_dict_gives_the_asdict_bytes():
     ]:
         rep = fn(sample_unit_subset(parse_ring(desc), k, 1), 2)
         assert rep.embed["mode"] == mode
-        records.append(rep)
-    records.append(classify_regime(sample_unit_subset(parse_ring("z:5:2"), 6, 1)))
-    for rec in records:
-        expected = json.dumps(dataclasses.asdict(rec), sort_keys=True)
-        assert json.dumps(rec.to_dict(), sort_keys=True) == expected
+        payload = _cli_payload(["verify", rep.kind, "--ring", desc, "--set", f"random:{k}:1"])
+        assert json.dumps(rep._asdict(), sort_keys=True) == json.dumps(payload, sort_keys=True)
+    verdict = classify_regime(sample_unit_subset(parse_ring("z:5:2"), 6, 1))
+    payload = _cli_payload(["classify", "--ring", "z:5:2", "--set", "random:6:1"])
+    assert (payload.pop("kind"), payload.pop("ring")) == ("regime", "z:5:2")
+    assert json.dumps(verdict._asdict(), sort_keys=True) == json.dumps(payload, sort_keys=True)
 
 
 @pytest.mark.parametrize("maker", [(3, 1, 2, "zpr"), (3, 2, 1, "fqtr")])
