@@ -45,6 +45,14 @@ coordinates are grouped, each pair of groups is priced once, and the
 left rows, one last coordinate x at a time, look their counts up in x's
 int32 table of last-coordinate products.  The dense graph serves its
 spectrum and id-based counts on its own vertices.
+
+One kernel makes every block of dot products: the dense graph's rows,
+the group pairs and the pairwise fallback.  On a one-digit ring it sums
+integer outer products and reduces once; on a multi-digit ring with
+Cayley tables (at most 125 elements, e.g. F_9[t]/(t^2)) it gathers each
+product and each running sum from the ring's flat int32 tables, one
+coordinate at a time; on a larger multi-digit ring it calls the ring's
+per-call arithmetic.
 """
 
 from __future__ import annotations
@@ -242,12 +250,20 @@ def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
 def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Integer matrix of the ring's dot products dot(left_i, right_j).
 
-    On one-digit rings (Z/p^r and F_p, where an index is its residue mod
-    m = size) the block is k outer-product sums of entries in [0, m) and
-    one reduction, in int32 when k * (m - 1)**2 < 2**31 bounds every sum
-    and in int64 otherwise (exact: m <= MAX_RING_SIZE = 2**16).  Integer
-    arithmetic keeps it off BLAS and its threads.  Other rings multiply
-    and add through the ring.
+    Three paths, all off BLAS and its threads:
+
+    * One-digit rings (Z/p^r and F_p, where an index is its residue mod
+      m = size): k outer-product sums of entries in [0, m) and one
+      reduction, in int32 when k * (m - 1)**2 < 2**31 bounds every sum and
+      in int64 otherwise (exact: m <= MAX_RING_SIZE = 2**16).
+    * Multi-digit rings with Cayley tables (size <= _TABLE_MAX_SIZE, e.g.
+      F_9[t]/(t^2)): per coordinate, one gather of the products from the
+      flat mul table at left_k*size + right_k, and one gather of the
+      running sums from the flat add table at acc*size + prod.  Both
+      tables and every position are int32, which is exact: a position is
+      below size**2 <= 125**2 = 15625.
+    * Larger multi-digit rings multiply and add through the ring's
+      per-call digit arithmetic.
     """
     if ring.n == 1:
         k = left.shape[1]
@@ -257,6 +273,19 @@ def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         for j in range(k):
             acc += np.multiply.outer(left[:, j], right[:, j])
         acc %= ring.m
+        return acc
+    tables = ring._cayley()
+    if tables is not None:
+        size = np.int32(ring.size)
+        left, right = np.asarray(left, np.int32), np.asarray(right, np.int32)
+        acc = np.zeros((len(left), len(right)), dtype=np.int32)
+        for k in range(left.shape[1]):
+            prod = np.take(tables.flat_mul, np.add.outer(left[:, k] * size, right[:, k]))
+            if k:
+                acc *= size
+                acc += prod
+                prod = np.take(tables.flat_add, acc)
+            acc = prod
         return acc
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(left.shape[1]):
@@ -372,15 +401,17 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     T_x[need[their group, g]] over the right groups g, so a gather reads
     one x's table of n_gr*size cells, not the tables of all x values;
     values x whose rows gather at most _MERGE_CELLS cells together share
-    one gather.  When the tables and the group pairs would outnumber the
-    |U|*|V| pairs themselves, the pairs are tested one by one instead,
-    a row block of _BLOCK_CELLS cells at a time.
+    one gather.  When the tables and the group pairs would outnumber
+    w*|U|*|V|, the pairs are tested one by one instead, a row block of
+    _BLOCK_CELLS cells at a time.  The weight w is 1 on a one-digit ring,
+    where a pair costs one multiply-add per coordinate, and 2 on any
+    other, where it costs two table gathers or two ring ops.
 
     Tables and need are int32: on the grouped branch every table position
-    is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < nl*nr <=
-    MAX_PAIR_COUNT = 3*10**7 < 2**31, and every count is at most nr.
+    is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < w*nl*nr <=
+    2*MAX_PAIR_COUNT = 6*10**7 < 2**31, and every count is at most nr.
     Temporaries are chunked to CHUNK_CELLS cells, or to one right group's
-    tables when that is larger.
+    tables when that is larger; those are below w*nl*nr cells too.
     """
     left, right = ring.check_indices(left_rows), ring.check_indices(right_rows)
     if left.ndim != 2 or right.ndim != 2 or not 0 < left.shape[1] == right.shape[1]:
@@ -395,7 +426,8 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     # the group counts alone decide, so a call that falls back builds no grouping
     l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
     n_gl, n_gr, nx = len(l_uniq), len(r_uniq), len(xs)
-    if n_gr * (nx * size + n_gl) >= nl * nr:
+    pair_weight = 1 if ring.n == 1 else 2
+    if n_gr * (nx * size + n_gl) >= pair_weight * nl * nr:
         return _zero_dot_count(ring, left, right)
 
     l_group, r_group = np.searchsorted(l_uniq, l_keys), np.searchsorted(r_uniq, r_keys)

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import json
+import math
 import pathlib
 import time
 import tracemalloc
@@ -11,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from valring import graph as graph_module
+from valring import ring as ring_module
 from valring.cli import parse_ring
 from valring import (
     AllNonUnits,
@@ -240,6 +242,53 @@ def test_dot_block_exact_near_the_int32_bound(p, k, family):
         for u in left.tolist()
     ]
     assert graph_module._dot_block(ring, left, right).tolist() == expected
+
+
+# every multi-digit ring that tabulates: f:<p**s>:<r> with s*r > 1 and
+# p**(s*r) <= _TABLE_MAX_SIZE (15 rings at 125, from f:3:2 to f:121:1)
+_TABLE_CAP = ring_module._TABLE_MAX_SIZE
+_TABULATED_MULTI_DIGIT = [
+    f"f:{p**s}:{r}"
+    for p in range(3, math.isqrt(_TABLE_CAP) + 1, 2)
+    if ring_module.is_prime(p)
+    for s in range(1, _TABLE_CAP.bit_length())
+    for r in range(1, _TABLE_CAP.bit_length())
+    if s * r > 1 and p ** (s * r) <= _TABLE_CAP
+]
+
+
+def _scalar_dot(ring, u, v):
+    total = 0
+    for a, b in zip(u, v):
+        total = ring.add(total, ring.mul(int(a), int(b)))
+    return total
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+@pytest.mark.parametrize("desc", _TABULATED_MULTI_DIGIT + ["f:13:2"])
+def test_dot_block_matches_a_scalar_fold(desc, d):
+    # f:13:2 (28 561 elements) is above the table cap: ring ops per call
+    ring = parse_ring(desc)
+    assert ring.n > 1
+    assert (ring._cayley() is None) == (desc == "f:13:2")
+    rng = np.random.default_rng(ring.size * 10 + d)
+    left, right = (rng.integers(0, ring.size, size=(m, d)) for m in (6, 7))
+    for side in (left, right):
+        side[0] = ring.size - 1  # one row of top entries, and about a quarter elsewhere
+        side[rng.random(side.shape) < 0.25] = ring.size - 1
+    expected = [[_scalar_dot(ring, u, v) for v in right] for u in left]
+    assert graph_module._dot_block(ring, left, right).tolist() == expected
+
+
+@pytest.mark.parametrize("desc,d", [("f:9:2", 2), ("f:3:2", 3), ("f:25:1", 3)])
+def test_build_graph_matches_a_column_fold(desc, d):
+    # f:9:2 at d = 3 has 7371 classes, past MAX_GRAPH_CLASSES; f:3:2 stands in
+    ring = parse_ring(desc)
+    classes = enumerate_classes(ring, d)
+    acc = np.zeros((len(classes), len(classes)), dtype=np.int64)
+    for k in range(d):
+        acc = ring.add_many(acc, ring.mul_many(classes[:, k, None], classes[None, :, k]))
+    np.testing.assert_array_equal(build_graph(ring, d).biadjacency, acc == 0)
 
 
 @pytest.mark.parametrize("desc", ["z:3:2", "f:9:1"])
