@@ -50,7 +50,7 @@ One kernel makes every block of dot products: the dense graph's rows,
 the group pairs and the pairwise fallback.  On a one-digit ring it sums
 integer outer products and reduces once; on a multi-digit ring with
 Cayley tables (at most 125 elements, e.g. F_9[t]/(t^2)) it gathers each
-product and each running sum from the ring's flat int32 tables, one
+product and each running sum from flat views of the ring's tables, one
 coordinate at a time; on a larger multi-digit ring it calls the ring's
 per-call arithmetic.
 """
@@ -259,9 +259,9 @@ def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     * Multi-digit rings with Cayley tables (size <= _TABLE_MAX_SIZE, e.g.
       F_9[t]/(t^2)): per coordinate, one gather of the products from the
       flat mul table at left_k*size + right_k, and one gather of the
-      running sums from the flat add table at acc*size + prod.  Both
-      tables and every position are int32, which is exact: a position is
-      below size**2 <= 125**2 = 15625.
+      running sums from the flat add table at acc*size + prod.  The flat
+      tables are views of the ring's own, and a position is below
+      size**2 <= 125**2 = 15625.
     * Larger multi-digit rings multiply and add through the ring's
       per-call digit arithmetic.
     """
@@ -276,15 +276,14 @@ def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         return acc
     tables = ring._cayley()
     if tables is not None:
-        size = np.int32(ring.size)
-        left, right = np.asarray(left, np.int32), np.asarray(right, np.int32)
-        acc = np.zeros((len(left), len(right)), dtype=np.int32)
+        size, add, mul = ring.size, tables.add.reshape(-1), tables.mul.reshape(-1)
+        acc = np.zeros((len(left), len(right)), dtype=np.int64)
         for k in range(left.shape[1]):
-            prod = np.take(tables.flat_mul, np.add.outer(left[:, k] * size, right[:, k]))
+            prod = np.take(mul, np.add.outer(left[:, k] * size, right[:, k]))
             if k:
                 acc *= size
                 acc += prod
-                prod = np.take(tables.flat_add, acc)
+                prod = np.take(add, acc)
             acc = prod
         return acc
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
@@ -403,9 +402,10 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     values x whose rows gather at most _MERGE_CELLS cells together share
     one gather.  When the tables and the group pairs would outnumber
     w*|U|*|V|, the pairs are tested one by one instead, a row block of
-    _BLOCK_CELLS cells at a time.  The weight w is 1 on a one-digit ring,
-    where a pair costs one multiply-add per coordinate, and 2 on any
-    other, where it costs two table gathers or two ring ops.
+    _BLOCK_CELLS cells at a time.  The weight w is 2 on a multi-digit ring
+    with Cayley tables, where a pair costs two table gathers per
+    coordinate, and 1 on any other ring, as timed on the verify
+    workloads' calls (one-digit and tabulated rings only).
 
     Tables and need are int32: on the grouped branch every table position
     is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < w*nl*nr <=
@@ -426,7 +426,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     # the group counts alone decide, so a call that falls back builds no grouping
     l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
     n_gl, n_gr, nx = len(l_uniq), len(r_uniq), len(xs)
-    pair_weight = 1 if ring.n == 1 else 2
+    pair_weight = 2 if ring.n > 1 and ring._cayley() is not None else 1
     if n_gr * (nx * size + n_gl) >= pair_weight * nl * nr:
         return _zero_dot_count(ring, left, right)
 

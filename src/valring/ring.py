@@ -39,11 +39,9 @@ most ``_TABLE_MAX_SIZE`` elements, Z/p**r or F_q[t]/(t**r), evaluates the
 digitwise sum and the contraction once on the full index grid into
 Cayley tables: a size x size add table, a size x size mul table and a
 negation vector, so each of ``add_many``, ``mul_many`` and ``neg_many``
-is one gather and ``sub_many`` is two (``add[a, neg[b]]``); flat int32
-copies of the add and mul tables serve the graph module's dot-product
-kernel.  The tables are built on the ring's first arithmetic call and
-:func:`make_ring` caches rings, so one build serves every later caller
-in the process.
+is one gather and ``sub_many`` is two (``add[a, neg[b]]``).  The tables
+are built on the ring's first arithmetic call and :func:`make_ring`
+caches rings, so one build serves every later caller in the process.
 Larger rings add digitwise and contract on each call.
 
 The inverse of a residue v is the Fermat power v**(q-2), and Newton
@@ -211,10 +209,6 @@ class _CayleyTables(NamedTuple):
     add: np.ndarray  # (size, size): add[a, b] = a + b
     mul: np.ndarray  # (size, size): mul[a, b] = a * b
     neg: np.ndarray  # (size,): neg[a] = -a
-    # add and mul again, flat and int32: flat_add[a*size + b] = a + b; every
-    # position is below size**2 <= _TABLE_MAX_SIZE**2, so int32 holds it
-    flat_add: np.ndarray
-    flat_mul: np.ndarray
 
 
 class Ring:
@@ -343,20 +337,16 @@ class Ring:
         """The Cayley tables, built on first use; None above the cap.
 
         ``add`` and ``mul`` are :meth:`_digitwise` and :meth:`_contract` on
-        every pair of indices, ``neg`` is the digitwise difference from 0;
-        ``flat_add`` and ``flat_mul`` are int32 copies of the first two, for
-        the graph kernel's gathers.
+        every pair of indices, ``neg`` is the digitwise difference from 0.
         """
         if self._cayley_tables is None and self.size <= _TABLE_MAX_SIZE:
             idx = np.arange(self.size, dtype=np.int64)
             add = self._digitwise(np.add, idx[:, None], idx[None, :])
             mul = self._contract(idx[:, None], idx[None, :])
             neg = self._digitwise(np.subtract, np.int64(0), idx)
-            flat_add, flat_mul = (t.astype(np.int32).reshape(-1) for t in (add, mul))
-            tables = (add, mul, neg, flat_add, flat_mul)
-            for t in tables:
+            for t in (add, mul, neg):
                 t.flags.writeable = False
-            self._cayley_tables = _CayleyTables(*tables)
+            self._cayley_tables = _CayleyTables(add, mul, neg)
         return self._cayley_tables
 
     # -- digit views --------------------------------------------------------

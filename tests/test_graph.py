@@ -497,6 +497,52 @@ def test_pair_edge_count_large_field_falls_back(monkeypatch):
     assert calls == [60]
 
 
+def _fallback_sizing(ring, left, right):
+    """(tables and group pairs, pairs) as pair_edge_count weighs them."""
+    l_keys = graph_module._row_keys(ring, left[:, :-1])
+    r_keys = graph_module._row_keys(ring, right[:, :-1])
+    n_gl, n_gr, nx = (
+        len(graph_module._sorted_distinct(k)) for k in (l_keys, r_keys, left[:, -1])
+    )
+    return n_gr * (nx * ring.size + n_gl), len(left) * len(right)
+
+
+def _weighted_window_cases():
+    """(ring, left, right, expected, grouped): rows whose tables and group
+    pairs lie in [|U|*|V|, 2*|U|*|V|), so the pairs weigh twice only on a
+    multi-digit ring with Cayley tables."""
+    f92 = parse_ring("f:9:2")
+    f = fold_sets(sample_unit_subset(f92, 4, 0), 2)
+    emb = embed_energy_sets(f)  # 160 x 160 rows of width 4
+    yield f92, emb.u_rows, emb.v_rows, form_energy(f), True
+    z81 = parse_ring("z:3:4")  # the same rows on a one-digit ring of 81 elements
+    yield z81, emb.u_rows, emb.v_rows, _pairwise_count(z81, emb.u_rows, emb.v_rows), False
+    # 40 x 40 rows over 10 prefixes and one left x on f:13:2, above the table cap
+    f132 = parse_ring("f:13:2")
+    rng = np.random.default_rng(13)
+    pool = rng.integers(0, f132.size, size=(10, 2))
+    left = np.column_stack([pool[np.arange(40) % 10], np.full(40, 5)])
+    right = np.column_stack([pool[np.arange(40) % 10], rng.integers(0, f132.size, 40)])
+    yield f132, left, right, _pairwise_count(f132, left, right), False
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_pair_edge_count_weighs_tabulated_pairs_twice(case, monkeypatch):
+    ring, left, right, expected, grouped = list(_weighted_window_cases())[case]
+    cost, pairs = _fallback_sizing(ring, left, right)
+    assert pairs <= cost < 2 * pairs
+    calls = []
+    pairwise = graph_module._zero_dot_count
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return pairwise(*args)
+
+    monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise if grouped else counted)
+    assert pair_edge_count(ring, left, right) == expected
+    assert calls == ([] if grouped else [len(left)])
+
+
 def test_pair_edge_count_fallback_row_blocks(monkeypatch):
     # blocks of 7 of the 60 left rows: eight full blocks and a short last one
     ring = make_ring(65521, 1, 1)
