@@ -47,12 +47,11 @@ int32 table of last-coordinate products.  The dense graph serves its
 spectrum and id-based counts on its own vertices.
 
 One kernel makes every block of dot products: the dense graph's rows,
-the group pairs and the pairwise fallback.  On a one-digit ring it sums
-integer outer products and reduces once; on a multi-digit ring with
+the group pairs and the pairwise fallback.  On a multi-digit ring with
 Cayley tables (at most 125 elements, e.g. F_9[t]/(t^2)) it gathers each
 product and each running sum from flat views of the ring's tables, one
-coordinate at a time; on a larger multi-digit ring it calls the ring's
-per-call arithmetic.
+coordinate at a time; on every other ring it takes the ring's integer
+contraction over the coordinate axis.
 """
 
 from __future__ import annotations
@@ -247,49 +246,37 @@ def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _gathers(ring: Ring) -> bool:
+    """Whether _dot_block gathers from Cayley tables (a multi-digit ring of at
+    most _TABLE_MAX_SIZE elements); pair_edge_count weighs such pairs twice."""
+    return ring.n > 1 and ring._cayley() is not None
+
+
 def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Integer matrix of the ring's dot products dot(left_i, right_j).
 
-    Three paths, all off BLAS and its threads:
-
-    * One-digit rings (Z/p^r and F_p, where an index is its residue mod
-      m = size): k outer-product sums of entries in [0, m) and one
-      reduction, in int32 when k * (m - 1)**2 < 2**31 bounds every sum and
-      in int64 otherwise (exact: m <= MAX_RING_SIZE = 2**16).
-    * Multi-digit rings with Cayley tables (size <= _TABLE_MAX_SIZE, e.g.
-      F_9[t]/(t^2)): per coordinate, one gather of the products from the
-      flat mul table at left_k*size + right_k, and one gather of the
-      running sums from the flat add table at acc*size + prod.  The flat
-      tables are views of the ring's own, and a position is below
-      size**2 <= 125**2 = 15625.
-    * Larger multi-digit rings multiply and add through the ring's
-      per-call digit arithmetic.
+    Two paths, both exact integer arithmetic off BLAS and its threads.  On a
+    multi-digit ring with Cayley tables (e.g. F_9[t]/(t^2)), per coordinate,
+    one gather of the products from the flat mul table at
+    left_k*size + right_k and one of the running sums from the flat add
+    table at acc*size + prod: views of the ring's own tables, read below
+    size**2 <= 125**2 = 15625.  Every other ring, one-digit rings of any
+    size and multi-digit rings above the table cap, takes the ring's
+    contraction over the coordinate axis, whose bounded digit sums of outer
+    products are reduced once (see Ring._dot).
     """
-    if ring.n == 1:
-        k = left.shape[1]
-        dtype = np.int32 if k * (ring.m - 1) ** 2 < 2**31 else np.int64
-        left, right = np.asarray(left, dtype), np.asarray(right, dtype)
-        acc = np.zeros((len(left), len(right)), dtype=dtype)
-        for j in range(k):
-            acc += np.multiply.outer(left[:, j], right[:, j])
-        acc %= ring.m
-        return acc
+    if not _gathers(ring):
+        return ring._dot(left.T[:, :, None], right.T[:, None, :])
     tables = ring._cayley()
-    if tables is not None:
-        size, add, mul = ring.size, tables.add.reshape(-1), tables.mul.reshape(-1)
-        acc = np.zeros((len(left), len(right)), dtype=np.int64)
-        for k in range(left.shape[1]):
-            prod = np.take(mul, np.add.outer(left[:, k] * size, right[:, k]))
-            if k:
-                acc *= size
-                acc += prod
-                prod = np.take(add, acc)
-            acc = prod
-        return acc
+    size, add, mul = ring.size, tables.add.reshape(-1), tables.mul.reshape(-1)
     acc = np.zeros((len(left), len(right)), dtype=np.int64)
     for k in range(left.shape[1]):
-        prod = ring.mul_many(left[:, k : k + 1], right[:, k][None, :])
-        acc = ring.add_many(acc, prod)
+        prod = np.take(mul, np.add.outer(left[:, k] * size, right[:, k]))
+        if k:
+            acc *= size
+            acc += prod
+            prod = np.take(add, acc)
+        acc = prod
     return acc
 
 
@@ -402,10 +389,12 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     values x whose rows gather at most _MERGE_CELLS cells together share
     one gather.  When the tables and the group pairs would outnumber
     w*|U|*|V|, the pairs are tested one by one instead, a row block of
-    _BLOCK_CELLS cells at a time.  The weight w is 2 on a multi-digit ring
-    with Cayley tables, where a pair costs two table gathers per
-    coordinate, and 1 on any other ring, as timed on the verify
-    workloads' calls (one-digit and tabulated rings only).
+    _BLOCK_CELLS cells at a time.  The weight w is 2 where :func:`_gathers`
+    holds, since a pair there costs two table gathers per coordinate, and 1
+    on any other ring, as timed on the verify workloads' calls (one-digit
+    and tabulated rings only).  Above the table cap a multi-digit pair costs
+    d * |terms of B| outer products; w = 1 is untimed there, as no workload
+    makes such a call.
 
     Tables and need are int32: on the grouped branch every table position
     is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < w*nl*nr <=
@@ -426,7 +415,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     # the group counts alone decide, so a call that falls back builds no grouping
     l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
     n_gl, n_gr, nx = len(l_uniq), len(r_uniq), len(xs)
-    pair_weight = 2 if ring.n > 1 and ring._cayley() is not None else 1
+    pair_weight = 2 if _gathers(ring) else 1
     if n_gr * (nx * size + n_gl) >= pair_weight * nl * nr:
         return _zero_dot_count(ring, left, right)
 

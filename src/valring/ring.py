@@ -29,13 +29,12 @@ of indices with broadcasting and are the backbone of the set-operation
 and graph modules; the scalar methods (``add``, ``mul``, ``inv``,
 ``valuation``, ...) are thin wrappers of them.  An element is its index
 everywhere, an int or an int64 array, and :meth:`Ring.check_indices` is
-the one range check.  There is one arithmetic path.
+the one range check.  There is one arithmetic path, in integers only.
 Addition, subtraction and negation act on each digit mod m and never
-carry between digits.  Digit k of a*b is sum_ij a_i * b_j * B[i, j, k]
-mod m, one contraction with B.  It runs in float64, which is exact
-because every sum is below n**2 * (m-1)**3 < 2**53 (the largest value
-over the supported rings is 2.8e14, at m = 65521, n = 1).  A ring of at
-most ``_TABLE_MAX_SIZE`` elements, Z/p**r or F_q[t]/(t**r), evaluates the
+carry between digits.  Digit c of a*b is sum_ij a_i * b_j * B[i, j, c]
+mod m, one contraction over B's nonzero terms, which :meth:`Ring._dot`
+also runs over whole dot products.  A ring of at most
+``_TABLE_MAX_SIZE`` elements, Z/p**r or F_q[t]/(t**r), evaluates the
 digitwise sum and the contraction once on the full index grid into
 Cayley tables: a size x size add table, a size x size mul table and a
 negation vector, so each of ``add_many``, ``mul_many`` and ``neg_many``
@@ -86,12 +85,12 @@ __all__ = [
 # Rings of at most this many elements, Z/p**r and F_q[t]/(t**r) alike,
 # add, subtract, negate and multiply by Cayley-table gathers; larger rings
 # add digitwise and contract with the structure tensor on each call.  On a
-# 2-core host a gather over 10**5 products takes 0.6-0.9 ms, the per-call
-# path 4-26 ms.  The cap is not the one-shot crossover: in a fresh process
-# `verify thm1 --set 1,2 --n 2` takes 5.1 ms with the tables against
-# 4.2 ms without on z:5:3, 5.2 against 4.5 on z:11:2, 8.4 against 5.7 on
-# f:5:3 and 6.4 against 5.3 on f:11:2 (medians of 11 runs), so the build
-# pays only in a process that makes many products.
+# 2-core host a gather over 10**5 products takes 0.4-0.7 ms, the per-call
+# contraction 0.5-22 ms.  The cap is not the one-shot crossover: in a
+# fresh process `verify thm1 --set 1,2 --n 2` takes 3.46 ms with the tables
+# against 3.41 ms without on z:5:3, 3.32 against 3.06 on z:11:2, 4.53
+# against 3.92 on f:5:3 and 4.43 against 4.03 on f:11:2 (medians of 11
+# runs), so the build pays only in a process that makes many products.
 _TABLE_MAX_SIZE = 125
 
 
@@ -144,12 +143,6 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 # dense polynomial helpers over F_p (coefficient lists, ascending degree)
 
 
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
 def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
     # m must be monic
     rem = list(a)
@@ -160,8 +153,8 @@ def _poly_mod(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
         if lead:
             for i, mi in enumerate(m):
                 rem[shift + i] = (rem[shift + i] - lead * mi) % p
-        rem.pop()
-        _poly_trim(rem)
+        while rem and rem[-1] == 0:  # the leading term, now 0, and any zeros below it
+            rem.pop()
     return rem
 
 
@@ -215,13 +208,9 @@ class Ring:
     """One finite valuation ring; construct through :func:`make_ring`.
 
     Every ring is n digits over Z/m with a structure tensor B, chosen once
-    in ``__init__`` (see the module docstring); the arithmetic methods read
-    only m, n and B.  A ring of at most ``_TABLE_MAX_SIZE`` elements does
-    its arithmetic by gathers from Cayley tables that it builds on its
-    first arithmetic call, by evaluating the digitwise sum and the tensor
-    contraction once on every pair of indices; a larger one evaluates them
-    on each call.  Both give int64 results of the broadcast shape of the
-    inputs.
+    in ``__init__``; the arithmetic methods read only m, n and B's nonzero
+    terms, as the module docstring describes, and give int64 results of
+    the broadcast shape of the inputs.
 
     Attributes
     ----------
@@ -261,10 +250,11 @@ class Ring:
 
         self.modulus_coeffs = smallest_irreducible(p, s) if s > 1 else None
         self._q_pows = self.q ** np.arange(r, dtype=np.int64)
-        if family is RingFamily.ZPR:
-            self.m, self.n, self._tensor = self.size, 1, np.ones((1, 1))
-        else:
-            self.m, self.n, self._tensor = p, r * s, self._structure_tensor()
+        self.m, self.n = (self.size, 1) if family is RingFamily.ZPR else (p, r * s)
+        self._terms = self._structure_terms()
+        # the widest dot product whose digit sums _dot keeps in int32
+        weight = max(sum(t[3] for t in self._terms if t[2] == c) for c in range(self.n))
+        self._int32_width = (2**31 - 1) // (weight * (self.m - 1) ** 2)
         self._m_pows = self.m ** np.arange(self.n, dtype=np.int64)
         self._key = (family, p, s, r, self.modulus_coeffs)
         self._inverse_table: Optional[np.ndarray] = None
@@ -272,13 +262,14 @@ class Ring:
 
     # -- arithmetic: the structure tensor, per-call ops, Cayley tables -------
 
-    def _structure_tensor(self) -> np.ndarray:
-        """B of F_q[t]/(t**r), (n, n*n) float64: column i*n + j = digits of e_i * e_j.
+    def _structure_terms(self) -> list[tuple[int, int, int, int]]:
+        """The nonzero entries (i, j, c, B[i, j, c]) of B, the coefficient of e_c in e_i * e_j.
 
         e_(k*s + l) = t**k * x**l, so e_i * e_j is t**(k_i + k_j), zero from
-        t**r on, times x**(l_i + l_j), reduced by the monic modulus.
+        t**r on, times x**(l_i + l_j), reduced by the monic modulus.  Z/p**r
+        has s = 1 and one digit, so its one term is (0, 0, 0, 1).
         """
-        p, s, r = self.p, self.s, self.r
+        p, s, r = self.p, self.s, self.n // self.s
         # x_pow[m] = digits of x**m, reduced by x**s = -(c_0 + ... + c_(s-1) x**(s-1))
         x_pow = np.eye(2 * s - 1, s, dtype=np.int64)
         for m in range(s, 2 * s - 1):
@@ -288,35 +279,52 @@ class Ring:
         k = np.arange(r)
         trunc = (np.add.outer(k, k)[..., None] == k).astype(np.int64)
         n = r * s
-        tensor = np.einsum("abc,xyz->axbycz", trunc, field).reshape(n * n, n)
-        return np.ascontiguousarray(tensor.T, dtype=np.float64)
+        tensor = np.einsum("abc,xyz->axbycz", trunc, field).reshape(n, n, n)
+        return [(int(i), int(j), int(c), int(tensor[i, j, c])) for i, j, c in np.argwhere(tensor)]
 
-    def _digit_rows(self, v: np.ndarray) -> np.ndarray:
-        """(n, len(v)) float64: row k holds base-m digit k of each index in v."""
-        rows = np.empty((self.n, len(v)))
-        for k in range(self.n):
-            rows[k] = v % self.m
-            v = v // self.m
-        return rows
+    def _digits(self, v: np.ndarray, dtype) -> list[np.ndarray]:
+        """The n base-m digits of the indices v, least significant first, as
+        C-ordered arrays, which the products read fastest."""
+        v, digits = np.ascontiguousarray(v), []
+        for _ in range(self.n - 1):
+            v, digit = np.divmod(v, self.m)
+            digits.append(digit.astype(dtype, copy=False))
+        return digits + [v.astype(dtype, copy=False)]
 
-    def _contract(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a*b on indices: digit k is sum_ij a_i * b_j * B[i, j, k] mod m.
+    def _dot(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """sum_k a[k] * b[k] on indices, in the broadcast shape of the a[k], b[k].
 
-        The sums are float64 and exact: each of the n**2 terms is at most
-        (m-1)**3, so every sum is below n**2 * (m-1)**3, which is at most
-        2.8e14 < 2**53 over the supported rings (m = 65521, n = 1).  The
-        cells go in blocks whose n**2 digit products take 2 MB, so they
-        stay in cache between the product and the matmul.
+        Digit c is sum_k sum_ij a[k]_i * b[k]_j * B[i, j, c] over B's nonzero
+        terms, reduced mod m once.  With S the largest sum of B[:, :, c] over
+        the digits c, no sum exceeds K * S * (m-1)**2 for K = len(a).  The
+        sums, and the result, are int32 while that is below 2**31 and int64
+        otherwise, exact for any K < 2**31: S * (m-1)**2 is (m-1)**2 < 2**32
+        on one digit, and at most 1.6e7 (f:63001:1, S = 251) on more.
         """
+        dtype = np.int32 if len(a) <= self._int32_width else np.int64
+        if not len(a):
+            return np.zeros(np.broadcast_shapes(a.shape[1:], b.shape[1:]), dtype=dtype)
+        da, db = self._digits(a, dtype), self._digits(b, dtype)
+        sums: list = [None] * self.n  # every digit c takes the term e_0 * e_c
+        for k in range(len(a)):
+            for i, j, c, coef in self._terms:
+                prod = da[i][k] * db[j][k] if coef == 1 else da[i][k] * db[j][k] * coef
+                sums[c] = prod if sums[c] is None else np.add(sums[c], prod, out=sums[c])
+        out = sums.pop()
+        out %= self.m
+        while sums:
+            out = out * self.m + sums.pop() % self.m
+        return out
+
+    def _products(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a*b on indices, int64: :meth:`_dot` at K = 1, 2**14 cells at a
+        time, so the digits and sums of a block stay in cache."""
         shape = np.broadcast_shapes(a.shape, b.shape)
-        a, b = (np.broadcast_to(v, shape).reshape(-1) for v in (a, b))
-        n = self.n
+        a, b = (np.broadcast_to(v, shape).reshape(1, -1) for v in (a, b))
         out = np.empty(a.size, dtype=np.int64)
-        step = max(1, (1 << 18) // (n * n))
-        for lo in range(0, a.size, step):
-            da, db = (self._digit_rows(v[lo : lo + step]) for v in (a, b))
-            sums = self._tensor @ (da[:, None] * db).reshape(n * n, -1)
-            out[lo : lo + step] = self._m_pows @ (sums.astype(np.int64) % self.m)
+        for lo in range(0, a.size, 2**14):
+            block = slice(lo, lo + 2**14)
+            out[block] = self._dot(a[:, block], b[:, block])
         return out.reshape(shape)
 
     def _digitwise(self, op, a, b) -> np.ndarray:
@@ -336,13 +344,13 @@ class Ring:
     def _cayley(self) -> Optional[_CayleyTables]:
         """The Cayley tables, built on first use; None above the cap.
 
-        ``add`` and ``mul`` are :meth:`_digitwise` and :meth:`_contract` on
+        ``add`` and ``mul`` are :meth:`_digitwise` and :meth:`_products` on
         every pair of indices, ``neg`` is the digitwise difference from 0.
         """
         if self._cayley_tables is None and self.size <= _TABLE_MAX_SIZE:
             idx = np.arange(self.size, dtype=np.int64)
             add = self._digitwise(np.add, idx[:, None], idx[None, :])
-            mul = self._contract(idx[:, None], idx[None, :])
+            mul = self._products(idx[:, None], idx[None, :])
             neg = self._digitwise(np.subtract, np.int64(0), idx)
             for t in (add, mul, neg):
                 t.flags.writeable = False
@@ -410,7 +418,7 @@ class Ring:
         b = np.asarray(b, dtype=np.int64)
         tables = self._cayley()
         if tables is None:
-            return self._contract(a, b)
+            return self._products(a, b)
         return tables.mul[a, b]
 
     def valuation_many(self, a) -> np.ndarray:

@@ -267,7 +267,8 @@ def _scalar_dot(ring, u, v):
 @pytest.mark.parametrize("d", range(2, 7))
 @pytest.mark.parametrize("desc", _TABULATED_MULTI_DIGIT + ["f:13:2"])
 def test_dot_block_matches_a_scalar_fold(desc, d):
-    # f:13:2 (28 561 elements) is above the table cap: ring ops per call
+    # f:13:2 (28 561 elements) is above the table cap, where ring.mul runs the
+    # contraction under test; test_ring.py checks it against schoolbook products
     ring = parse_ring(desc)
     assert ring.n > 1
     assert (ring._cayley() is None) == (desc == "f:13:2")

@@ -18,6 +18,7 @@ from valring import (
     TooLarge,
     make_ring,
 )
+from valring.cli import parse_ring
 from valring.graph import _dot_block
 from valring.ring import is_prime, smallest_irreducible
 
@@ -368,8 +369,9 @@ def test_field_multiplication_oracle():
             assert ring.mul(a, b) == c0 + 3 * c1
 
 
-# every F_q with s > 1 and q <= 3**7, then the extremes of the float64
-# contraction: the largest p with s = 2, the largest p and the largest s
+# every F_q with s > 1 and q <= 3**7, then the extremes of the structure
+# tensor's contraction: the largest p with s = 2 (B's largest digit sums),
+# the largest p and the largest s
 SMALL_FIELDS = [(p, s) for s in range(2, 8) for p in range(3, 47) if is_prime(p) and p**s <= 3**7]
 EXTREME_FIELDS = [(251, 2), (65521, 1), (3, 10)]
 
@@ -389,6 +391,65 @@ def test_field_mul_and_inverse_match_schoolbook(p, s):
     assert ring.mul_many(a, b).tolist() == expected
     units = ElementSet.units(ring).indices()
     assert (ring.mul_many(units, ring.inverse_table()[units]) == 1).all()
+
+
+def _schoolbook_mul(a, b, ring):
+    """a*b in plain Python: integers mod p**r on Z/p^r; on F_q[t]/(t^r) the
+    truncated convolution of the z-adic digits, each product by _field_mul."""
+    if ring.family is RingFamily.ZPR:
+        return a * b % ring.size
+    modulus = smallest_irreducible(ring.p, ring.s)
+    ca, cb = ([v // ring.q**k % ring.q for k in range(ring.r)] for v in (a, b))
+    out = 0
+    for k in range(ring.r):
+        coeff = 0
+        for i in range(k + 1):
+            product = _field_mul(ca[i], cb[k - i], ring.p, modulus)
+            coeff = _field_add(coeff, product, ring.p, ring.s)
+        out += coeff * ring.q**k
+    return out
+
+
+def _schoolbook_dot(u, v, ring):
+    """sum_k u_k * v_k in plain Python; the sum is digitwise mod m on any ring."""
+    total = 0
+    for a, b in zip(u, v):
+        total = _field_add(total, _schoolbook_mul(a, b, ring), ring.m, ring.n)
+    return total
+
+
+# above the table cap, where the structure-tensor contraction computes every
+# product: one-digit (z:3:5) and multi-digit, with s = 1, 2 and n = 6 (f:9:3)
+@pytest.mark.parametrize("desc", ["z:3:5", "f:13:2", "f:25:2", "f:9:3"])
+def test_products_and_dot_blocks_match_schoolbook(desc):
+    ring = parse_ring(desc)
+    assert ring._cayley() is None
+    rng = np.random.default_rng(ring.size)
+    a, b = rng.integers(0, ring.size, size=(2, 500))
+    a[:50], b[::7] = ring.size - 1, ring.size - 1
+    expected = [_schoolbook_mul(x, y, ring) for x, y in zip(a.tolist(), b.tolist())]
+    assert ring.mul_many(a, b).tolist() == expected
+    for d in (0, 1, 3, 5):  # d = 0: every dot product is the empty sum 0
+        left, right = (rng.integers(0, ring.size, size=(k, d)) for k in (6, 7))
+        left[0], right[rng.random(right.shape) < 0.3] = ring.size - 1, ring.size - 1
+        expected = [[_schoolbook_dot(u, v, ring) for v in right.tolist()] for u in left.tolist()]
+        assert _dot_block(ring, left, right).tolist() == expected
+
+
+@pytest.mark.parametrize("k,dtype", [(136, np.int32), (137, np.int64)])
+def test_dot_sums_switch_to_int64_past_the_int32_bound(k, dtype):
+    # f:63001:1: m = 251 and B's digit sums reach S = 251, so the rule
+    # k * S * (m-1)**2 < 2**31 keeps k = 136 in int32 and moves k = 137 to
+    # int64; rows of the top entry (both digits 250) attain the bound
+    ring = make_ring(251, 2, 1, "fqtr")
+    left = np.full((2, k), ring.size - 1)
+    left[1, ::3] = ring.size - 2
+    right = np.full((3, k), ring.size - 1)
+    right[2, 1::2] = 1
+    block = _dot_block(ring, left, right)
+    assert block.dtype == dtype
+    expected = [[_schoolbook_dot(u, v, ring) for v in right.tolist()] for u in left.tolist()]
+    assert block.tolist() == expected
 
 
 def test_fqtr_uniformizer_nilpotent(f9t2):
