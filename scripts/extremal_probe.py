@@ -10,8 +10,13 @@ import argparse
 import json
 import sys
 
-from valring import classify_regime, ElementSet, extremal_search
+from valring import classify_regime, ElementSet, ValringError, extremal_search
 from valring.cli import parse_ring
+
+
+def int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; argparse makes a ValueError here a usage error."""
+    return [int(t) for t in text.split(",")]
 
 
 def probe(spec: str, sizes, iters: int, seed: int):
@@ -37,14 +42,17 @@ def probe(spec: str, sizes, iters: int, seed: int):
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ring", default="z:5:2")
-    ap.add_argument("--sizes", default="4,6,8,10,12")
+    ap.add_argument("--sizes", type=int_list, default="4,6,8,10,12")
     ap.add_argument("--iters", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--json", dest="json_out", default=None)
     args = ap.parse_args()
 
-    sizes = [int(t) for t in args.sizes.split(",")]
-    ring, rows = probe(args.ring, sizes, args.iters, args.seed)
+    try:
+        ring, rows = probe(args.ring, args.sizes, args.iters, args.seed)
+    except ValringError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     print(f"ring {args.ring}: |R| = {ring.size}, |R*| = {ring.unit_count}")
     print(f"{'k':>4} {'best':>6} {'start':>6} {'regime':>7}  best set")

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from valring import bound_ratio_scan
+from valring import ValringError, bound_ratio_scan
 from valring.cli import parse_ring
 
 DENSITIES = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -31,7 +31,11 @@ def main() -> int:
     ap.add_argument("--json", dest="json_out", default=None)
     args = ap.parse_args()
 
-    tables = [scan_ring(spec, args.trials, args.seed) for spec in args.rings.split(",")]
+    try:
+        tables = [scan_ring(spec, args.trials, args.seed) for spec in args.rings.split(",")]
+    except ValringError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
     print(f"{'ring':>8} {'|A|':>5} {'thm':>5} {'ratio_med':>10} {'ratio_max':>10} "
           f"{'regimes 1/2/3/none':>20}")

@@ -15,6 +15,7 @@ import sys
 from valring import (
     MAX_GRAPH_CLASSES,
     TooLarge,
+    ValringError,
     build_graph,
     lambda3_bound,
     spectrum,
@@ -22,6 +23,11 @@ from valring import (
 from valring.cli import parse_ring
 
 DEFAULT_RINGS = ("z:3:1", "z:3:2", "z:5:1", "z:5:2", "z:7:1", "f:9:1", "f:9:2")
+
+
+def int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; argparse makes a ValueError here a usage error."""
+    return [int(t) for t in text.split(",")]
 
 
 def survey(ring_specs, dims):
@@ -56,15 +62,16 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--rings", default=",".join(DEFAULT_RINGS),
                     help="comma-separated ring specs")
-    ap.add_argument("--dims", default="2,3,4", help="comma-separated dimensions")
+    ap.add_argument("--dims", type=int_list, default="2,3,4",
+                    help="comma-separated dimensions")
     ap.add_argument("--json", dest="json_out", default=None,
                     help="also write the full table to this path")
     args = ap.parse_args()
 
     try:
-        rows = survey(args.rings.split(","), [int(t) for t in args.dims.split(",")])
-    except TooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        rows = survey(args.rings.split(","), args.dims)
+    except ValringError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
     print(f"{'ring':>8} {'d':>2} {'classes':>8} {'degree':>7} "

@@ -46,12 +46,8 @@ left rows, one last coordinate x at a time, look their counts up in x's
 int32 table of last-coordinate products.  The dense graph serves its
 spectrum and id-based counts on its own vertices.
 
-One kernel makes every block of dot products: the dense graph's rows,
-the group pairs and the pairwise fallback.  On a multi-digit ring with
-Cayley tables (at most 125 elements, e.g. F_9[t]/(t^2)) it gathers each
-product and each running sum from flat views of the ring's tables, one
-coordinate at a time; on every other ring it takes the ring's integer
-contraction over the coordinate axis.
+Every block of dot products (the dense graph's rows, the group pairs,
+the pairwise fallback) is one call of the ring's public ``dot_many``.
 """
 
 from __future__ import annotations
@@ -246,40 +242,6 @@ def _row_keys(ring: Ring, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _gathers(ring: Ring) -> bool:
-    """Whether _dot_block gathers from Cayley tables (a multi-digit ring of at
-    most _TABLE_MAX_SIZE elements); pair_edge_count weighs such pairs twice."""
-    return ring.n > 1 and ring._cayley() is not None
-
-
-def _dot_block(ring: Ring, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Integer matrix of the ring's dot products dot(left_i, right_j).
-
-    Two paths, both exact integer arithmetic off BLAS and its threads.  On a
-    multi-digit ring with Cayley tables (e.g. F_9[t]/(t^2)), per coordinate,
-    one gather of the products from the flat mul table at
-    left_k*size + right_k and one of the running sums from the flat add
-    table at acc*size + prod: views of the ring's own tables, read below
-    size**2 <= 125**2 = 15625.  Every other ring, one-digit rings of any
-    size and multi-digit rings above the table cap, takes the ring's
-    contraction over the coordinate axis, whose bounded digit sums of outer
-    products are reduced once (see Ring._dot).
-    """
-    if not _gathers(ring):
-        return ring._dot(left.T[:, :, None], right.T[:, None, :])
-    tables = ring._cayley()
-    size, add, mul = ring.size, tables.add.reshape(-1), tables.mul.reshape(-1)
-    acc = np.zeros((len(left), len(right)), dtype=np.int64)
-    for k in range(left.shape[1]):
-        prod = np.take(mul, np.add.outer(left[:, k] * size, right[:, k]))
-        if k:
-            acc *= size
-            acc += prod
-            prod = np.take(add, acc)
-        acc = prod
-    return acc
-
-
 def _zero_dot_count(
     ring: Ring, left: np.ndarray, right: np.ndarray, out: Optional[np.ndarray] = None
 ) -> int:
@@ -291,7 +253,7 @@ def _zero_dot_count(
     total = 0
     step = max(1, _BLOCK_CELLS // max(1, len(right)))
     for lo in range(0, len(left), step):
-        zero = _dot_block(ring, left[lo : lo + step], right) == 0
+        zero = ring.dot_many(left[lo : lo + step], right) == 0
         if out is not None:
             out[lo : lo + step] = zero
         total += int(np.count_nonzero(zero))
@@ -389,12 +351,13 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     values x whose rows gather at most _MERGE_CELLS cells together share
     one gather.  When the tables and the group pairs would outnumber
     w*|U|*|V|, the pairs are tested one by one instead, a row block of
-    _BLOCK_CELLS cells at a time.  The weight w is 2 where :func:`_gathers`
-    holds, since a pair there costs two table gathers per coordinate, and 1
-    on any other ring, as timed on the verify workloads' calls (one-digit
-    and tabulated rings only).  Above the table cap a multi-digit pair costs
-    d * |terms of B| outer products; w = 1 is untimed there, as no workload
-    makes such a call.
+    _BLOCK_CELLS cells at a time.  The weight w is 2 where
+    ``ring.dot_gathers`` holds, since ``ring.dot_many`` then costs two
+    table gathers per pair and coordinate, and 1 on any other ring, as
+    timed on the verify workloads' calls (one-digit and tabulated rings
+    only).  Above the table cap a multi-digit pair costs d * |terms of B|
+    outer products; w = 1 is untimed there, as no workload makes such a
+    call.
 
     Tables and need are int32: on the grouped branch every table position
     is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < w*nl*nr <=
@@ -415,7 +378,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     # the group counts alone decide, so a call that falls back builds no grouping
     l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
     n_gl, n_gr, nx = len(l_uniq), len(r_uniq), len(xs)
-    pair_weight = 2 if _gathers(ring) else 1
+    pair_weight = 2 if ring.dot_gathers else 1
     if n_gr * (nx * size + n_gl) >= pair_weight * nl * nr:
         return _zero_dot_count(ring, left, right)
 
@@ -446,7 +409,7 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
         cells = span * size  # one x value's table
         slot = (x_col * span + (rg[lo:hi] - g0)) * size + ring.mul_many(xs[:, None], ry[lo:hi])
         tables = np.bincount(slot.reshape(-1), minlength=nx * cells).astype(np.int32)
-        need = _dot_block(ring, l_prefix, r_prefix[g0 : g0 + span])
+        need = ring.dot_many(l_prefix, r_prefix[g0 : g0 + span])
         need += np.arange(span) * size
         need = need.astype(np.int32, copy=False)
         k_step = max(1, CHUNK_CELLS // span)

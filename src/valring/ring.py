@@ -32,16 +32,17 @@ everywhere, an int or an int64 array, and :meth:`Ring.check_indices` is
 the one range check.  There is one arithmetic path, in integers only.
 Addition, subtraction and negation act on each digit mod m and never
 carry between digits.  Digit c of a*b is sum_ij a_i * b_j * B[i, j, c]
-mod m, one contraction over B's nonzero terms, which :meth:`Ring._dot`
-also runs over whole dot products.  A ring of at most
-``_TABLE_MAX_SIZE`` elements, Z/p**r or F_q[t]/(t**r), evaluates the
-digitwise sum and the contraction once on the full index grid into
+mod m, one contraction over B's nonzero terms, which :meth:`Ring.dot_many`
+also runs over whole matrices of dot products, the graph kernel.  A ring
+of at most ``_TABLE_MAX_SIZE`` elements, Z/p**r or F_q[t]/(t**r), evaluates
+the digitwise sum and the contraction once on the full index grid into
 Cayley tables: a size x size add table, a size x size mul table and a
 negation vector, so each of ``add_many``, ``mul_many`` and ``neg_many``
 is one gather and ``sub_many`` is two (``add[a, neg[b]]``).  The tables
 are built on the ring's first arithmetic call and :func:`make_ring`
 caches rings, so one build serves every later caller in the process.
-Larger rings add digitwise and contract on each call.
+Larger rings add digitwise and contract on each call.  A multi-digit
+ring with tables gathers its dot products from them instead.
 
 The inverse of a residue v is the Fermat power v**(q-2), and Newton
 steps lift it to the inverse of each unit.
@@ -209,8 +210,8 @@ class Ring:
 
     Every ring is n digits over Z/m with a structure tensor B, chosen once
     in ``__init__``; the arithmetic methods read only m, n and B's nonzero
-    terms, as the module docstring describes, and give int64 results of
-    the broadcast shape of the inputs.
+    terms, as the module docstring describes, and the elementwise ones
+    give int64 results of the broadcast shape of the inputs.
 
     Attributes
     ----------
@@ -420,6 +421,37 @@ class Ring:
         if tables is None:
             return self._products(a, b)
         return tables.mul[a, b]
+
+    @property
+    def dot_gathers(self) -> bool:
+        """Whether :meth:`dot_many` gathers from the Cayley tables (built
+        here if need be): a multi-digit ring within ``_TABLE_MAX_SIZE``."""
+        return self.n > 1 and self._cayley() is not None
+
+    def dot_many(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Integer matrix of the dot products left_i . right_j of two (N, d)
+        index arrays.
+
+        Where :attr:`dot_gathers` holds (e.g. F_9[t]/(t^2)), per coordinate,
+        one int64 gather of the products from the flat mul table at
+        left_k*size + right_k and one of the running sums from the flat add
+        table at acc*size + prod, below size**2 <= 125**2.  Every other ring
+        runs :meth:`_dot` over the coordinate axis; the gather stays out of
+        :meth:`_dot`, which builds the mul table.
+        """
+        if not self.dot_gathers:
+            return self._dot(left.T[:, :, None], right.T[:, None, :])
+        size, tables = self.size, self._cayley_tables
+        add, mul = tables.add.reshape(-1), tables.mul.reshape(-1)
+        acc = np.zeros((len(left), len(right)), dtype=np.int64)
+        for k in range(left.shape[1]):
+            prod = np.take(mul, np.add.outer(left[:, k] * size, right[:, k]))
+            if k:
+                acc *= size
+                acc += prod
+                prod = np.take(add, acc)
+            acc = prod
+        return acc
 
     def valuation_many(self, a) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

@@ -1,6 +1,9 @@
 import contextlib
+import importlib.util
 import io
 import json
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -471,3 +474,34 @@ def test_run_fuzz_exits_cleanly(argv):
     if out.getvalue():
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "script,argv,code",
+    [
+        ("spectral_survey", ["--rings", "z:4:1"], 1),
+        ("spectral_survey", ["--dims", "x"], 2),
+        ("growth_scan", ["--rings", "z:4:1"], 1),
+        ("growth_scan", ["--trials", "0"], 1),
+        ("extremal_probe", ["--ring", "z:4:1"], 1),
+        ("extremal_probe", ["--ring", "z:5:2", "--sizes", "99"], 1),
+        ("extremal_probe", ["--sizes", "4,x"], 2),
+    ],
+)
+def test_survey_scripts_exit_without_a_traceback(script, argv, code, capsys, monkeypatch):
+    # a ValringError is one stderr line and exit 1, a malformed number a usage error
+    path = pathlib.Path(__file__).parents[1] / "scripts" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(script, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys, "argv", [str(path)] + argv)
+    try:
+        got = module.main()
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert "usage:" in err

@@ -241,7 +241,7 @@ def test_dot_block_exact_near_the_int32_bound(p, k, family):
         [sum(int(a) * int(b) for a, b in zip(u, v)) % ring.size for v in right.tolist()]
         for u in left.tolist()
     ]
-    assert graph_module._dot_block(ring, left, right).tolist() == expected
+    assert ring.dot_many(left, right).tolist() == expected
 
 
 # every multi-digit ring that tabulates: f:<p**s>:<r> with s*r > 1 and
@@ -278,7 +278,7 @@ def test_dot_block_matches_a_scalar_fold(desc, d):
         side[0] = ring.size - 1  # one row of top entries, and about a quarter elsewhere
         side[rng.random(side.shape) < 0.25] = ring.size - 1
     expected = [[_scalar_dot(ring, u, v) for v in right] for u in left]
-    assert graph_module._dot_block(ring, left, right).tolist() == expected
+    assert ring.dot_many(left, right).tolist() == expected
 
 
 @pytest.mark.parametrize("desc,d", [("f:9:2", 2), ("f:3:2", 3), ("f:25:1", 3)])

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,6 @@ from valring import (
     make_ring,
 )
 from valring.cli import parse_ring
-from valring.graph import _dot_block
 from valring.ring import is_prime, smallest_irreducible
 
 
@@ -244,6 +244,44 @@ def _table_and_digit_rings(monkeypatch, p, s, r, family):
     return tabled, digits
 
 
+# every multi-digit ring that tabulates: f:<p**s>:<r> with s*r > 1 and
+# p**(s*r) <= _TABLE_MAX_SIZE (15 rings at 125, from f:3:2 to f:121:1)
+_TABLE_CAP = ring_module._TABLE_MAX_SIZE
+_TABULATED_MULTI_DIGIT = {
+    f"f:{p**s}:{r}": (p, s, r, "fqtr")
+    for p in range(3, math.isqrt(_TABLE_CAP) + 1, 2)
+    if is_prime(p)
+    for s in range(1, _TABLE_CAP.bit_length())
+    for r in range(1, _TABLE_CAP.bit_length())
+    if s * r > 1 and p ** (s * r) <= _TABLE_CAP
+}
+
+
+@pytest.mark.parametrize(
+    "params", _TABULATED_MULTI_DIGIT.values(), ids=_TABULATED_MULTI_DIGIT.keys()
+)
+def test_dot_many_gather_matches_the_contraction(monkeypatch, params):
+    # the flat-table gather against the contraction on a copy held at cap 0
+    tabled, digits = _table_and_digit_rings(monkeypatch, *params)
+    assert tabled.dot_gathers and not digits.dot_gathers
+    rng = np.random.default_rng(tabled.size)
+    for d in range(1, 7):
+        left, right = (rng.integers(0, tabled.size, size=(k, d)) for k in (6, 7))
+        for side in (left, right):
+            side[0] = tabled.size - 1  # one row of top entries, and about a quarter elsewhere
+            side[rng.random(side.shape) < 0.25] = tabled.size - 1
+        np.testing.assert_array_equal(tabled.dot_many(left, right), digits.dot_many(left, right))
+
+
+def test_dot_gathers_only_on_tabulated_multi_digit_rings(monkeypatch):
+    assert len(_TABULATED_MULTI_DIGIT) == 15
+    assert make_ring(3, 2, 2, "fqtr").dot_gathers  # f:9:2
+    assert not make_ring(3, 1, 4, "zpr").dot_gathers  # z:3:4: 81 elements, one digit
+    assert not make_ring(13, 1, 2, "fqtr").dot_gathers  # f:13:2: above the cap
+    digits = _table_and_digit_rings(monkeypatch, 3, 2, 2, "fqtr")[1]  # f:9:2 at cap 0
+    assert not digits.dot_gathers
+
+
 @pytest.mark.parametrize("params", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
 def test_cayley_tables_match_digit_path(monkeypatch, params):
     # both paths against the oracle tables (schoolbook F_q[t]/(t^r), or
@@ -330,7 +368,7 @@ def test_prime_field_is_one_ring_in_both_families(p):
     np.testing.assert_array_equal(zp.neg_many(a), fp.neg_many(a))
     np.testing.assert_array_equal(zp.inverse_table(), fp.inverse_table())
     left, right = (np.random.default_rng(p + k).integers(0, p, size=(k, 3)) for k in (20, 30))
-    np.testing.assert_array_equal(_dot_block(zp, left, right), _dot_block(fp, left, right))
+    np.testing.assert_array_equal(zp.dot_many(left, right), fp.dot_many(left, right))
 
 
 def test_digit_path_memory():
@@ -433,7 +471,7 @@ def test_products_and_dot_blocks_match_schoolbook(desc):
         left, right = (rng.integers(0, ring.size, size=(k, d)) for k in (6, 7))
         left[0], right[rng.random(right.shape) < 0.3] = ring.size - 1, ring.size - 1
         expected = [[_schoolbook_dot(u, v, ring) for v in right.tolist()] for u in left.tolist()]
-        assert _dot_block(ring, left, right).tolist() == expected
+        assert ring.dot_many(left, right).tolist() == expected
 
 
 @pytest.mark.parametrize("k,dtype", [(136, np.int32), (137, np.int64)])
@@ -446,7 +484,7 @@ def test_dot_sums_switch_to_int64_past_the_int32_bound(k, dtype):
     left[1, ::3] = ring.size - 2
     right = np.full((3, k), ring.size - 1)
     right[2, 1::2] = 1
-    block = _dot_block(ring, left, right)
+    block = ring.dot_many(left, right)
     assert block.dtype == dtype
     expected = [[_schoolbook_dot(u, v, ring) for v in right.tolist()] for u in left.tolist()]
     assert block.tolist() == expected
