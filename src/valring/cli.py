@@ -19,6 +19,7 @@ from .ring import Ring, RingFamily, check_ring_size, factor_prime_power, make_ri
 from .sets import ElementSet, sample_unit_subset
 from .verify import (
     bound_ratio_scan,
+    check_sizes,
     classify_regime,
     extremal_search,
     verify_hpv,
@@ -187,6 +188,7 @@ def _handle_classify(ns: argparse.Namespace, ring: Ring):
 
 
 def _handle_search(ns: argparse.Namespace, ring: Ring):
+    check_sizes(ring, ns.sizes)
     runs = [extremal_search(ring, k, ns.iters, ns.seed) for k in ns.sizes]
     payload = {
         "kind": "extremal_search_batch",
@@ -269,8 +271,8 @@ def _check(ns: argparse.Namespace) -> None:
         raise ParseError("--constants needs exactly c1,c2,c3")
     if not 0 <= getattr(ns, "seed", 0) < 2**64:
         raise ParseError("seed must fit in 64 bits")
-    if not all(math.isfinite(c) for c in constants):
-        raise ParseError("--constants must be finite numbers")
+    if not all(0 < c < math.inf for c in constants):
+        raise ParseError("--constants must be finite positive numbers")
 
 
 # -- output ----------------------------------------------------------------------

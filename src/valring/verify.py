@@ -25,7 +25,7 @@ from statistics import median
 from typing import NamedTuple, Optional, Sequence
 
 from .config import MAX_FOLD_CELLS, SPECTRAL_TOL, check_count, derive_seed
-from .errors import BadSize, NotUnits, TooLarge
+from .errors import BadSize, NotUnits, TooLarge, ValringError
 from .graph import (
     build_graph,
     class_count,
@@ -57,6 +57,7 @@ __all__ = [
     "check_square_halving",
     "classify_regime",
     "bound_ratio_scan",
+    "check_sizes",
     "extremal_search",
     "verify_hpv",
 ]
@@ -353,12 +354,14 @@ def classify_regime(
     |A+A|*|A|^2 >= c3*q^(3r-1).  The first band that matches (top down)
     wins.  Bands that are empty for this ring's parameters are reported
     rather than adjusted.  The bands compare exactly; the float thresholds
-    are for display, and constants that overflow them are refused before
-    A+A is built.  ``rhs`` is the n = 2 replay's term for the regime
-    (thm1's first or second, or thm2's), so with the default constants it
-    equals that replay's ``ratio.rhs``.
+    are for display.  Constants <= 0, which make bands vacuous, and ones
+    that overflow a threshold are refused before A+A is built.  ``rhs`` is
+    the n = 2 replay's term for the regime (thm1's first or second, or
+    thm2's), so with the default constants it equals that replay's ``ratio.rhs``.
     """
     q, r, k = a.ring.q, a.ring.r, a.card
+    if not all(c > 0 for c in constants):
+        raise ValringError(f"constants must be positive, got {list(constants)}")
     c1, c2, c3 = constants
     floor = _floor(a.ring)
     t1, t2, t3, hyp_rhs = _growth_bounds(q, r, k, 2)
@@ -371,10 +374,10 @@ def classify_regime(
     for name, value in thresholds.items():
         if not math.isfinite(value):
             raise TooLarge(f"{name} is {value}: the constants overflow a float")
-    # x*|x|**23 for each size threshold x: rationals increasing with x, so
+    # x**24 for each size threshold x > 0: rationals increasing with x, so
     # they compare exactly with each other and with |A|**24
     e1, e2, e3 = (
-        c**23 * abs(c) * q**e
+        c**24 * q**e
         for c, e in ((Fraction(c1), 24 * r - 8), (Fraction(c2), 24 * r - 9), (floor, 0))
     )
     f = fold_sets(a, 2)
@@ -405,6 +408,14 @@ def classify_regime(
 # -- scans and search --------------------------------------------------------------
 
 
+def check_sizes(ring: Ring, sizes: Sequence[int]) -> None:
+    """Before any work: BadSize for a k outside [1, |units|], TooLarge if fold_sets refuses k*k."""
+    for k in sizes:
+        if not 1 <= k <= ring.unit_count:
+            raise BadSize(f"size {k} outside [1, {ring.unit_count}] for {ring.descriptor}")
+        check_fold_cells(k * k)
+
+
 def bound_ratio_scan(
     ring: Ring,
     sizes: Sequence[int],
@@ -423,11 +434,7 @@ def bound_ratio_scan(
     ``sample_unit_subset(ring, k, derive_seed(seed, si, t))``.
     """
     check_count("trials", trials, 1)
-    unit_total = ring.unit_count
-    for k in sizes:
-        if not 1 <= k <= unit_total:
-            raise BadSize(f"size {k} outside [1, {unit_total}] for {ring.descriptor}")
-        check_fold_cells(k * k)  # what fold_sets refuses, before any size is scanned
+    check_sizes(ring, sizes)
 
     rows = []
     for si, k in enumerate(sizes):
@@ -521,9 +528,8 @@ def extremal_search(ring: Ring, k: int, iters: int, seed: int) -> dict:
     best objective so far in chain order, hence non-increasing.
     """
     check_count("iters", iters, 0)
+    check_sizes(ring, [k])
     units = ElementSet.units(ring).indices().tolist()
-    if not 1 <= k <= len(units):
-        raise BadSize(f"size {k} outside [1, {len(units)}] for {ring.descriptor}")
     if k == len(units):
         obj = _objective(ring, units)
         return {

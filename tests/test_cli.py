@@ -3,7 +3,6 @@ import importlib.util
 import io
 import json
 import pathlib
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +12,7 @@ import valring.cli
 import valring.graph
 import valring.ring
 import valring.sets
+import valring.verify
 from valring import (
     BadIndex,
     EvenPrime,
@@ -319,6 +319,15 @@ def test_run_rejects_bad_counts(argv, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadSize"
 
 
+def test_run_search_checks_every_size_before_the_first_chain(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a chain ran before every size was checked")
+
+    monkeypatch.setattr(valring.verify, "_search_chain", refuse)
+    assert run(["search", "extremal", "--ring", "z:5:2", "--sizes", "4,99"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadSize"
+
+
 @pytest.mark.parametrize("theorem", ["thm1", "thm2"])
 def test_run_verify_rejects_set_without_units(theorem, capsys):
     assert run(["verify", theorem, "--ring", "z:3:2", "--set", "0,3", "--n", "2"]) == 1
@@ -349,7 +358,8 @@ def test_run_verify_checks_n_before_building_sets(theorem, capsys, monkeypatch):
     _verify_bad_arity(theorem, "1000000000", capsys)
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "x"])
+# a constant <= 0 makes its regime band vacuous; 1e-400 parses to 0.0
+@pytest.mark.parametrize("value", ["nan", "inf", "x", "0", "-1", "1e-400"])
 def test_run_rejects_bad_constants(value, capsys):
     argv = ["classify", "--ring", "z:3:2", "--set", "units", "--constants", f"1,1,{value}"]
     assert run(argv) == 2
@@ -390,6 +400,9 @@ _RING_WORK = ("ring.is_prime", "ring.factor_prime_power", "cli.factor_prime_powe
     # constants that overflow a float threshold: refused before A+A is built
     (["classify", "--ring", "z:3:2", "--set", "units", "--constants", "1e308,1e308,1e308"],
      ("sets.sumset",)),
+    # the class count at d = 5 * 10**6 has millions of digits: build_graph
+    # refuses it from a clipped count instead
+    (["graph", "spectrum", "--ring", "z:3:2", "--d", "5000000"], ("graph.class_count",)),
 ])
 def test_run_rejects_oversize_specs_before_any_work(argv, untouched, capsys, monkeypatch):
     def refuse(*args):
@@ -476,32 +489,46 @@ def test_run_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "script,argv,code",
-    [
-        ("spectral_survey", ["--rings", "z:4:1"], 1),
-        ("spectral_survey", ["--dims", "x"], 2),
-        ("growth_scan", ["--rings", "z:4:1"], 1),
-        ("growth_scan", ["--trials", "0"], 1),
-        ("extremal_probe", ["--ring", "z:4:1"], 1),
-        ("extremal_probe", ["--ring", "z:5:2", "--sizes", "99"], 1),
-        ("extremal_probe", ["--sizes", "4,x"], 2),
-    ],
-)
-def test_survey_scripts_exit_without_a_traceback(script, argv, code, capsys, monkeypatch):
-    # a ValringError is one stderr line and exit 1, a malformed number a usage error
-    path = pathlib.Path(__file__).parents[1] / "scripts" / f"{script}.py"
-    spec = importlib.util.spec_from_file_location(script, path)
+def _probe(argv):
+    """Run scripts/extremal_probe.py's main on argv; return its exit code."""
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "extremal_probe.py"
+    spec = importlib.util.spec_from_file_location("extremal_probe", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    monkeypatch.setattr(sys, "argv", [str(path)] + argv)
     try:
-        got = module.main()
+        return module.main(argv)
     except SystemExit as exc:
-        got = exc.code
-    err = capsys.readouterr().err
-    assert got == code
-    if code == 1:
-        assert err.startswith("error: ") and err.count("\n") == 1
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        pytest.param(["--ring", "z:4:1", "--sizes", "4"], "NonPrime",
+                     id="extremal_probe-argv4-1"),
+        pytest.param(["--ring", "z:5:2", "--sizes", "4,99"], "BadSize",
+                     id="extremal_probe-argv5-1"),
+        pytest.param(["--ring", "z:5:2", "--sizes", "4,x"], None, id="extremal_probe-argv6-2"),
+    ],
+)
+def test_survey_scripts_exit_without_a_traceback(argv, error, capsys):
+    # the probe passes its options to `valring search extremal`: a refused input
+    # is the command's JSON error document and exit 1, a malformed one exit 2
+    code = _probe(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if error:
+        assert code == 1
+        assert json.loads(captured.out)["error"]["type"] == error
     else:
-        assert "usage:" in err
+        assert code == 2 and captured.out == ""
+        assert "ParseError" in captured.err
+
+
+@pytest.mark.parametrize("option", [["--format", "csv"], ["--out", "/nonexistent/x.json"]])
+def test_probe_keeps_its_payloads_on_stdout(option, capsys):
+    # a user's --format or --out is overridden: the probe parses JSON from stdout
+    assert _probe(["--ring", "z:5:2", "--sizes", "4,6", "--iters", "50", *option]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0] == "ring z:5:2, 50 iterations, seed 0"
+    assert [row.split()[0] for row in rows[2:]] == ["4", "6"]

@@ -16,6 +16,7 @@ from valring import (
     ElementSet,
     NotUnits,
     TooLarge,
+    ValringError,
     bound_ratio_scan,
     build_graph,
     check_square_halving,
@@ -344,6 +345,14 @@ def test_classify_constants_shift_bands(z9):
     # doubling c1 pushes the full ring out of the top band
     v = classify_regime(ElementSet.full(z9), constants=(2.0, 1.0, 1.0))
     assert v.regime == 2
+
+
+@pytest.mark.parametrize("constants", [(0, 1, 1), (1, -1, 1), (1, 1, 0.0)])
+def test_classify_refuses_constants_that_are_not_positive(z9, constants, monkeypatch):
+    # each would make its band vacuous; refused before A+A is built
+    monkeypatch.setattr(verify_module, "fold_sets", None)
+    with pytest.raises(ValringError, match="positive"):
+        classify_regime(ElementSet.from_indices(z9, [1, 2]), constants)
 
 
 def test_no_empty_bands_for_z49():
