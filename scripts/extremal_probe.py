@@ -3,7 +3,8 @@
 
 Runs `valring search extremal` with this script's options, classifies each
 size's best set with `valring classify`, and prints one row per size.  The
-exit code and any JSON error document are the command's own.
+exit code and any JSON error document are the command's own.  The probe
+reads each command's JSON from stdout, so it fixes `--out` and `--format`.
 """
 
 import contextlib
@@ -13,6 +14,8 @@ import sys
 
 from valring.cli import run
 
+_FIXED = "\n--out and --format are fixed to JSON on stdout, which the probe reads.\n"
+
 
 def _run(*argv: str) -> dict:
     """One valring command's JSON payload (an empty --out is stdout); on an
@@ -21,7 +24,7 @@ def _run(*argv: str) -> dict:
     with contextlib.redirect_stdout(out):
         code = run([*argv, "--format", "json", "--out", ""])
     if code or not out.getvalue().startswith("{"):
-        sys.stdout.write(out.getvalue())
+        sys.stdout.write(out.getvalue() + ("" if code else _FIXED))  # code 0: the help
         sys.exit(code)
     return json.loads(out.getvalue())
 

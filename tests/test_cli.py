@@ -532,3 +532,12 @@ def test_probe_keeps_its_payloads_on_stdout(option, capsys):
     rows = capsys.readouterr().out.splitlines()
     assert rows[0] == "ring z:5:2, 50 iterations, seed 0"
     assert [row.split()[0] for row in rows[2:]] == ["4", "6"]
+
+
+def test_probe_help_says_out_and_format_are_fixed(capsys):
+    # the help is the command's, which lists --out and --format
+    assert _probe(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith("usage: valring search extremal")
+    fixed = "\n--out and --format are fixed to JSON on stdout, which the probe reads.\n"
+    assert help_text.endswith(fixed)

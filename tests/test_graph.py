@@ -37,6 +37,8 @@ from valring import (
     spectrum,
 )
 
+from oracle import Oracle
+
 
 # ---------------------------------------------------------------------------
 # closed-form counts, frozen
@@ -121,25 +123,14 @@ def test_canonicalize_is_scale_invariant(u, vec):
     assert canonicalize(ring, rep) == rep
 
 
-def _canonicalize_reference(ring, vec):
-    """Scale by the inverse of the first unit coordinate, found by search."""
-    pivot = next(c for c in vec if ring.is_unit(c))
-    inv = next(y for y in range(ring.size) if ring.mul(pivot, y) == 1)
-    return tuple(ring.mul(inv, c) for c in vec)
-
-
 def test_canonicalize_rows_matches_scalar(f9t2):
-    rows = []
-    for v in itertools.product(range(0, 81, 7), repeat=2):
-        if any(f9t2.is_unit(c) for c in v):
-            rows.append(v)
-    rows = np.array(rows, dtype=np.int64)
-    out = canonicalize_rows(f9t2, rows)
-    for r_in, r_out in zip(rows, out):
-        vec = tuple(int(c) for c in r_in)
-        expected = _canonicalize_reference(f9t2, vec)
-        assert tuple(int(c) for c in r_out) == expected
-        assert canonicalize(f9t2, vec) == expected
+    ref = Oracle("f:9:2")
+    grid = np.array(list(itertools.product(range(0, 81, 7), repeat=2)))
+    rows = grid[ref.is_unit(grid).any(axis=1)]
+    expected = ref.canonicalize(rows)
+    np.testing.assert_array_equal(canonicalize_rows(f9t2, rows), expected)
+    for vec, rep in zip(rows.tolist(), expected.tolist()):
+        assert canonicalize(f9t2, vec) == tuple(rep)
 
 
 def test_canonicalize_rows_takes_grid_columns(f9t2):
@@ -234,11 +225,8 @@ def test_dot_block_exact_near_the_int32_bound(p, k, family):
     ring = make_ring(p, 1, 1, family)
     rng = np.random.default_rng(p)
     left, right = (ring.size - 1 - rng.integers(0, 3, size=(m, k)) for m in (20, 30))
-    expected = [
-        [sum(int(a) * int(b) for a, b in zip(u, v)) % ring.size for v in right.tolist()]
-        for u in left.tolist()
-    ]
-    assert ring.dot_many(left, right).tolist() == expected
+    expected = Oracle(ring.descriptor).dot(left[:, None], right[None])
+    np.testing.assert_array_equal(ring.dot_many(left, right), expected)
 
 
 # every multi-digit ring that tabulates: f:<p**s>:<r> with s*r > 1 and
@@ -254,18 +242,11 @@ _TABULATED_MULTI_DIGIT = [
 ]
 
 
-def _scalar_dot(ring, u, v):
-    total = 0
-    for a, b in zip(u, v):
-        total = ring.add(total, ring.mul(int(a), int(b)))
-    return total
-
-
 @pytest.mark.parametrize("d", range(2, 7))
 @pytest.mark.parametrize("desc", _TABULATED_MULTI_DIGIT + ["f:13:2"])
 def test_dot_block_matches_a_scalar_fold(desc, d):
-    # f:13:2 (28 561 elements) is above the table cap, where ring.mul runs the
-    # contraction under test; test_ring.py checks it against schoolbook products
+    # f:13:2 (28 561 elements) is above the table cap, where dot_many contracts
+    # instead of gathering
     ring = parse_ring(desc)
     assert ring.n > 1
     assert (ring._cayley() is None) == (desc == "f:13:2")
@@ -274,8 +255,8 @@ def test_dot_block_matches_a_scalar_fold(desc, d):
     for side in (left, right):
         side[0] = ring.size - 1  # one row of top entries, and about a quarter elsewhere
         side[rng.random(side.shape) < 0.25] = ring.size - 1
-    expected = [[_scalar_dot(ring, u, v) for v in right] for u in left]
-    assert ring.dot_many(left, right).tolist() == expected
+    expected = Oracle(desc).dot(left[:, None], right[None])
+    np.testing.assert_array_equal(ring.dot_many(left, right), expected)
 
 
 @pytest.mark.parametrize("desc,d", [("f:9:2", 2), ("f:3:2", 3), ("f:25:1", 3)])
@@ -283,10 +264,8 @@ def test_build_graph_matches_a_column_fold(desc, d):
     # f:9:2 at d = 3 has 7371 classes, past MAX_GRAPH_CLASSES; f:3:2 stands in
     ring = parse_ring(desc)
     classes = enumerate_classes(ring, d)
-    acc = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for k in range(d):
-        acc = ring.add_many(acc, ring.mul_many(classes[:, k, None], classes[None, :, k]))
-    np.testing.assert_array_equal(build_graph(ring, d).biadjacency, acc == 0)
+    dots = Oracle(desc).dot(classes[:, None], classes[None])
+    np.testing.assert_array_equal(build_graph(ring, d).biadjacency, dots == 0)
 
 
 @pytest.mark.parametrize("desc", ["z:3:2", "f:9:1"])
@@ -357,10 +336,7 @@ def _near_top_rows(ring, d, spread):
 def test_pair_edge_count_zpr_matches_ring_arithmetic(p, r, d, spread):
     ring = make_ring(p, 1, r)
     left, right = _near_top_rows(ring, d, spread)
-    acc = np.zeros((len(left), len(right)), dtype=np.int64)
-    for k in range(d):
-        acc = ring.add_many(acc, ring.mul_many(left[:, k, None], right[None, :, k]))
-    expected = int((acc == 0).sum())
+    expected = Oracle(ring.descriptor).zero_dots(left, right)
     assert expected > 0
     assert pair_edge_count(ring, left, right) == expected
 
@@ -370,10 +346,6 @@ def test_pair_edge_count_cap(z9, monkeypatch):
     monkeypatch.setattr(graph_module, "MAX_PAIR_COUNT", 100)
     with pytest.raises(TooLarge):
         pair_edge_count(z9, g.classes, g.classes)
-
-
-def _pairwise_count(ring, left, right):
-    return graph_module._zero_dot_count(ring, left, right)
 
 
 def _random_side(ring, rng, d, rows, prefixes, last):
@@ -409,7 +381,7 @@ def test_pair_edge_count_matches_pairwise(desc, d, left_shape, right_shape, seed
     rng = np.random.default_rng(seed)
     left = _random_side(ring, rng, d, *left_shape)
     right = _random_side(ring, rng, d, *right_shape)
-    assert pair_edge_count(ring, left, right) == _pairwise_count(ring, left, right)
+    assert pair_edge_count(ring, left, right) == Oracle(ring.descriptor).zero_dots(left, right)
 
 
 def _no_pairwise(*args):
@@ -430,7 +402,7 @@ def _grouped_cases(ring, units, seed):
     xs, pool = [0, 5, 10, 1, 7, 24, 3], rng.integers(0, ring.size, size=(5, 3))
     left = np.array([[*pool[i % 4], xs[i % 7]] for i in range(60)])
     right = np.column_stack([pool[rng.integers(0, 5, size=50)], rng.integers(0, ring.size, 50)])
-    yield left, right, _pairwise_count(ring, left, right)
+    yield left, right, Oracle(ring.descriptor).zero_dots(left, right)
 
 
 def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
@@ -468,7 +440,7 @@ def test_pair_edge_count_large_field_falls_back(monkeypatch):
     # 70 right groups x 4 distinct x x 65521 table cells dwarf the 4200 pairs
     ring = make_ring(65521, 1, 1)
     left, right = _near_top_rows(ring, 8, 4)
-    expected = _pairwise_count(ring, left, right)
+    expected = Oracle(ring.descriptor).zero_dots(left, right)
     calls = []
     pairwise = graph_module._zero_dot_count
 
@@ -500,14 +472,14 @@ def _weighted_window_cases():
     emb = embed_energy_sets(f)  # 160 x 160 rows of width 4
     yield f92, emb.u_rows, emb.v_rows, form_energy(f), True
     z81 = parse_ring("z:3:4")  # the same rows on a one-digit ring of 81 elements
-    yield z81, emb.u_rows, emb.v_rows, _pairwise_count(z81, emb.u_rows, emb.v_rows), False
+    yield z81, emb.u_rows, emb.v_rows, Oracle("z:3:4").zero_dots(emb.u_rows, emb.v_rows), False
     # 40 x 40 rows over 10 prefixes and one left x on f:13:2, above the table cap
     f132 = parse_ring("f:13:2")
     rng = np.random.default_rng(13)
     pool = rng.integers(0, f132.size, size=(10, 2))
     left = np.column_stack([pool[np.arange(40) % 10], np.full(40, 5)])
     right = np.column_stack([pool[np.arange(40) % 10], rng.integers(0, f132.size, 40)])
-    yield f132, left, right, _pairwise_count(f132, left, right), False
+    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), False
 
 
 @pytest.mark.parametrize("case", range(3))
@@ -531,8 +503,9 @@ def test_pair_edge_count_fallback_row_blocks(monkeypatch):
     # blocks of 7 of the 60 left rows: eight full blocks and a short last one
     ring = make_ring(65521, 1, 1)
     left, right = _near_top_rows(ring, 8, 4)
-    expected = _pairwise_count(ring, left, right)
-    assert _pairwise_count(ring, left[56:], right) > 0
+    ref = Oracle(ring.descriptor)
+    expected = ref.zero_dots(left, right)
+    assert ref.zero_dots(left[56:], right) > 0
     monkeypatch.setattr(graph_module, "_BLOCK_CELLS", 7 * len(right))
     assert pair_edge_count(ring, left, right) == expected
 
@@ -652,23 +625,20 @@ def test_embed_skip_mode(z9, monkeypatch):
     assert emb.u_count == 6  # counts still reported for the bound-only route
 
 
-def _oracle_rows(ring, blocks, signs, side):
-    """Each block tuple's canonical class, one tuple at a time, in the module
+def _oracle_rows(ref, blocks, signs, side):
+    """The canonical class of each block tuple, by the oracle, in the module
     docstring's coordinates: U = (-2 s_j u_j, sum s_j u_j^2 + x, 1) and
     V = (v_j, 1, sum s_j v_j^2 - t)."""
-    out = set()
-    for *heads, last in itertools.product(*(b.tolist() for b in blocks)):
-        total = 0
-        for h, s in zip(heads, signs):
-            sq = ring.mul(h, h)
-            total = ring.add(total, sq) if s > 0 else ring.sub(total, sq)
-        if side == "u":
-            coords = [ring.mul(ring.from_int(-2 * s), h) for h, s in zip(heads, signs)]
-            coords += [ring.add(total, last), 1]
-        else:
-            coords = heads + [1, ring.sub(total, last)]
-        out.add(canonicalize(ring, coords))
-    return out
+    *heads, last = np.array(list(itertools.product(*(b.tolist() for b in blocks)))).T
+    total, one = 0, np.ones_like(last)
+    for h, s in zip(heads, signs):
+        total = (ref.add if s > 0 else ref.sub)(total, ref.mul(h, h))
+    if side == "u":
+        coords = [ref.neg(ref.add(h, h)) if s > 0 else ref.add(h, h) for h, s in zip(heads, signs)]
+        coords += [ref.add(total, last), one]
+    else:
+        coords = [*heads, one, ref.sub(total, last)]
+    return set(map(tuple, ref.canonicalize(np.stack(coords, axis=-1)).tolist()))
 
 
 @pytest.mark.parametrize(
@@ -703,7 +673,7 @@ def test_embeddings_match_per_tuple_canonicalize(desc, members, n):
         for rows, blocks, side in ((emb.u_rows, u_blocks, "u"), (emb.v_rows, v_blocks, "v")):
             got = set(map(tuple, rows.tolist()))
             assert len(got) == len(rows)
-            assert got == _oracle_rows(ring, blocks, signs, side)
+            assert got == _oracle_rows(Oracle(desc), blocks, signs, side)
 
 
 @pytest.mark.parametrize("side", ["u", "v"])

@@ -22,6 +22,9 @@ from valring import (
 from valring.cli import parse_ring
 from valring.ring import is_prime, smallest_irreducible
 
+import oracle
+from oracle import Oracle
+
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -101,6 +104,14 @@ def test_smallest_irreducible(p, s, coeffs):
     assert smallest_irreducible(p, s) == coeffs
 
 
+def test_smallest_irreducible_matches_the_oracle():
+    # every field F_(p**s) with s >= 2 under the ring size cap
+    pairs = [(p, s) for p in range(3, 257) if is_prime(p) for s in range(2, 17) if p**s <= 2**16]
+    assert len(pairs) == 78
+    for p, s in pairs:
+        assert smallest_irreducible(p, s) == oracle.smallest_irreducible(p, s), (p, s)
+
+
 def test_irreducible_has_no_roots():
     # degree 2 and 3: irreducible iff rootless
     for p, s in [(3, 2), (5, 2), (3, 3)]:
@@ -156,55 +167,8 @@ def test_fqtr_ring_axioms(triple):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic: F_q[t]/(t^r) against schoolbook F_q arithmetic
+# arithmetic: the table and digit paths against the oracle
 
-
-def _field_mul(a, b, p, modulus):
-    """Schoolbook product of two F_q elements given by base-p digit indices."""
-    s = len(modulus) - 1
-    da, db = ([v // p**i % p for i in range(s)] for v in (a, b))
-    prod = [0] * (2 * s - 1)
-    for i, x in enumerate(da):
-        for j, y in enumerate(db):
-            prod[i + j] += x * y
-    for m in range(2 * s - 2, s - 1, -1):  # x**m = -x**(m-s) * (c_0 + ... + c_(s-1) x**(s-1))
-        for i in range(s):
-            prod[m - s + i] -= prod[m] * modulus[i]
-    return sum(c % p * p**i for i, c in enumerate(prod[:s]))
-
-
-def _field_add(a, b, p, s):
-    """Sum of two F_q elements given by base-p digit indices, digit by digit."""
-    return sum((a // p**i + b // p**i) % p * p**i for i in range(s))
-
-
-def _fqtr_tables(p, s, r):
-    """add, mul and neg of F_q[t]/(t^r) on every index: coefficients of
-    t**k add in F_q, and a product is the truncated convolution of the
-    coefficient vectors, with each coefficient pair multiplied by
-    _field_mul.  The F_q operations are tabulated once, then gathered."""
-    q, modulus = p**s, smallest_irreducible(p, s)
-    fadd = np.array([[_field_add(x, y, p, s) for y in range(q)] for x in range(q)])
-    fmul = np.array([[_field_mul(x, y, p, modulus) for y in range(q)] for x in range(q)])
-    idx = np.arange(q**r)
-    ca, cb = idx[:, None] // q ** np.arange(r) % q, idx // q ** np.arange(r)[:, None] % q
-    add, mul = 0, 0
-    for k in range(r):
-        add = add + fadd[ca[:, k : k + 1], cb[k]] * q**k
-        coeff = 0
-        for i in range(k + 1):
-            coeff = fadd[coeff, fmul[ca[:, i : i + 1], cb[k - i]]]
-        mul = mul + coeff * q**k
-    return add, mul, np.argmax(add == 0, axis=1)
-
-
-def _zpr_tables(p, s, r):
-    """add, mul and neg of Z/p^r on every index: plain integers mod p**r."""
-    idx = np.arange(p**r)
-    return (idx[:, None] + idx) % p**r, idx[:, None] * idx % p**r, -idx % p**r
-
-
-_ORACLE_TABLES = {"zpr": _zpr_tables, "fqtr": _fqtr_tables}
 
 # Every FQTR ring that the tests or the benchmark use, whether or not it
 # is under the table cap, two with an odd number of base-p digits, and
@@ -284,15 +248,15 @@ def test_dot_gathers_only_on_tabulated_multi_digit_rings(monkeypatch):
 
 @pytest.mark.parametrize("params", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
 def test_cayley_tables_match_digit_path(monkeypatch, params):
-    # both paths against the oracle tables (schoolbook F_q[t]/(t^r), or
-    # integers mod p**r), on every pair of indices
-    add, mul, neg = _ORACLE_TABLES[params[-1]](*params[:-1])
+    # both paths against the oracle, on every pair of indices
     tabled, digits = _table_and_digit_rings(monkeypatch, *params)
+    ref = Oracle(tabled.descriptor)
     idx = np.arange(tabled.size, dtype=np.int64)
     a, b = idx[:, None], idx[None, :]
+    add, sub, mul, neg = ref.add(a, b), ref.sub(a, b), ref.mul(a, b), ref.neg(idx)
     for ring in (tabled, digits):
         np.testing.assert_array_equal(ring.add_many(a, b), add)
-        np.testing.assert_array_equal(ring.sub_many(a, b), add[a, neg[b]])
+        np.testing.assert_array_equal(ring.sub_many(a, b), sub)
         np.testing.assert_array_equal(ring.mul_many(a, b), mul)
         np.testing.assert_array_equal(ring.neg_many(idx), neg)
     assert digits._cayley_tables is None
@@ -419,59 +383,32 @@ EXTREME_FIELDS = [(251, 2), (65521, 1), (3, 10)]
 )
 def test_field_mul_and_inverse_match_schoolbook(p, s):
     ring = make_ring(p, s, 1, "fqtr")
-    q, modulus = ring.q, smallest_irreducible(p, s)
+    ref, q = Oracle(ring.descriptor), ring.q
     if q <= 81:
         a, b = (v.ravel() for v in np.indices((q, q)))
     else:
         a, b = np.random.default_rng(q).integers(0, q, size=(2, 4000))
         a[0] = b[0] = q - 1  # every base-p digit p - 1
-    expected = [_field_mul(x, y, p, modulus) for x, y in zip(a.tolist(), b.tolist())]
-    assert ring.mul_many(a, b).tolist() == expected
+    np.testing.assert_array_equal(ring.mul_many(a, b), ref.mul(a, b))
     units = ElementSet.units(ring).indices()
-    assert (ring.mul_many(units, ring.inverse_table()[units]) == 1).all()
-
-
-def _schoolbook_mul(a, b, ring):
-    """a*b in plain Python: integers mod p**r on Z/p^r; on F_q[t]/(t^r) the
-    truncated convolution of the z-adic digits, each product by _field_mul."""
-    if ring.family is RingFamily.ZPR:
-        return a * b % ring.size
-    modulus = smallest_irreducible(ring.p, ring.s)
-    ca, cb = ([v // ring.q**k % ring.q for k in range(ring.r)] for v in (a, b))
-    out = 0
-    for k in range(ring.r):
-        coeff = 0
-        for i in range(k + 1):
-            product = _field_mul(ca[i], cb[k - i], ring.p, modulus)
-            coeff = _field_add(coeff, product, ring.p, ring.s)
-        out += coeff * ring.q**k
-    return out
-
-
-def _schoolbook_dot(u, v, ring):
-    """sum_k u_k * v_k in plain Python; the sum is digitwise mod m on any ring."""
-    total = 0
-    for a, b in zip(u, v):
-        total = _field_add(total, _schoolbook_mul(a, b, ring), ring.m, ring.n)
-    return total
+    assert (ref.mul(units, ring.inverse_table()[units]) == 1).all()
 
 
 # above the table cap, where the structure-tensor contraction computes every
 # product: one-digit (z:3:5) and multi-digit, with s = 1, 2 and n = 6 (f:9:3)
 @pytest.mark.parametrize("desc", ["z:3:5", "f:13:2", "f:25:2", "f:9:3"])
 def test_products_and_dot_blocks_match_schoolbook(desc):
-    ring = parse_ring(desc)
+    ring, ref = parse_ring(desc), Oracle(desc)
     assert ring._cayley() is None
     rng = np.random.default_rng(ring.size)
     a, b = rng.integers(0, ring.size, size=(2, 500))
     a[:50], b[::7] = ring.size - 1, ring.size - 1
-    expected = [_schoolbook_mul(x, y, ring) for x, y in zip(a.tolist(), b.tolist())]
-    assert ring.mul_many(a, b).tolist() == expected
+    np.testing.assert_array_equal(ring.mul_many(a, b), ref.mul(a, b))
     for d in (0, 1, 3, 5):  # d = 0: every dot product is the empty sum 0
         left, right = (rng.integers(0, ring.size, size=(k, d)) for k in (6, 7))
         left[0], right[rng.random(right.shape) < 0.3] = ring.size - 1, ring.size - 1
-        expected = [[_schoolbook_dot(u, v, ring) for v in right.tolist()] for u in left.tolist()]
-        assert ring.dot_many(left, right).tolist() == expected
+        expected = ref.dot(left[:, None], right[None])
+        np.testing.assert_array_equal(ring.dot_many(left, right), expected)
 
 
 @pytest.mark.parametrize("k,dtype", [(136, np.int32), (137, np.int64)])
@@ -486,8 +423,7 @@ def test_dot_sums_switch_to_int64_past_the_int32_bound(k, dtype):
     right[2, 1::2] = 1
     block = ring.dot_many(left, right)
     assert block.dtype == dtype
-    expected = [[_schoolbook_dot(u, v, ring) for v in right.tolist()] for u in left.tolist()]
-    assert block.tolist() == expected
+    np.testing.assert_array_equal(block, Oracle("f:63001:1").dot(left[:, None], right[None]))
 
 
 def test_fqtr_uniformizer_nilpotent(f9t2):
@@ -502,27 +438,48 @@ def test_fqtr_uniformizer_nilpotent(f9t2):
 # valuation, units, inverses
 
 
-@pytest.mark.parametrize("maker", [(3, 1, 3, "zpr"), (3, 2, 2, "fqtr")])
+# every ring of at most 125 elements: 36 Z/p^r and 44 F_q[t]/(t^r)
+SMALL_RINGS = [
+    (p, s, r, family)
+    for p in range(3, 126)
+    if is_prime(p)
+    for family in ("zpr", "fqtr")
+    for s in range(1, 8)
+    if s == 1 or family == "fqtr"
+    for r in range(1, 8)
+    if p ** (s * r) <= 125
+]
+
+
+def _small_rings_after(*first):
+    """The rings first, then every other ring of SMALL_RINGS."""
+    return [*first, *(maker for maker in SMALL_RINGS if maker not in first)]
+
+
+@pytest.mark.parametrize("maker", _small_rings_after((3, 1, 3, "zpr"), (3, 2, 2, "fqtr")))
 def test_valuation_level_counts(maker):
     ring = make_ring(*maker)
-    vals = ring.valuation_many(np.arange(ring.size))
+    idx = np.arange(ring.size)
+    vals = ring.valuation_many(idx)
     assert int(vals[0]) == ring.r
     for k in range(ring.r + 1):
         assert int((vals >= k).sum()) == ring.ideal_size(k)
-    # both routes agree with repeated division by q
-    for x in range(ring.size):
-        expected, y = 0, x
-        while y and y % ring.q == 0:
-            y //= ring.q
-            expected += 1
-        assert ring.valuation(x) == int(vals[x]) == (expected if x else ring.r)
+    # the vector and scalar routes and the unit rule agree with the oracle
+    expected = Oracle(ring.descriptor).valuation(idx)
+    np.testing.assert_array_equal(vals, expected)
+    assert [ring.valuation(x) for x in range(ring.size)] == expected.tolist()
+    np.testing.assert_array_equal(ring.is_unit_many(idx), expected == 0)
 
 
-@pytest.mark.parametrize("maker", [(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
+@pytest.mark.parametrize("maker", _small_rings_after((5, 1, 2, "zpr"), (3, 2, 2, "fqtr")))
 def test_inverse_on_units(maker):
     ring = make_ring(*maker)
+    ref, idx = Oracle(ring.descriptor), np.arange(ring.size)
+    expected = ref.inverse(idx)
+    np.testing.assert_array_equal(ring.is_unit_many(idx), ref.is_unit(idx))
+    np.testing.assert_array_equal(ring.inverse_table(), expected)
     for x in ElementSet.units(ring):
-        assert ring.mul(int(x), ring.inv(int(x))) == 1
+        assert ring.inv(int(x)) == expected[x]
     with pytest.raises(NotAUnit):
         ring.inv(0)
     with pytest.raises(NotAUnit):

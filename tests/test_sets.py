@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -29,6 +27,8 @@ from valring import (
 )
 from valring import sets as sets_module
 from valring.sets import _form_values
+
+from oracle import Oracle
 
 
 def _ids(s):
@@ -181,9 +181,9 @@ def test_sumset_and_productset_chunks_match_pairs(f9t2, monkeypatch, rows_per_ch
     a = ElementSet.from_indices(f9t2, [1, 2, 5, 10, 13, 30, 44])
     b = ElementSet.from_indices(f9t2, [0, 3, 7, 11, 12, 80])
     monkeypatch.setattr(sets_module, "CHUNK_CELLS", rows_per_chunk * b.card)
-    pairs = list(itertools.product(_ids(a), _ids(b)))
-    assert _ids(sumset(a, b)) == sorted({f9t2.add(x, y) for x, y in pairs})
-    assert _ids(productset(a, b)) == sorted({f9t2.mul(x, y) for x, y in pairs})
+    ref, x, y = Oracle("f:9:2"), a.indices()[:, None], b.indices()
+    assert _ids(sumset(a, b)) == np.unique(ref.add(x, y)).tolist()
+    assert _ids(productset(a, b)) == np.unique(ref.mul(x, y)).tolist()
 
 
 def test_iterated_sumset_frozen(z9):
@@ -241,35 +241,6 @@ def test_square_halving_z25(units):
 # counting statistics for x + sum of squared differences
 
 
-def _brute_hist(ring, a_ids, n):
-    """Scalar reference: the multiplicity of each value x + sum (b_i - c_i)^2,
-    with x in A^2, b_i in A+A, c_i in A."""
-    sq = sorted({ring.mul(i, i) for i in a_ids})
-    ss = sorted({ring.add(i, j) for i in a_ids for j in a_ids})
-    hist = [0] * ring.size
-    for x in sq:
-        for bs in itertools.product(ss, repeat=n - 1):
-            for cs in itertools.product(a_ids, repeat=n - 1):
-                acc = x
-                for b, c in zip(bs, cs):
-                    d = ring.sub(b, c)
-                    acc = ring.add(acc, ring.mul(d, d))
-                hist[acc] += 1
-    return hist
-
-
-def _brute_count(ring, a_ids, n):
-    """Scalar reference: tuples whose folded value lands in n*A^2."""
-    sq = sorted({ring.mul(i, i) for i in a_ids})
-    target = set()
-    for combo in itertools.product(sq, repeat=n):
-        acc = 0
-        for v in combo:
-            acc = ring.add(acc, v)
-        target.add(acc)
-    return sum(c for v, c in enumerate(_brute_hist(ring, a_ids, n)) if v in target)
-
-
 def test_count_frozen_z9(z9):
     f = fold_sets(ElementSet.from_indices(z9, [1, 2]), 2)
     assert count_form_solutions(f) == 8
@@ -292,11 +263,15 @@ def test_count_matches_bruteforce(z9, z25, f9t2):
         (f9t2, [2, 70], 3),
     ]
     for ring, ids, n in cases:
+        ref = Oracle(ring.descriptor)
         f = fold_sets(ElementSet.from_indices(ring, ids), n)
-        hist = form_value_histogram(f)
-        assert hist.tolist() == _brute_hist(ring, ids, n)
-        assert np.array_equal(hist, np.bincount(_form_values(f), minlength=ring.size))
-        assert count_form_solutions(f) == _brute_count(ring, ids, n)
+        hist = ref.fold_histogram(ids, n)
+        np.testing.assert_array_equal(form_value_histogram(f), hist)
+        # the solutions are the tuples whose value lies in n*A^2
+        squares = target = np.unique(ref.mul(ids, ids))
+        for _ in range(n - 1):
+            target = np.unique(ref.add(target[:, None], squares))
+        assert count_form_solutions(f) == hist[target].sum()
 
 
 @st.composite
@@ -314,7 +289,7 @@ def test_energy_is_sum_of_squared_multiplicities(case):
     a = ElementSet.from_indices(ring, ids)
     f = fold_sets(a, n)
     hist = form_value_histogram(f)
-    assert np.array_equal(hist, np.bincount(_form_values(f), minlength=ring.size))
+    np.testing.assert_array_equal(hist, Oracle(ring.descriptor).fold_histogram(ids, n))
     assert form_energy(f) == sum(int(c) ** 2 for c in hist)
     assert int(hist.sum()) == form_tuple_count(f)
     # mass inside n*A^2 is exactly the solution count
