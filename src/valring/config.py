@@ -19,7 +19,7 @@ MAX_N = 4  # largest tuple-length parameter n of the fold (sets.py)
 # most support pairs one pass of the fold visits (sets.py), and most subset
 # element visits of check_square_halving (verify.py)
 MAX_FOLD_CELLS = 50_000_000
-# largest |U|*|V| the direct edge count takes on, a route cap: the grouped
+# largest |U|*|V| the direct edge count takes on, a route cap: the split
 # kernel visits far fewer cells (graph.py)
 MAX_PAIR_COUNT = 30_000_000
 MAX_EMBED_SIZE = 200_000  # largest embedded vertex-list length per side (graph.py)

@@ -40,18 +40,24 @@ time into one (N, d) array and audited by sorting its row keys and
 testing neighbours for equality.
 
 Edges between two explicit class lists are counted without the dense
-biadjacency, whether or not it fits: rows that share their first d-1
-coordinates are grouped, each pair of groups is priced once, and the
-left rows, one last coordinate x at a time, look their counts up in x's
-int32 table of last-coordinate products.  The dense graph serves its
-spectrum and id-based counts on its own vertices.
+biadjacency, whether or not it fits, by one split kernel: each row is a
+prefix of d-s coordinates and a suffix of s.  A left row is scaled by the
+inverse of its suffix's first unit coordinate, which keeps its neighbours
+and sends the suffixes to few unit-scaling classes; right rows are grouped
+by prefix, and each left row looks its count up in int32 tables of suffix
+products, one per class and right group.  The split s and which side is
+scaled are priced from closed forms on the rows' column counts, and small
+or unsplittable calls test the pairs one by one.  The dense graph serves
+its spectrum and id-based counts on its own vertices.
 
-Every block of dot products (the dense graph's rows, the group pairs,
-the pairwise fallback) is one call of the ring's public ``dot_many``.
+Every block of dot products (the dense graph's rows, the tables and
+lookups of the split, the pairwise fallback) is one call of the ring's
+public ``dot_many``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from functools import lru_cache
@@ -95,10 +101,12 @@ __all__ = [
     "embed_energy_sets",
 ]
 
-# pair_edge_count gathers the rows of consecutive left values x in one pass
-# while they read at most this many cells, so a call with many x values and
-# few rows each does not pay a pass per x
-_MERGE_CELLS = 2**14
+# pair_edge_count's prices (see its docstring), in units of one coordinate
+# of one pairwise dot product on a one-digit ring
+_SPLIT_BASE = 60_000
+_CELL_PRICE = 6
+_ROW_PRICE = 50
+_GATHER_COORD_PRICE = 2
 # _zero_dot_count works in row blocks of about this many cells, so its
 # temporaries stay in cache and are reused rather than held
 _BLOCK_CELLS = 2**16
@@ -324,14 +332,142 @@ def edge_count(graph: OrthGraph, left_ids: Sequence[int], right_ids: Sequence[in
     return int(graph.biadjacency[np.ix_(li, ri)].sum(dtype=np.int64))
 
 
-def _sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values of a non-empty 1-D array, ascending.
+def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group equal keys: (order, the group of each row in that order, the
+    first row of each group followed by len(keys)); groups ascend by key."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    return order, np.cumsum(first) - 1, np.append(np.flatnonzero(first), len(keys))
 
-    A sort and a scan: np.unique without its return_* arrays takes a
-    hash-table path that measured several times slower on these keys.
+
+def _split_count(ring: Ring, left: np.ndarray, right: np.ndarray, s: int) -> int:
+    """pair_edge_count with rows split into a prefix of d-s coordinates and a
+    suffix of the last s, for any s in [1, d-1].
+
+    A left row u = (alpha, x) is scaled by lam, the inverse of the first unit
+    coordinate of x (lam = 1 when x has none): lam*u is orthogonal to the
+    same rows as u, and the scaled suffixes lam*x fall in few classes xbar.
+    Right rows v = (beta, y) are grouped by prefix.  For each class xbar and
+    right group g, T[xbar, g, c] = #{y in g : xbar . y = c} comes from one
+    bincount, and a left row adds T[its class, g, -lam*alpha . beta_g] over
+    the groups g.  Right rows go in chunks of whole groups (a group too large
+    for one chunk is split, which the sum over chunks undoes); within a
+    chunk, classes go in runs whose tables, table products and gathered
+    cells each stay within CHUNK_CELLS.
     """
-    ordered = np.sort(values)
+    nl, d = left.shape
+    nr, p, size = len(right), d - s, ring.size
+    suffix = left[:, p:]
+    lead = np.ones(nl, dtype=np.int64)  # a suffix with no unit coordinate keeps scale 1
+    for col in suffix.T[::-1]:
+        np.copyto(lead, col, where=ring.is_unit_many(col))
+    lam = ring.inverse_table()[lead][:, None]
+    scaled = ring.mul_many(suffix, lam)
+    l_order, l_class, l_start = _groups(_row_keys(ring, scaled))
+    classes = scaled[l_order[l_start[:-1]]]
+    alpha = ring.mul_many(left[l_order, :p], ring.neg_many(lam[l_order]))
+    r_order, r_group, r_start = _groups(_row_keys(ring, right[:, :p]))
+    beta, ys = right[r_order[r_start[:-1]], :p], right[r_order, p:]
+    n_cls, n_gr = len(classes), len(beta)
+    group_step = max(1, CHUNK_CELLS // size)
+    total = lo = 0
+    while lo < nr:
+        # right rows lo..hi-1 span groups g0..g0+span-1; one class's table is cells long
+        g0 = int(r_group[lo])
+        hi = min(lo + CHUNK_CELLS, int(r_start[min(g0 + group_step, n_gr)]))
+        span = int(r_group[hi - 1]) - g0 + 1
+        cells = span * size
+        slot_offset = (r_group[lo:hi] - g0) * size
+        need_offset = np.arange(span) * size
+        class_step = max(1, CHUNK_CELLS // max(cells, hi - lo))
+        row_step = max(1, CHUNK_CELLS // span)
+        for k0 in range(0, n_cls, class_step):
+            k1 = min(k0 + class_step, n_cls)
+            slot = ring.dot_many(classes[k0:k1], ys[lo:hi])
+            slot += slot_offset
+            slot += (np.arange(k1 - k0) * cells)[:, None]
+            table = np.bincount(slot.reshape(-1), minlength=(k1 - k0) * cells).astype(np.int32)
+            del slot
+            end = int(l_start[k1])
+            for i in range(int(l_start[k0]), end, row_step):
+                j = min(i + row_step, end)
+                at = ring.dot_many(alpha[i:j], beta[g0 : g0 + span])
+                at += need_offset
+                at += ((l_class[i:j] - k0) * cells)[:, None]
+                total += int(np.take(table, at).sum(dtype=np.int64))
+        lo = hi
+    return total
+
+
+def _distinct(keys: np.ndarray, bins: int) -> np.ndarray:
+    """The distinct values of ``keys``, all in [0, bins), ascending: a
+    bincount when the keys are many against the bins, else a sort and a scan."""
+    if 8 * keys.size >= bins:
+        return np.flatnonzero(np.bincount(keys, minlength=bins))
+    ordered = np.sort(keys)
     return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
+def _column_counts(ring: Ring, sides: Sequence[np.ndarray]) -> list[tuple[list, list, list]]:
+    """For each (N, d) side, per column its distinct values and its distinct
+    non-units, and per pair of adjacent columns its distinct value pairs.
+    Each column (or pair) of each side keys its values into a range of its
+    own, so one distinct-value pass covers all columns and one all pairs."""
+    size, d = ring.size, sides[0].shape[1]
+    n = len(sides) * d
+    cols = [np.ascontiguousarray(rows.T) for rows in sides]
+    block = np.arange(n).reshape(len(sides), d, 1)
+    keys = np.concatenate([(c + block[i] * size).reshape(-1) for i, c in enumerate(cols)])
+    seen = _distinct(keys, n * size)
+    values = np.bincount(seen // size, minlength=n).tolist()
+    nonunits = np.bincount(seen[~ring.is_unit_many(seen % size)] // size, minlength=n).tolist()
+    keys = np.concatenate(
+        [((block[i, :-1] * size + c[:-1]) * size + c[1:]).reshape(-1) for i, c in enumerate(cols)]
+    )
+    pairs = np.bincount(_distinct(keys, n * size**2) // size**2, minlength=n).tolist()
+    return [(values[i : i + d], nonunits[i : i + d], pairs[i : i + d - 1]) for i in range(0, n, d)]
+
+
+def _distinct_bound(values: list, pairs: list, lo: int, hi: int) -> int:
+    """A bound on the distinct rows of columns lo..hi-1 (hi > lo): the least
+    product of single-column and adjacent-pair counts that covers them."""
+    best = [1, values[lo]]
+    for c in range(lo + 1, hi):
+        best.append(min(best[-1] * values[c], best[-2] * pairs[c - 1]))
+    return best[-1]
+
+
+def _split_choice(ring: Ring, left: np.ndarray, right: np.ndarray) -> Optional[tuple[int, bool]]:
+    """The split (s, swapped) that pair_edge_count prices lowest, or None when
+    none undercuts the pairwise count; swapped means the right rows are scaled
+    and the left rows tabulated.  See pair_edge_count for the prices."""
+    nl, d = left.shape
+    nr, size = len(right), ring.size
+    coord = _GATHER_COORD_PRICE if ring.dot_gathers else 1
+    best, choice = nl * nr * (coord * d + 1), None
+    if best <= _SPLIT_BASE:
+        return None
+    counts = dict(zip((False, True), _column_counts(ring, (left, right))))
+    for s, swapped in itertools.product(range(1, d), (False, True)):
+        (na, nb), p = ((nr, nl) if swapped else (nl, nr)), d - s
+        values, nonunits, pairs = counts[swapped]
+        suffixes = _distinct_bound(values, pairs, p, d)
+        plain = math.prod(nonunits[p:])  # suffixes with no unit coordinate stay unscaled
+        unit_classes = class_count(ring, s) if s > 1 else 1
+        n_cls = min(na, min(unit_classes, suffixes - plain) + plain)
+        r_values, _, r_pairs = counts[not swapped]
+        n_gr = min(nb, _distinct_bound(r_values, r_pairs, 0, p))
+        cost = (
+            _SPLIT_BASE
+            + n_cls * nb * (coord * s + _CELL_PRICE)
+            + na * n_gr * (coord * p + _CELL_PRICE)
+            + n_cls * n_gr * size
+            + _ROW_PRICE * (na + nb)
+        )
+        if cost < best:
+            best, choice = cost, (s, swapped)
+    return choice
 
 
 def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -> int:
@@ -340,30 +476,35 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     Exact, with no dense graph, so it serves every route that has rows.
     BadIndex unless both sides are 2-D arrays of one width whose entries
     are ring indices; TooLarge when |U|*|V| exceeds MAX_PAIR_COUNT.  An
-    empty side counts 0.  A row is a prefix (its first d-1 coordinates)
-    and a last coordinate, so u . v = alpha . beta + x * y.  Rows are
-    grouped by prefix, and need[j, g] = g*size + (-alpha_j . beta_g mod
-    size) is taken once per pair of groups.  One bincount builds, for every
-    distinct left value x, the table T_x[g*size + c] = #{y in right group
-    g : x * y = c}.  Taken x-major, the left rows holding x add
-    T_x[need[their group, g]] over the right groups g, so a gather reads
-    one x's table of n_gr*size cells, not the tables of all x values;
-    values x whose rows gather at most _MERGE_CELLS cells together share
-    one gather.  When the tables and the group pairs would outnumber
-    w*|U|*|V|, the pairs are tested one by one instead, a row block of
-    _BLOCK_CELLS cells at a time.  The weight w is 2 where
-    ``ring.dot_gathers`` holds, since ``ring.dot_many`` then costs two
-    table gathers per pair and coordinate, and 1 on any other ring, as
-    timed on the verify workloads' calls (one-digit and tabulated rings
-    only).  Above the table cap a multi-digit pair costs d * |terms of B|
-    outer products; w = 1 is untimed there, as no workload makes such a
-    call.
+    empty side counts 0.
 
-    Tables and need are int32: on the grouped branch every table position
-    is below nx*n_gr*size <= n_gr*(nx*size + n_gl) < w*nl*nr <=
-    2*MAX_PAIR_COUNT = 6*10**7 < 2**31, and every count is at most nr.
-    Temporaries are chunked to CHUNK_CELLS cells, or to one right group's
-    tables when that is larger; those are below w*nl*nr cells too.
+    One split kernel, :func:`_split_count`, counts over the unit-scaling
+    classes of row suffixes; the split s in [1, d-1] and which side is
+    scaled are priced from closed forms on the rows' column counts before
+    any row is grouped.  Prices are in units of one coordinate of one
+    pairwise dot product on a one-digit ring (about 1 ns on a 2-core x86_64
+    host); a coordinate costs _GATHER_COORD_PRICE where ``ring.dot_gathers``
+    holds, since ``dot_many`` then gathers twice per coordinate, and 1 on
+    every other ring (untimed above the table cap, where no workload calls).
+    Pairwise, |U|*|V| cells cost coord*d + 1 each.  A split scaling n_a
+    rows against n_b costs _SPLIT_BASE, plus coord*s + _CELL_PRICE per table
+    product (n_cls*n_b of them), coord*(d-s) + _CELL_PRICE per gathered cell
+    (n_a*n_gr), 1 per table cell (n_cls*n_gr*size) and _ROW_PRICE per row.
+    n_gr is bounded by the distinct right prefixes and n_cls by the distinct
+    left suffixes, by the unit classes of R^s (class_count, 1 at s = 1) plus
+    the suffixes with no unit; distinct rows are bounded by products of
+    column and adjacent-pair counts.  A call whose pairwise price is within
+    _SPLIT_BASE, or that no split undercuts, is tested pair by pair, a row
+    block of _BLOCK_CELLS cells at a time.  The prices were fitted to
+    in-process timings of the calls that the verify workloads make at seeds 1
+    and 2; on each of those calls they pick the fastest branch, or one within
+    the timing noise of it.
+
+    Tables are int32 and hold counts of at most |V| <= MAX_PAIR_COUNT <
+    2**31.  A table position is below one chunk's table, at most
+    max(CHUNK_CELLS, size) <= 2**22 cells, so the positions fit int32 too;
+    sums are int64.  Every temporary is within CHUNK_CELLS cells, or within
+    one class's table of one right group (size cells) when that is larger.
     """
     left, right = ring.check_indices(left_rows), ring.check_indices(right_rows)
     if left.ndim != 2 or right.ndim != 2 or not 0 < left.shape[1] == right.shape[1]:
@@ -371,64 +512,13 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     nl, nr = len(left), len(right)
     if nl == 0 or nr == 0:
         return 0
-    size = ring.size
     if nl * nr > MAX_PAIR_COUNT:
         raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
-    l_keys, r_keys = _row_keys(ring, left[:, :-1]), _row_keys(ring, right[:, :-1])
-    # the group counts alone decide, so a call that falls back builds no grouping
-    l_uniq, r_uniq, xs = (_sorted_distinct(k) for k in (l_keys, r_keys, left[:, -1]))
-    n_gl, n_gr, nx = len(l_uniq), len(r_uniq), len(xs)
-    pair_weight = 2 if ring.dot_gathers else 1
-    if n_gr * (nx * size + n_gl) >= pair_weight * nl * nr:
+    choice = _split_choice(ring, left, right)
+    if choice is None:
         return _zero_dot_count(ring, left, right)
-
-    l_group, r_group = np.searchsorted(l_uniq, l_keys), np.searchsorted(r_uniq, r_keys)
-    x_idx = np.searchsorted(xs, left[:, -1])
-    # left rows x-major, by group within one x; the rows of x_i start at x_start[i]
-    by_x = np.argsort(x_idx * n_gl + l_group)
-    row_x, row_group = x_idx[by_x], l_group[by_x]
-    x_start = np.searchsorted(row_x, np.arange(nx + 1))
-    # one row per group: any will do, since the rows of a group share their
-    # prefix; the left prefixes are negated, so their dot products are -alpha . beta
-    l_rep, r_rep = np.empty(n_gl, dtype=np.int64), np.empty(n_gr, dtype=np.int64)
-    l_rep[l_group], r_rep[r_group] = np.arange(nl), np.arange(nr)
-    l_prefix, r_prefix = ring.neg_many(left[l_rep, :-1]), right[r_rep, :-1]
-    order = np.argsort(r_group, kind="stable")
-    rg, ry = r_group[order], right[order, -1]
-    group_start = np.searchsorted(rg, np.arange(n_gr + 1))
-    row_step = max(1, CHUNK_CELLS // nx)
-    group_step = max(1, CHUNK_CELLS // (nx * size + n_gl))
-    x_col = np.arange(nx)[:, None]
-    total = 0
-    lo = 0
-    while lo < nr:
-        # right rows lo..hi, sorted by group, span groups g0..g0+span-1
-        g0 = int(rg[lo])
-        hi = min(lo + row_step, int(group_start[min(g0 + group_step, n_gr)]))
-        span = int(rg[hi - 1]) - g0 + 1
-        cells = span * size  # one x value's table
-        slot = (x_col * span + (rg[lo:hi] - g0)) * size + ring.mul_many(xs[:, None], ry[lo:hi])
-        tables = np.bincount(slot.reshape(-1), minlength=nx * cells).astype(np.int32)
-        need = ring.dot_many(l_prefix, r_prefix[g0 : g0 + span])
-        need += np.arange(span) * size
-        need = need.astype(np.int32, copy=False)
-        k_step = max(1, CHUNK_CELLS // span)
-        few = _MERGE_CELLS // span
-        a = 0
-        while a < nx:
-            # x_a alone, or x_a..x_b-1 when their rows together gather few cells
-            b = int(np.searchsorted(x_start, x_start[a] + few, side="right")) - 1
-            b = max(a + 1, b)
-            table, end = tables[a * cells : b * cells], int(x_start[b])
-            for k in range(int(x_start[a]), end, k_step):
-                k1 = min(k + k_step, end)
-                at = need[row_group[k:k1]]
-                if b > a + 1:
-                    at += ((row_x[k:k1] - a) * cells)[:, None]
-                total += int(np.take(table, at).sum(dtype=np.int64))
-            a = b
-        lo = hi
-    return total
+    s, swapped = choice
+    return _split_count(ring, *((right, left) if swapped else (left, right)), s)
 
 
 # -- mixing --------------------------------------------------------------------

@@ -56,6 +56,7 @@ wins, so a ring is safe to share across threads.
 from __future__ import annotations
 
 import enum
+import itertools
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -254,7 +255,10 @@ class Ring:
         self.m, self.n = (self.size, 1) if family is RingFamily.ZPR else (p, r * s)
         self._terms = self._structure_terms()
         # the widest dot product whose digit sums _dot keeps in int32
-        weight = max(sum(t[3] for t in self._terms if t[2] == c) for c in range(self.n))
+        weight = max(
+            sum(coef for *_, targets in self._terms for t, coef in targets if t == c)
+            for c in range(self.n)
+        )
         self._int32_width = (2**31 - 1) // (weight * (self.m - 1) ** 2)
         self._m_pows = self.m ** np.arange(self.n, dtype=np.int64)
         self._key = (family, p, s, r, self.modulus_coeffs)
@@ -263,8 +267,9 @@ class Ring:
 
     # -- arithmetic: the structure tensor, per-call ops, Cayley tables -------
 
-    def _structure_terms(self) -> list[tuple[int, int, int, int]]:
-        """The nonzero entries (i, j, c, B[i, j, c]) of B, the coefficient of e_c in e_i * e_j.
+    def _structure_terms(self) -> list[tuple[int, int, list[tuple[int, int]]]]:
+        """B's nonzero entries by digit pair: (i, j, [(c, B[i, j, c]), ...]) for
+        each pair with e_i * e_j nonzero, B[i, j, c] the coefficient of e_c.
 
         e_(k*s + l) = t**k * x**l, so e_i * e_j is t**(k_i + k_j), zero from
         t**r on, times x**(l_i + l_j), reduced by the monic modulus.  Z/p**r
@@ -281,7 +286,11 @@ class Ring:
         trunc = (np.add.outer(k, k)[..., None] == k).astype(np.int64)
         n = r * s
         tensor = np.einsum("abc,xyz->axbycz", trunc, field).reshape(n, n, n)
-        return [(int(i), int(j), int(c), int(tensor[i, j, c])) for i, j, c in np.argwhere(tensor)]
+        return [
+            (i, j, [(int(c), int(tensor[i, j, c])) for c in np.flatnonzero(tensor[i, j])])
+            for i, j in itertools.product(range(n), repeat=2)
+            if tensor[i, j].any()
+        ]
 
     def _digits(self, v: np.ndarray, dtype) -> list[np.ndarray]:
         """The n base-m digits of the indices v, least significant first, as
@@ -296,7 +305,8 @@ class Ring:
         """sum_k a[k] * b[k] on indices, in the broadcast shape of the a[k], b[k].
 
         Digit c is sum_k sum_ij a[k]_i * b[k]_j * B[i, j, c] over B's nonzero
-        terms, reduced mod m once.  With S the largest sum of B[:, :, c] over
+        terms, reduced mod m once; each product a[k]_i * b[k]_j is formed once
+        and added into every digit c it feeds.  With S the largest sum of B[:, :, c] over
         the digits c, no sum exceeds K * S * (m-1)**2 for K = len(a).  The
         sums, and the result, are int32 while that is below 2**31 and int64
         otherwise, exact for any K < 2**31: S * (m-1)**2 is (m-1)**2 < 2**32
@@ -308,9 +318,14 @@ class Ring:
         da, db = self._digits(a, dtype), self._digits(b, dtype)
         sums: list = [None] * self.n  # every digit c takes the term e_0 * e_c
         for k in range(len(a)):
-            for i, j, c, coef in self._terms:
-                prod = da[i][k] * db[j][k] if coef == 1 else da[i][k] * db[j][k] * coef
-                sums[c] = prod if sums[c] is None else np.add(sums[c], prod, out=sums[c])
+            for i, j, targets in self._terms:
+                prod = da[i][k] * db[j][k]
+                for c, coef in targets:
+                    term = prod if coef == 1 else prod * coef
+                    if sums[c] is not None:
+                        sums[c] += term
+                    else:  # a product that feeds another digit is copied before it sums
+                        sums[c] = term.copy() if term is prod and len(targets) > 1 else term
         out = sums.pop()
         out %= self.m
         while sums:

@@ -315,11 +315,11 @@ def test_pair_edge_count_matches_graph(z9):
     assert direct == edge_count(g, li, ri)
 
 
-def _near_top_rows(ring, d, spread):
-    """60 left and 70 right rows with entries in [size - spread, size - 1],
-    near the top of the dot-product bound."""
+def _near_top_rows(ring, d, spread, sizes=(60, 70)):
+    """Left and right rows, 60 and 70 by default, with entries in
+    [size - spread, size - 1], near the top of the dot-product bound."""
     rng = np.random.default_rng(ring.p + d)
-    left, right = (ring.size - 1 - rng.integers(0, spread, size=(m, d)) for m in (60, 70))
+    left, right = (ring.size - 1 - rng.integers(0, spread, size=(m, d)) for m in sizes)
     if ring.r == 1:
         # random pairs over a large field are almost never orthogonal: make
         # one right row orthogonal to each of the first ten left rows
@@ -384,45 +384,115 @@ def test_pair_edge_count_matches_pairwise(desc, d, left_shape, right_shape, seed
     assert pair_edge_count(ring, left, right) == Oracle(ring.descriptor).zero_dots(left, right)
 
 
-def _no_pairwise(*args):
-    raise AssertionError("grouped kernel fell back to pairwise blocks")
+def _pooled_rows(ring, rng, rows, d, plain=0):
+    """rows x d indices, each column drawn from a pool of six: 0, two non-units
+    and three units, so rows repeat and share prefixes and suffixes.  The
+    first ``plain`` rows are a unit followed by d-1 non-units, so none of
+    their suffixes holds a unit coordinate."""
+    nonunits = ElementSet.maximal_ideal(ring).indices()
+    units = ElementSet.units(ring).indices()
+    pools = [np.concatenate(([0], rng.choice(nonunits[1:], 2), rng.choice(units, 3))) for _ in range(d)]
+    side = np.stack([rng.choice(pool, rows) for pool in pools], axis=1)
+    side[:plain, 0] = rng.choice(units, plain)
+    side[:plain, 1:] = rng.choice(nonunits, (plain, d - 1))
+    return side
 
 
-def _grouped_cases(ring, units, seed):
-    """(left, right, expected) inputs that take the grouped branch.
-
-    First the energy embedding of a unit set, whose left last coordinates
-    are units; then rows where every left group holds the same seven last
-    coordinates, among them 0 and the non-units 5 and 10.
-    """
-    f = fold_sets(sample_unit_subset(ring, units, seed), 2)
-    emb = embed_energy_sets(f)
-    yield emb.u_rows, emb.v_rows, form_energy(f)
-    rng = np.random.default_rng(5)
-    xs, pool = [0, 5, 10, 1, 7, 24, 3], rng.integers(0, ring.size, size=(5, 3))
-    left = np.array([[*pool[i % 4], xs[i % 7]] for i in range(60)])
-    right = np.column_stack([pool[rng.integers(0, 5, size=50)], rng.integers(0, ring.size, 50)])
-    yield left, right, Oracle(ring.descriptor).zero_dots(left, right)
-
-
-def test_pair_edge_count_grouped_skips_pairwise(z25, monkeypatch):
-    cases = list(_grouped_cases(z25, 10, 9))
-    monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
-    for left, right, expected in cases:
-        assert pair_edge_count(z25, left, right) == expected
+def _split_case(name):
+    """(ring descriptor, left, right) for the split kernel's differential test."""
+    if name == "energy":  # a z:5:2 energy embedding, every left suffix with a unit
+        emb = embed_energy_sets(fold_sets(sample_unit_subset(parse_ring("z:5:2"), 3, 1), 2))
+        return "z:5:2", emb.u_rows, emb.v_rows
+    desc, d = {"plain": ("z:5:2", 4), "gather": ("f:9:2", 3), "above-cap": ("f:13:2", 3)}[name]
+    ring = parse_ring(desc)
+    rng = np.random.default_rng(len(name))
+    left = _pooled_rows(ring, rng, 40, d, plain=12)
+    right = _pooled_rows(ring, rng, 30, d, plain=5)
+    # repeated rows: the last ten of each side again
+    return desc, np.concatenate([left, left[-10:]]), np.concatenate([right, right[-10:]])
 
 
 @pytest.mark.parametrize("cells", [1, 7, 100])
-def test_pair_edge_count_chunk_boundaries(z25, monkeypatch, cells):
-    cases = list(_grouped_cases(z25, 4, 3))
+@pytest.mark.parametrize("name", ["energy", "plain", "gather", "above-cap"])
+def test_split_count_matches_the_oracle(name, cells, monkeypatch):
+    # every split s and both sides scaled, with temporaries of 1, 7 and 100 cells
+    desc, left, right = _split_case(name)
+    ring = parse_ring(desc)
+    expected = Oracle(desc).zero_dots(left, right)
+    assert expected > 0
+    monkeypatch.setattr(graph_module, "CHUNK_CELLS", cells)
+    for s in range(1, left.shape[1]):
+        assert graph_module._split_count(ring, left, right, s) == expected
+        assert graph_module._split_count(ring, right, left, s) == expected
+
+
+@given(
+    st.sampled_from(["z:3:2", "z:5:2", "f:9:2", "f:3:3"]),
+    st.integers(2, 5),
+    _SIDE,
+    _SIDE,
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_split_count_matches_pairwise(desc, d, left_shape, right_shape, seed, data):
+    ring = parse_ring(desc)
+    rng = np.random.default_rng(seed)
+    left = _random_side(ring, rng, d, *left_shape)
+    right = _random_side(ring, rng, d, *right_shape)
+    s = data.draw(st.integers(1, d - 1))
+    expected = Oracle(desc).zero_dots(left, right)
+    assert graph_module._split_count(ring, left, right, s) == expected
+    assert graph_module._split_count(ring, right, left, s) == expected
+
+
+def _no_pairwise(*args):
+    raise AssertionError("pair_edge_count fell back to pairwise blocks")
+
+
+def _routed_split_cases():
+    """(ring, left, right, expected, split) inputs that pair_edge_count splits.
+
+    First the z:5:2 energy embedding of 10 units (1750 x 1750 rows), then
+    400 x 300 pooled z:5:2 rows of which 100 left rows have no unit in any
+    suffix; both split at s = 2 with the left rows scaled.
+    """
+    z25 = parse_ring("z:5:2")
+    f = fold_sets(sample_unit_subset(z25, 10, 9), 2)
+    emb = embed_energy_sets(f)
+    yield z25, emb.u_rows, emb.v_rows, form_energy(f), (2, False)
+    rng = np.random.default_rng(1)
+    left, right = _pooled_rows(z25, rng, 400, 4, plain=100), _pooled_rows(z25, rng, 300, 4)
+    yield z25, left, right, Oracle("z:5:2").zero_dots(left, right), (2, False)
+
+
+def test_pair_edge_count_grouped_skips_pairwise(monkeypatch):
+    cases = list(_routed_split_cases())
+    monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
+    for ring, left, right, expected, split in cases:
+        assert graph_module._split_choice(ring, left, right) == split
+        assert pair_edge_count(ring, left, right) == expected
+
+
+@pytest.mark.parametrize("cells", [1, 7, 100])
+def test_pair_edge_count_chunk_boundaries(monkeypatch, cells):
+    # small enough for one-cell chunks: a f:9:2 energy embedding (160 x 160
+    # rows) and a z:5:2 solution embedding (175 x 150 rows), both split at s = 1
+    f92, z25 = parse_ring("f:9:2"), parse_ring("z:5:2")
+    f = fold_sets(sample_unit_subset(f92, 4, 0), 2)
+    g = fold_sets(sample_unit_subset(z25, 10, 9), 2)
+    cases = [
+        (f92, embed_energy_sets(f), form_energy(f)),
+        (z25, embed_solution_sets(g), count_form_solutions(g)),
+    ]
     monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
     monkeypatch.setattr(graph_module, "CHUNK_CELLS", cells)
-    for left, right, expected in cases:
-        assert pair_edge_count(z25, left, right) == expected
+    for ring, emb, expected in cases:
+        assert graph_module._split_choice(ring, emb.u_rows, emb.v_rows) == (1, False)
+        assert pair_edge_count(ring, emb.u_rows, emb.v_rows) == expected
 
 
 def test_pair_edge_count_memory(z25):
-    # 5000 x 5000 rows: the lookup temporaries are 4-byte cells, one x at a time
+    # 5000 x 5000 rows: every temporary is chunked, and the tables are 4-byte cells
     f = fold_sets(sample_unit_subset(z25, 20, 0), 2)
     emb = embed_energy_sets(f)
     assert len(emb.u_rows) == len(emb.v_rows) == 5000
@@ -436,11 +506,8 @@ def test_pair_edge_count_memory(z25):
     assert peak < 16 * 10**6
 
 
-def test_pair_edge_count_large_field_falls_back(monkeypatch):
-    # 70 right groups x 4 distinct x x 65521 table cells dwarf the 4200 pairs
-    ring = make_ring(65521, 1, 1)
-    left, right = _near_top_rows(ring, 8, 4)
-    expected = Oracle(ring.descriptor).zero_dots(left, right)
+def _counting_pairwise(monkeypatch):
+    """Wrap _zero_dot_count; returns the list of the left row counts it is called with."""
     calls = []
     pairwise = graph_module._zero_dot_count
 
@@ -449,54 +516,53 @@ def test_pair_edge_count_large_field_falls_back(monkeypatch):
         return pairwise(*args)
 
     monkeypatch.setattr(graph_module, "_zero_dot_count", counted)
+    return calls
+
+
+def test_pair_edge_count_large_field_falls_back(monkeypatch):
+    # 120 x 130 rows of width 8 on a field of 65521 elements: priced, since the
+    # pairs cost more than a split's base, but every split's tables hold 65521
+    # cells per class and right group and outprice the pairs
+    ring = make_ring(65521, 1, 1)
+    left, right = _near_top_rows(ring, 8, 4, sizes=(120, 130))
+    assert len(left) * len(right) * (8 + 1) > graph_module._SPLIT_BASE
+    expected = Oracle(ring.descriptor).zero_dots(left, right)
+    calls = _counting_pairwise(monkeypatch)
     assert pair_edge_count(ring, left, right) == expected
-    assert calls == [60]
-
-
-def _fallback_sizing(ring, left, right):
-    """(tables and group pairs, pairs) as pair_edge_count weighs them."""
-    l_keys = graph_module._row_keys(ring, left[:, :-1])
-    r_keys = graph_module._row_keys(ring, right[:, :-1])
-    n_gl, n_gr, nx = (
-        len(graph_module._sorted_distinct(k)) for k in (l_keys, r_keys, left[:, -1])
-    )
-    return n_gr * (nx * ring.size + n_gl), len(left) * len(right)
+    assert calls == [120]
 
 
 def _weighted_window_cases():
-    """(ring, left, right, expected, grouped): rows whose tables and group
-    pairs lie in [|U|*|V|, 2*|U|*|V|), so the pairs weigh twice only on a
-    multi-digit ring with Cayley tables."""
+    """(ring, left, right, expected, split, split_at_weight_1): the split
+    pair_edge_count picks, with a pairwise coordinate weighed twice on a
+    multi-digit ring with Cayley tables, and with it weighed once."""
     f92 = parse_ring("f:9:2")
     f = fold_sets(sample_unit_subset(f92, 4, 0), 2)
     emb = embed_energy_sets(f)  # 160 x 160 rows of width 4
-    yield f92, emb.u_rows, emb.v_rows, form_energy(f), True
+    yield f92, emb.u_rows, emb.v_rows, form_energy(f), (1, False), None
     z81 = parse_ring("z:3:4")  # the same rows on a one-digit ring of 81 elements
-    yield z81, emb.u_rows, emb.v_rows, Oracle("z:3:4").zero_dots(emb.u_rows, emb.v_rows), False
-    # 40 x 40 rows over 10 prefixes and one left x on f:13:2, above the table cap
+    expected = Oracle("z:3:4").zero_dots(emb.u_rows, emb.v_rows)
+    yield z81, emb.u_rows, emb.v_rows, expected, None, None
+    # 160 x 160 rows over 10 prefixes and one left last coordinate on f:13:2,
+    # above the table cap, where a coordinate weighs 1 either way
     f132 = parse_ring("f:13:2")
     rng = np.random.default_rng(13)
     pool = rng.integers(0, f132.size, size=(10, 2))
-    left = np.column_stack([pool[np.arange(40) % 10], np.full(40, 5)])
-    right = np.column_stack([pool[np.arange(40) % 10], rng.integers(0, f132.size, 40)])
-    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), False
+    left = np.column_stack([pool[np.arange(160) % 10], np.full(160, 5)])
+    right = np.column_stack([pool[np.arange(160) % 10], rng.integers(0, f132.size, 160)])
+    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), (1, False), (1, False)
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_pair_edge_count_weighs_tabulated_pairs_twice(case, monkeypatch):
-    ring, left, right, expected, grouped = list(_weighted_window_cases())[case]
-    cost, pairs = _fallback_sizing(ring, left, right)
-    assert pairs <= cost < 2 * pairs
-    calls = []
-    pairwise = graph_module._zero_dot_count
-
-    def counted(*args):
-        calls.append(len(args[1]))
-        return pairwise(*args)
-
-    monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise if grouped else counted)
+    ring, left, right, expected, split, split_at_weight_1 = list(_weighted_window_cases())[case]
+    assert graph_module._split_choice(ring, left, right) == split
+    monkeypatch.setattr(graph_module, "_GATHER_COORD_PRICE", 1)
+    assert graph_module._split_choice(ring, left, right) == split_at_weight_1
+    monkeypatch.undo()
+    calls = _counting_pairwise(monkeypatch)
     assert pair_edge_count(ring, left, right) == expected
-    assert calls == ([] if grouped else [len(left)])
+    assert calls == ([] if split else [len(left)])
 
 
 def test_pair_edge_count_fallback_row_blocks(monkeypatch):
