@@ -45,10 +45,10 @@ prefix of d-s coordinates and a suffix of s.  A left row is scaled by the
 inverse of its suffix's first unit coordinate, which keeps its neighbours
 and sends the suffixes to few unit-scaling classes; right rows are grouped
 by prefix, and each left row looks its count up in int32 tables of suffix
-products, one per class and right group.  The split s and which side is
-scaled are priced from closed forms on the rows' column counts, and small
-or unsplittable calls test the pairs one by one.  The dense graph serves
-its spectrum and id-based counts on its own vertices.
+products, one per class and right group.  The split s is priced from
+closed forms on the rows' column counts, and small or unsplittable calls
+test the pairs one by one.  The dense graph serves its spectrum and
+id-based counts on its own vertices.
 
 Every block of dot products (the dense graph's rows, the tables and
 lookups of the split, the pairwise fallback) is one call of the ring's
@@ -57,7 +57,6 @@ public ``dot_many``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from functools import lru_cache
@@ -406,27 +405,23 @@ def _distinct(keys: np.ndarray, bins: int) -> np.ndarray:
     if 8 * keys.size >= bins:
         return np.flatnonzero(np.bincount(keys, minlength=bins))
     ordered = np.sort(keys)
-    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return ordered[np.diff(ordered, prepend=-1) != 0]
 
 
-def _column_counts(ring: Ring, sides: Sequence[np.ndarray]) -> list[tuple[list, list, list]]:
-    """For each (N, d) side, per column its distinct values and its distinct
-    non-units, and per pair of adjacent columns its distinct value pairs.
-    Each column (or pair) of each side keys its values into a range of its
-    own, so one distinct-value pass covers all columns and one all pairs."""
-    size, d = ring.size, sides[0].shape[1]
-    n = len(sides) * d
-    cols = [np.ascontiguousarray(rows.T) for rows in sides]
-    block = np.arange(n).reshape(len(sides), d, 1)
-    keys = np.concatenate([(c + block[i] * size).reshape(-1) for i, c in enumerate(cols)])
-    seen = _distinct(keys, n * size)
-    values = np.bincount(seen // size, minlength=n).tolist()
-    nonunits = np.bincount(seen[~ring.is_unit_many(seen % size)] // size, minlength=n).tolist()
-    keys = np.concatenate(
-        [((block[i, :-1] * size + c[:-1]) * size + c[1:]).reshape(-1) for i, c in enumerate(cols)]
-    )
-    pairs = np.bincount(_distinct(keys, n * size**2) // size**2, minlength=n).tolist()
-    return [(values[i : i + d], nonunits[i : i + d], pairs[i : i + d - 1]) for i in range(0, n, d)]
+def _column_counts(ring: Ring, rows: np.ndarray) -> tuple[list, list, list]:
+    """For an (N, k) block of rows, per column its distinct values and its
+    distinct non-units, and per pair of adjacent columns its distinct value
+    pairs.  Each column (or pair) keys its values into a range of its own, so
+    one distinct-value pass covers all columns and one all pairs."""
+    size, k = ring.size, rows.shape[1]
+    cols = np.ascontiguousarray(rows.T)
+    base = np.arange(k)[:, None] * size
+    seen = _distinct((cols + base).reshape(-1), k * size)
+    values = np.bincount(seen // size, minlength=k).tolist()
+    nonunits = np.bincount(seen[~ring.is_unit_many(seen % size)] // size, minlength=k).tolist()
+    keys = ((base[:-1] + cols[:-1]) * size + cols[1:]).reshape(-1)
+    pairs = np.bincount(_distinct(keys, k * size**2) // size**2, minlength=k - 1).tolist()
+    return values, nonunits, pairs
 
 
 def _distinct_bound(values: list, pairs: list, lo: int, hi: int) -> int:
@@ -438,35 +433,35 @@ def _distinct_bound(values: list, pairs: list, lo: int, hi: int) -> int:
     return best[-1]
 
 
-def _split_choice(ring: Ring, left: np.ndarray, right: np.ndarray) -> Optional[tuple[int, bool]]:
-    """The split (s, swapped) that pair_edge_count prices lowest, or None when
-    none undercuts the pairwise count; swapped means the right rows are scaled
-    and the left rows tabulated.  See pair_edge_count for the prices."""
+def _split_choice(ring: Ring, left: np.ndarray, right: np.ndarray) -> Optional[int]:
+    """The split s that pair_edge_count prices lowest, or None when none
+    undercuts the pairwise count.  See pair_edge_count for the prices."""
     nl, d = left.shape
     nr, size = len(right), ring.size
     coord = _GATHER_COORD_PRICE if ring.dot_gathers else 1
     best, choice = nl * nr * (coord * d + 1), None
-    if best <= _SPLIT_BASE:
+    if best <= _SPLIT_BASE or d < 2:
         return None
-    counts = dict(zip((False, True), _column_counts(ring, (left, right))))
-    for s, swapped in itertools.product(range(1, d), (False, True)):
-        (na, nb), p = ((nr, nl) if swapped else (nl, nr)), d - s
-        values, nonunits, pairs = counts[swapped]
-        suffixes = _distinct_bound(values, pairs, p, d)
-        plain = math.prod(nonunits[p:])  # suffixes with no unit coordinate stay unscaled
+    # every suffix lies in columns 1..d-1 of the left rows, every prefix in
+    # columns 0..d-2 of the right rows
+    values, nonunits, pairs = _column_counts(ring, left[:, 1:])
+    r_values, _, r_pairs = _column_counts(ring, right[:, :-1])
+    for s in range(1, d):
+        p = d - s
+        suffixes = _distinct_bound(values, pairs, p - 1, d - 1)
+        plain = math.prod(nonunits[p - 1 :])  # suffixes with no unit coordinate stay unscaled
         unit_classes = class_count(ring, s) if s > 1 else 1
-        n_cls = min(na, min(unit_classes, suffixes - plain) + plain)
-        r_values, _, r_pairs = counts[not swapped]
-        n_gr = min(nb, _distinct_bound(r_values, r_pairs, 0, p))
+        n_cls = min(nl, min(unit_classes, suffixes - plain) + plain)
+        n_gr = min(nr, _distinct_bound(r_values, r_pairs, 0, p))
         cost = (
             _SPLIT_BASE
-            + n_cls * nb * (coord * s + _CELL_PRICE)
-            + na * n_gr * (coord * p + _CELL_PRICE)
+            + n_cls * nr * (coord * s + _CELL_PRICE)
+            + nl * n_gr * (coord * p + _CELL_PRICE)
             + n_cls * n_gr * size
-            + _ROW_PRICE * (na + nb)
+            + _ROW_PRICE * (nl + nr)
         )
         if cost < best:
-            best, choice = cost, (s, swapped)
+            best, choice = cost, s
     return choice
 
 
@@ -479,17 +474,17 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     empty side counts 0.
 
     One split kernel, :func:`_split_count`, counts over the unit-scaling
-    classes of row suffixes; the split s in [1, d-1] and which side is
-    scaled are priced from closed forms on the rows' column counts before
-    any row is grouped.  Prices are in units of one coordinate of one
+    classes of the left rows' suffixes; the split s in [1, d-1] is priced
+    from closed forms on the rows' column counts before any row is
+    grouped.  Prices are in units of one coordinate of one
     pairwise dot product on a one-digit ring (about 1 ns on a 2-core x86_64
     host); a coordinate costs _GATHER_COORD_PRICE where ``ring.dot_gathers``
     holds, since ``dot_many`` then gathers twice per coordinate, and 1 on
     every other ring (untimed above the table cap, where no workload calls).
-    Pairwise, |U|*|V| cells cost coord*d + 1 each.  A split scaling n_a
-    rows against n_b costs _SPLIT_BASE, plus coord*s + _CELL_PRICE per table
-    product (n_cls*n_b of them), coord*(d-s) + _CELL_PRICE per gathered cell
-    (n_a*n_gr), 1 per table cell (n_cls*n_gr*size) and _ROW_PRICE per row.
+    Pairwise, |U|*|V| cells cost coord*d + 1 each.  A split costs
+    _SPLIT_BASE, plus coord*s + _CELL_PRICE per table product (n_cls*|V| of
+    them), coord*(d-s) + _CELL_PRICE per gathered cell (|U|*n_gr), 1 per
+    table cell (n_cls*n_gr*size) and _ROW_PRICE per row.
     n_gr is bounded by the distinct right prefixes and n_cls by the distinct
     left suffixes, by the unit classes of R^s (class_count, 1 at s = 1) plus
     the suffixes with no unit; distinct rows are bounded by products of
@@ -514,11 +509,10 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
         return 0
     if nl * nr > MAX_PAIR_COUNT:
         raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
-    choice = _split_choice(ring, left, right)
-    if choice is None:
+    s = _split_choice(ring, left, right)
+    if s is None:
         return _zero_dot_count(ring, left, right)
-    s, swapped = choice
-    return _split_count(ring, *((right, left) if swapped else (left, right)), s)
+    return _split_count(ring, left, right, s)
 
 
 # -- mixing --------------------------------------------------------------------
@@ -533,7 +527,7 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
     violations (which the theorem says must be zero) and the worst
     residual/bound ratio observed, against the computed sigma_2.
     """
-    check_count("trials", trials, 0)
+    check_count("trials", trials, 1)
     n = graph.n_classes
     rng = random.Random(seed)
     lam = float(spectrum(graph)[1])
@@ -566,8 +560,8 @@ def mixing_random_pairs(graph: OrthGraph, trials: int, seed: int) -> dict:
         "lambda3": lam,
         "lambda3_kind": "computed",
         "violations": violations,
-        "max_ratio": float(ratios.max()) if trials else 0.0,
-        "mean_ratio": float(ratios.mean()) if trials else 0.0,
+        "max_ratio": float(ratios.max()),
+        "mean_ratio": float(ratios.mean()),
     }
 
 

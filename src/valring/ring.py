@@ -391,14 +391,15 @@ class Ring:
     def check_indices(self, a) -> np.ndarray:
         """``a``, an index or an array or sequence of them, as int64.
 
-        BadIndex unless every entry lies in [0, size); an empty input
-        passes.  One compare covers both ends, since a negative entry
-        read as unsigned is at least 2**63.
+        BadIndex unless every entry is an integer in [0, size); an empty
+        input passes.  A float, bool or string entry is refused, not
+        truncated or parsed.  One compare covers both ends, since a
+        negative entry read as unsigned is at least 2**63.
         """
-        try:
-            a = np.asarray(a, dtype=np.int64)
-        except OverflowError:
-            raise BadIndex(f"an index outside [0, {self.size})") from None
+        a = np.asarray(a)  # an int past int64 makes an object array
+        if a.size and a.dtype.kind not in "iu":
+            raise BadIndex(f"indices must be integers in [0, {self.size}), got {a.dtype}")
+        a = a.astype(np.int64, copy=False)
         bad = a.view(np.uint64) >= self.size
         if bad.any():
             raise BadIndex(f"index {a[bad].flat[0]} outside [0, {self.size})")

@@ -307,6 +307,8 @@ def test_run_hpv_set_count(capsys):
     [
         ["scan", "ratios", "--ring", "z:5:2", "--sizes", "4", "--trials", "0"],
         ["graph", "mixing", "--ring", "z:3:2", "--d", "3", "--trials", "-3"],
+        # no trial drawn is no check made
+        ["graph", "mixing", "--ring", "z:3:2", "--d", "3", "--trials", "0"],
         ["search", "extremal", "--ring", "z:5:2", "--sizes", "4", "--iters", "-5"],
         # over MAX_TRIALS: refused before anything is allocated per trial
         ["graph", "mixing", "--ring", "z:3:1", "--d", "2", "--trials", str(10**15)],

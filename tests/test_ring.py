@@ -516,6 +516,21 @@ def test_check_indices_checks_all_entries_at_once(maker):
         ring.check_indices([1, 2**64])
 
 
+@pytest.mark.parametrize("maker", [(5, 1, 2, "zpr"), (3, 2, 2, "fqtr")])
+def test_check_indices_refuses_non_integers(maker):
+    # floats were truncated, strings parsed and bools read as 0 and 1
+    ring = make_ring(*maker)
+    for bad in ([1.7, 2.2], 1.5, 2.0, "3", ["1", "2"], True, [True, False], np.array([1.0]), [1, 2.5]):
+        with pytest.raises(BadIndex):
+            ring.check_indices(bad)
+    with pytest.raises(BadIndex):
+        ring.add(1.5, 2)
+    with pytest.raises(BadIndex):
+        ElementSet.from_indices(ring, [1.9])
+    assert ring.check_indices(np.array([], dtype=np.float64)).dtype == np.int64
+    assert ring.check_indices(np.array([3], dtype=np.uint8)).tolist() == [3]
+
+
 def test_unit_iff_valuation_zero(z25):
     for x in range(25):
         assert z25.is_unit(x) == (z25.valuation(x) == 0)
