@@ -67,11 +67,9 @@ def parse_set(ring: Ring, text: str) -> ElementSet:
             raise ParseError(f"set literal {text!r} has non-integer fields") from None
         return sample_unit_subset(ring, size, seed)
     try:
-        indices = [int(tok) for tok in text.split(",") if tok]
-    except ValueError:
+        indices = [int(tok) for tok in text.split(",")]
+    except ValueError:  # an empty entry too: "", "1,,2" and "1,2," are refused
         raise ParseError(f"set literal {text!r} is not a comma-separated index list") from None
-    if not indices:
-        raise ParseError("empty set literal")
     return ElementSet.from_indices(ring, indices)
 
 
@@ -188,7 +186,7 @@ def _handle_classify(ns: argparse.Namespace, ring: Ring):
 
 
 def _handle_search(ns: argparse.Namespace, ring: Ring):
-    check_sizes(ring, ns.sizes)
+    check_sizes(ring, ns.sizes, "iters", ns.iters)
     runs = [extremal_search(ring, k, ns.iters, ns.seed) for k in ns.sizes]
     payload = {
         "kind": "extremal_search_batch",
@@ -279,6 +277,11 @@ def _check(ns: argparse.Namespace) -> None:
 
 
 def _flatten(prefix: str, obj, rows: list) -> None:
+    """Append (dotted key, value) rows for the leaves of ``obj``: a list of
+    scalars is one row of ;-joined values, and entry i of any other list
+    sits under key i, as in ``runs.0.best_objective``."""
+    if isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        obj = dict(enumerate(obj))
     if isinstance(obj, dict):
         for key in sorted(obj):
             _flatten(f"{prefix}.{key}" if prefix else str(key), obj[key], rows)

@@ -23,8 +23,9 @@ MAX_FOLD_CELLS = 50_000_000
 # kernel visits far fewer cells (graph.py)
 MAX_PAIR_COUNT = 30_000_000
 MAX_EMBED_SIZE = 200_000  # largest embedded vertex-list length per side (graph.py)
-# largest trial or iteration count of mixing, scan and search, and largest
-# exhaustive_limit and samples of check_square_halving (verify.py)
+# largest trial or iteration count of mixing, scan and search, also summed
+# over the sizes of one scan or search, and largest exhaustive_limit and
+# samples of check_square_halving (verify.py)
 MAX_TRIALS = 100_000
 
 

@@ -45,10 +45,11 @@ prefix of d-s coordinates and a suffix of s.  A left row is scaled by the
 inverse of its suffix's first unit coordinate, which keeps its neighbours
 and sends the suffixes to few unit-scaling classes; right rows are grouped
 by prefix, and each left row looks its count up in int32 tables of suffix
-products, one per class and right group.  The split s is priced from
-closed forms on the rows' column counts, and small or unsplittable calls
-test the pairs one by one.  The dense graph serves its spectrum and
-id-based counts on its own vertices.
+products, one per class and right group.  The split is s = d // 2: its
+groups are formed once and priced from their exact counts, and small
+calls, or calls the split does not undercut, test the pairs one by one.
+The dense graph serves its spectrum and id-based counts on its own
+vertices.
 
 Every block of dot products (the dense graph's rows, the tables and
 lookups of the split, the pairwise fallback) is one call of the ring's
@@ -340,9 +341,29 @@ def _groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, np.cumsum(first) - 1, np.append(np.flatnonzero(first), len(keys))
 
 
-def _split_count(ring: Ring, left: np.ndarray, right: np.ndarray, s: int) -> int:
+def _split_groups(ring: Ring, left: np.ndarray, right: np.ndarray, s: int) -> tuple:
+    """The rows grouped as _split_count counts them at split s: (lam, the
+    left rows' scales as an (N, 1) column; classes, one scaled suffix per
+    class; the left rows' classes and the right rows' prefix groups, each as
+    :func:`_groups` gives them)."""
+    p = left.shape[1] - s
+    suffix = left[:, p:]
+    lead = np.ones(len(left), dtype=np.int64)  # a suffix with no unit coordinate keeps scale 1
+    for col in suffix.T[::-1]:
+        np.copyto(lead, col, where=ring.is_unit_many(col))
+    lam = ring.inverse_table()[lead][:, None]
+    scaled = ring.mul_many(suffix, lam)
+    l_groups = _groups(_row_keys(ring, scaled))
+    classes = scaled[l_groups[0][l_groups[2][:-1]]]
+    return lam, classes, l_groups, _groups(_row_keys(ring, right[:, :p]))
+
+
+def _split_count(
+    ring: Ring, left: np.ndarray, right: np.ndarray, s: int, groups: Optional[tuple] = None
+) -> int:
     """pair_edge_count with rows split into a prefix of d-s coordinates and a
-    suffix of the last s, for any s in [1, d-1].
+    suffix of the last s, for any s in [1, d-1]; ``groups`` is what
+    :func:`_split_groups` gives for s, formed here when not given.
 
     A left row u = (alpha, x) is scaled by lam, the inverse of the first unit
     coordinate of x (lam = 1 when x has none): lam*u is orthogonal to the
@@ -355,18 +376,11 @@ def _split_count(ring: Ring, left: np.ndarray, right: np.ndarray, s: int) -> int
     chunk, classes go in runs whose tables, table products and gathered
     cells each stay within CHUNK_CELLS.
     """
-    nl, d = left.shape
-    nr, p, size = len(right), d - s, ring.size
-    suffix = left[:, p:]
-    lead = np.ones(nl, dtype=np.int64)  # a suffix with no unit coordinate keeps scale 1
-    for col in suffix.T[::-1]:
-        np.copyto(lead, col, where=ring.is_unit_many(col))
-    lam = ring.inverse_table()[lead][:, None]
-    scaled = ring.mul_many(suffix, lam)
-    l_order, l_class, l_start = _groups(_row_keys(ring, scaled))
-    classes = scaled[l_order[l_start[:-1]]]
+    nr, p, size = len(right), left.shape[1] - s, ring.size
+    if groups is None:
+        groups = _split_groups(ring, left, right, s)
+    lam, classes, (l_order, l_class, l_start), (r_order, r_group, r_start) = groups
     alpha = ring.mul_many(left[l_order, :p], ring.neg_many(lam[l_order]))
-    r_order, r_group, r_start = _groups(_row_keys(ring, right[:, :p]))
     beta, ys = right[r_order[r_start[:-1]], :p], right[r_order, p:]
     n_cls, n_gr = len(classes), len(beta)
     group_step = max(1, CHUNK_CELLS // size)
@@ -399,72 +413,6 @@ def _split_count(ring: Ring, left: np.ndarray, right: np.ndarray, s: int) -> int
     return total
 
 
-def _distinct(keys: np.ndarray, bins: int) -> np.ndarray:
-    """The distinct values of ``keys``, all in [0, bins), ascending: a
-    bincount when the keys are many against the bins, else a sort and a scan."""
-    if 8 * keys.size >= bins:
-        return np.flatnonzero(np.bincount(keys, minlength=bins))
-    ordered = np.sort(keys)
-    return ordered[np.diff(ordered, prepend=-1) != 0]
-
-
-def _column_counts(ring: Ring, rows: np.ndarray) -> tuple[list, list, list]:
-    """For an (N, k) block of rows, per column its distinct values and its
-    distinct non-units, and per pair of adjacent columns its distinct value
-    pairs.  Each column (or pair) keys its values into a range of its own, so
-    one distinct-value pass covers all columns and one all pairs."""
-    size, k = ring.size, rows.shape[1]
-    cols = np.ascontiguousarray(rows.T)
-    base = np.arange(k)[:, None] * size
-    seen = _distinct((cols + base).reshape(-1), k * size)
-    values = np.bincount(seen // size, minlength=k).tolist()
-    nonunits = np.bincount(seen[~ring.is_unit_many(seen % size)] // size, minlength=k).tolist()
-    keys = ((base[:-1] + cols[:-1]) * size + cols[1:]).reshape(-1)
-    pairs = np.bincount(_distinct(keys, k * size**2) // size**2, minlength=k - 1).tolist()
-    return values, nonunits, pairs
-
-
-def _distinct_bound(values: list, pairs: list, lo: int, hi: int) -> int:
-    """A bound on the distinct rows of columns lo..hi-1 (hi > lo): the least
-    product of single-column and adjacent-pair counts that covers them."""
-    best = [1, values[lo]]
-    for c in range(lo + 1, hi):
-        best.append(min(best[-1] * values[c], best[-2] * pairs[c - 1]))
-    return best[-1]
-
-
-def _split_choice(ring: Ring, left: np.ndarray, right: np.ndarray) -> Optional[int]:
-    """The split s that pair_edge_count prices lowest, or None when none
-    undercuts the pairwise count.  See pair_edge_count for the prices."""
-    nl, d = left.shape
-    nr, size = len(right), ring.size
-    coord = _GATHER_COORD_PRICE if ring.dot_gathers else 1
-    best, choice = nl * nr * (coord * d + 1), None
-    if best <= _SPLIT_BASE or d < 2:
-        return None
-    # every suffix lies in columns 1..d-1 of the left rows, every prefix in
-    # columns 0..d-2 of the right rows
-    values, nonunits, pairs = _column_counts(ring, left[:, 1:])
-    r_values, _, r_pairs = _column_counts(ring, right[:, :-1])
-    for s in range(1, d):
-        p = d - s
-        suffixes = _distinct_bound(values, pairs, p - 1, d - 1)
-        plain = math.prod(nonunits[p - 1 :])  # suffixes with no unit coordinate stay unscaled
-        unit_classes = class_count(ring, s) if s > 1 else 1
-        n_cls = min(nl, min(unit_classes, suffixes - plain) + plain)
-        n_gr = min(nr, _distinct_bound(r_values, r_pairs, 0, p))
-        cost = (
-            _SPLIT_BASE
-            + n_cls * nr * (coord * s + _CELL_PRICE)
-            + nl * n_gr * (coord * p + _CELL_PRICE)
-            + n_cls * n_gr * size
-            + _ROW_PRICE * (nl + nr)
-        )
-        if cost < best:
-            best, choice = cost, s
-    return choice
-
-
 def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -> int:
     """Count orthogonal pairs between two explicit class lists.
 
@@ -474,26 +422,23 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     empty side counts 0.
 
     One split kernel, :func:`_split_count`, counts over the unit-scaling
-    classes of the left rows' suffixes; the split s in [1, d-1] is priced
-    from closed forms on the rows' column counts before any row is
-    grouped.  Prices are in units of one coordinate of one
-    pairwise dot product on a one-digit ring (about 1 ns on a 2-core x86_64
-    host); a coordinate costs _GATHER_COORD_PRICE where ``ring.dot_gathers``
-    holds, since ``dot_many`` then gathers twice per coordinate, and 1 on
-    every other ring (untimed above the table cap, where no workload calls).
-    Pairwise, |U|*|V| cells cost coord*d + 1 each.  A split costs
-    _SPLIT_BASE, plus coord*s + _CELL_PRICE per table product (n_cls*|V| of
-    them), coord*(d-s) + _CELL_PRICE per gathered cell (|U|*n_gr), 1 per
-    table cell (n_cls*n_gr*size) and _ROW_PRICE per row.
-    n_gr is bounded by the distinct right prefixes and n_cls by the distinct
-    left suffixes, by the unit classes of R^s (class_count, 1 at s = 1) plus
-    the suffixes with no unit; distinct rows are bounded by products of
-    column and adjacent-pair counts.  A call whose pairwise price is within
-    _SPLIT_BASE, or that no split undercuts, is tested pair by pair, a row
-    block of _BLOCK_CELLS cells at a time.  The prices were fitted to
-    in-process timings of the calls that the verify workloads make at seeds 1
-    and 2; on each of those calls they pick the fastest branch, or one within
-    the timing noise of it.
+    classes of the left rows' suffixes at s = d // 2.  A call whose pairwise
+    price is within _SPLIT_BASE, or of width 1, is tested pair by pair, a
+    row block of _BLOCK_CELLS cells at a time; any other call groups its
+    rows once (:func:`_split_groups`) and prices the split from the exact
+    class and group counts n_cls and n_gr, then counts with those groups,
+    or pair by pair where the split does not undercut the pairs.  Prices
+    are in units of one coordinate of one pairwise dot product on a
+    one-digit ring (about 1 ns on a 2-core x86_64 host); a coordinate costs
+    _GATHER_COORD_PRICE where ``ring.dot_gathers`` holds, since
+    ``dot_many`` then gathers twice per coordinate, and 1 on every other
+    ring (untimed above the table cap, where no workload calls).  Pairwise,
+    |U|*|V| cells cost coord*d + 1 each.  A split costs _SPLIT_BASE, plus
+    coord*s + _CELL_PRICE per table product (n_cls*|V| of them),
+    coord*(d-s) + _CELL_PRICE per gathered cell (|U|*n_gr), 1 per table
+    cell (n_cls*n_gr*size) and _ROW_PRICE per row.  The prices were fitted
+    to in-process timings of the calls that the verify workloads make at
+    seeds 1 and 2.
 
     Tables are int32 and hold counts of at most |V| <= MAX_PAIR_COUNT <
     2**31.  A table position is below one chunk's table, at most
@@ -509,10 +454,24 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
         return 0
     if nl * nr > MAX_PAIR_COUNT:
         raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
-    s = _split_choice(ring, left, right)
-    if s is None:
-        return _zero_dot_count(ring, left, right)
-    return _split_count(ring, left, right, s)
+    d = left.shape[1]
+    coord = _GATHER_COORD_PRICE if ring.dot_gathers else 1
+    pairwise = nl * nr * (coord * d + 1)
+    if pairwise > _SPLIT_BASE and d >= 2:
+        s = d // 2
+        groups = _split_groups(ring, left, right, s)
+        _, classes, _, (_, _, r_start) = groups
+        n_cls, n_gr = len(classes), len(r_start) - 1
+        split = (
+            _SPLIT_BASE
+            + n_cls * nr * (coord * s + _CELL_PRICE)
+            + nl * n_gr * (coord * (d - s) + _CELL_PRICE)
+            + n_cls * n_gr * ring.size
+            + _ROW_PRICE * (nl + nr)
+        )
+        if split < pairwise:
+            return _split_count(ring, left, right, s, groups)
+    return _zero_dot_count(ring, left, right)
 
 
 # -- mixing --------------------------------------------------------------------

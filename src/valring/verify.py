@@ -408,8 +408,11 @@ def classify_regime(
 # -- scans and search --------------------------------------------------------------
 
 
-def check_sizes(ring: Ring, sizes: Sequence[int]) -> None:
-    """Before any work: BadSize for a k outside [1, |units|], TooLarge if fold_sets refuses k*k."""
+def check_sizes(ring: Ring, sizes: Sequence[int], name: str, per_size: int) -> None:
+    """Before any work: BadSize when len(sizes) * per_size (the ``name``
+    count of each size) passes MAX_TRIALS or for a k outside [1, |units|],
+    TooLarge if fold_sets refuses k*k."""
+    check_count(f"len(sizes) * {name}", len(sizes) * per_size, 0)
     for k in sizes:
         if not 1 <= k <= ring.unit_count:
             raise BadSize(f"size {k} outside [1, {ring.unit_count}] for {ring.descriptor}")
@@ -434,7 +437,7 @@ def bound_ratio_scan(
     ``sample_unit_subset(ring, k, derive_seed(seed, si, t))``.
     """
     check_count("trials", trials, 1)
-    check_sizes(ring, sizes)
+    check_sizes(ring, sizes, "trials", trials)
 
     rows = []
     for si, k in enumerate(sizes):
@@ -528,7 +531,7 @@ def extremal_search(ring: Ring, k: int, iters: int, seed: int) -> dict:
     best objective so far in chain order, hence non-increasing.
     """
     check_count("iters", iters, 0)
-    check_sizes(ring, [k])
+    check_sizes(ring, [k], "iters", iters)
     units = ElementSet.units(ring).indices().tolist()
     if k == len(units):
         obj = _objective(ring, units)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import importlib.util
 import io
 import json
@@ -65,7 +66,7 @@ def test_parse_set_literals(z9):
     assert rnd == parse_set(z9, "random:3:7")
 
 
-@pytest.mark.parametrize("text", ["random:3", "random:x:1", "1,a", ""])
+@pytest.mark.parametrize("text", ["random:3", "random:x:1", "1,a", "", "1,,2", "1,2,"])
 def test_parse_set_rejects(text, z9):
     with pytest.raises(ParseError):
         parse_set(z9, text)
@@ -256,6 +257,31 @@ def test_run_csv_projections(capsys):
     assert out.splitlines()[0] == "key,value"
 
 
+def _leaves(prefix, obj):
+    """(dotted key, str value) of every leaf of a JSON document; a list of
+    numbers is one leaf of ;-joined values."""
+    if isinstance(obj, list) and not all(isinstance(v, (int, float)) for v in obj):
+        obj = {str(i): v for i, v in enumerate(obj)}
+    if isinstance(obj, dict):
+        return [leaf for key in obj for leaf in _leaves(f"{prefix}.{key}".lstrip("."), obj[key])]
+    if isinstance(obj, list):
+        return [(prefix, ";".join(str(v) for v in obj))]
+    return [(prefix, "" if obj is None else str(obj))]
+
+
+def test_run_csv_rows_are_the_json_leaves(capsys):
+    # a list of records flattens to runs.0.best_objective rows, not reprs
+    argv = ["search", "extremal", "--ring", "z:5:2", "--sizes", "4,6", "--iters", "5"]
+    run(argv)
+    payload = json.loads(capsys.readouterr().out)
+    run(argv + ["--format", "csv"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["key", "value"]
+    assert sorted(map(tuple, rows[1:])) == sorted(_leaves("", payload))
+    assert ["runs.1.best_objective", str(payload["runs"][1]["best_objective"])] in rows
+    assert "{" not in "".join(cell for row in rows for cell in row)
+
+
 def test_run_writes_out_file(tmp_path, capsys):
     target = tmp_path / "info.json"
     assert run(["ring", "info", "--ring", "z:3:2", "--out", str(target)]) == 0
@@ -321,11 +347,33 @@ def test_run_rejects_bad_counts(argv, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadSize"
 
 
-def test_run_search_checks_every_size_before_the_first_chain(capsys, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a chain ran before every size was checked")
+def _refuse(*args):
+    raise AssertionError("a trial or chain ran before every size and count was checked")
 
-    monkeypatch.setattr(valring.verify, "_search_chain", refuse)
+
+@pytest.mark.parametrize(
+    "argv,reached",
+    [
+        # 2 sizes x 60 000 trials, and 50 000 sizes x 10^5 trials or iterations
+        (["scan", "ratios", "--ring", "z:3:2", "--sizes", "2,2", "--trials", "60000"],
+         "classify_regime"),
+        (["scan", "ratios", "--ring", "z:3:2", "--sizes", ",".join(["2"] * 50000),
+          "--trials", "100000"], "classify_regime"),
+        (["search", "extremal", "--ring", "z:5:2", "--sizes", "4,4", "--iters", "60000"],
+         "_search_chain"),
+        (["search", "extremal", "--ring", "z:5:2", "--sizes", ",".join(["4"] * 50000),
+          "--iters", "100000"], "_search_chain"),
+    ],
+    ids=["scan-2-sizes", "scan-50000-sizes", "search-2-sizes", "search-50000-sizes"],
+)
+def test_run_caps_trials_over_all_sizes(argv, reached, capsys, monkeypatch):
+    monkeypatch.setattr(valring.verify, reached, _refuse)
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadSize"
+
+
+def test_run_search_checks_every_size_before_the_first_chain(capsys, monkeypatch):
+    monkeypatch.setattr(valring.verify, "_search_chain", _refuse)
     assert run(["search", "extremal", "--ring", "z:5:2", "--sizes", "4,99"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["type"] == "BadSize"
 

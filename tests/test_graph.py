@@ -450,7 +450,7 @@ def _no_pairwise(*args):
 
 
 def _routed_split_cases():
-    """(ring, left, right, expected, split) inputs that pair_edge_count splits.
+    """(ring, left, right, expected) inputs that pair_edge_count splits.
 
     First the z:5:2 energy embedding of 10 units (1750 x 1750 rows), then
     400 x 300 pooled z:5:2 rows of which 100 left rows have no unit in any
@@ -459,26 +459,26 @@ def _routed_split_cases():
     z25 = parse_ring("z:5:2")
     f = fold_sets(sample_unit_subset(z25, 10, 9), 2)
     emb = embed_energy_sets(f)
-    yield z25, emb.u_rows, emb.v_rows, form_energy(f), 2
+    yield z25, emb.u_rows, emb.v_rows, form_energy(f)
     rng = np.random.default_rng(1)
     left, right = _pooled_rows(z25, rng, 400, 4, plain=100), _pooled_rows(z25, rng, 300, 4)
-    yield z25, left, right, Oracle("z:5:2").zero_dots(left, right), 2
+    yield z25, left, right, Oracle("z:5:2").zero_dots(left, right)
 
 
 def test_pair_edge_count_grouped_skips_pairwise(monkeypatch):
     cases = list(_routed_split_cases())
     monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
-    for ring, left, right, expected, split in cases:
-        assert graph_module._split_choice(ring, left, right) == split
+    for ring, left, right, expected in cases:
         assert pair_edge_count(ring, left, right) == expected
 
 
 @pytest.mark.parametrize("cells", [1, 7, 100])
 def test_pair_edge_count_chunk_boundaries(monkeypatch, cells):
-    # small enough for one-cell chunks: a f:9:2 energy embedding (160 x 160
-    # rows) and a z:5:2 solution embedding (175 x 150 rows), both split at s = 1
+    # small enough for one-cell chunks: the f:9:2 energy embedding of
+    # {1, 2, 3, 4} (108 x 108 rows, split at s = 2) and a z:5:2 solution
+    # embedding (175 x 150 rows, split at s = 1)
     f92, z25 = parse_ring("f:9:2"), parse_ring("z:5:2")
-    f = fold_sets(sample_unit_subset(f92, 4, 0), 2)
+    f = fold_sets(ElementSet.from_indices(f92, [1, 2, 3, 4]), 2)
     g = fold_sets(sample_unit_subset(z25, 10, 9), 2)
     cases = [
         (f92, embed_energy_sets(f), form_energy(f)),
@@ -487,7 +487,6 @@ def test_pair_edge_count_chunk_boundaries(monkeypatch, cells):
     monkeypatch.setattr(graph_module, "_zero_dot_count", _no_pairwise)
     monkeypatch.setattr(graph_module, "CHUNK_CELLS", cells)
     for ring, emb, expected in cases:
-        assert graph_module._split_choice(ring, emb.u_rows, emb.v_rows) == 1
         assert pair_edge_count(ring, emb.u_rows, emb.v_rows) == expected
 
 
@@ -533,16 +532,16 @@ def test_pair_edge_count_large_field_falls_back(monkeypatch):
 
 
 def _weighted_window_cases():
-    """(ring, left, right, expected, split, split_at_weight_1): the split
-    pair_edge_count picks, with a pairwise coordinate weighed twice on a
+    """(ring, left, right, expected, splits, splits_at_weight_1): whether
+    pair_edge_count splits, with a pairwise coordinate weighed twice on a
     multi-digit ring with Cayley tables, and with it weighed once."""
     f92 = parse_ring("f:9:2")
-    f = fold_sets(sample_unit_subset(f92, 4, 0), 2)
-    emb = embed_energy_sets(f)  # 160 x 160 rows of width 4
-    yield f92, emb.u_rows, emb.v_rows, form_energy(f), 1, None
+    f = fold_sets(ElementSet.from_indices(f92, [1, 2, 3, 4]), 2)
+    emb = embed_energy_sets(f)  # 108 x 108 rows of width 4
+    yield f92, emb.u_rows, emb.v_rows, form_energy(f), True, False
     z81 = parse_ring("z:3:4")  # the same rows on a one-digit ring of 81 elements
     expected = Oracle("z:3:4").zero_dots(emb.u_rows, emb.v_rows)
-    yield z81, emb.u_rows, emb.v_rows, expected, None, None
+    yield z81, emb.u_rows, emb.v_rows, expected, False, False
     # 160 x 160 rows over 10 prefixes and one left last coordinate on f:13:2,
     # above the table cap, where a coordinate weighs 1 either way
     f132 = parse_ring("f:13:2")
@@ -550,67 +549,31 @@ def _weighted_window_cases():
     pool = rng.integers(0, f132.size, size=(10, 2))
     left = np.column_stack([pool[np.arange(160) % 10], np.full(160, 5)])
     right = np.column_stack([pool[np.arange(160) % 10], rng.integers(0, f132.size, 160)])
-    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), 1, 1
+    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), True, True
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_pair_edge_count_weighs_tabulated_pairs_twice(case, monkeypatch):
-    ring, left, right, expected, split, split_at_weight_1 = list(_weighted_window_cases())[case]
-    assert graph_module._split_choice(ring, left, right) == split
-    monkeypatch.setattr(graph_module, "_GATHER_COORD_PRICE", 1)
-    assert graph_module._split_choice(ring, left, right) == split_at_weight_1
-    monkeypatch.undo()
-    calls = _counting_pairwise(monkeypatch)
-    assert pair_edge_count(ring, left, right) == expected
-    assert calls == ([] if split else [len(left)])
-
-
-@pytest.mark.parametrize("desc,rows", [("z:3:2", 60), ("z:65521:1", 200)])
-def test_column_counts_match_sets(desc, rows):
-    # z:3:2 keys are many against the bins (a bincount), z:65521:1 keys few (a sort)
-    ring = parse_ring(desc)
-    rng = np.random.default_rng(rows)
-    pools = rng.integers(0, ring.size, size=(4, 6))  # six values per column, 0 among them
-    pools[:, 0] = 0
-    block = pools[np.arange(4), rng.integers(0, 6, size=(rows, 4))]
-    assert (8 * block.size >= 4 * ring.size) == (desc == "z:3:2")
-    ref = Oracle(desc)
-    cols = [block[:, c].tolist() for c in range(4)]
-    values, nonunits, pairs = graph_module._column_counts(ring, block)
-    assert values == [len(set(col)) for col in cols]
-    assert nonunits == [len({x for x in col if not ref.is_unit(x)}) for col in cols]
-    assert pairs == [len(set(zip(cols[c], cols[c + 1]))) for c in range(3)]
-    # one column has no adjacent pair
-    assert graph_module._column_counts(ring, block[:, :1]) == (values[:1], nonunits[:1], [])
-
-
-@given(
-    st.sampled_from(["z:5:2", "f:9:2"]),
-    st.integers(1, 5),
-    st.integers(1, 120),
-    st.integers(0, 2**32 - 1),
-    st.data(),
-)
-def test_distinct_bound_covers_the_rows(desc, d, rows, seed, data):
-    ring = parse_ring(desc)
-    block = _pooled_rows(ring, np.random.default_rng(seed), rows, d)
-    values, _, pairs = graph_module._column_counts(ring, block)
-    lo = data.draw(st.integers(0, d - 1))
-    hi = data.draw(st.integers(lo + 1, d))
-    bound = graph_module._distinct_bound(values, pairs, lo, hi)
-    assert bound >= len(np.unique(block[:, lo:hi], axis=0))
+    ring, left, right, expected, *splits = list(_weighted_window_cases())[case]
+    for weight, split in zip((2, 1), splits):
+        monkeypatch.setattr(graph_module, "_GATHER_COORD_PRICE", weight)
+        calls = _counting_pairwise(monkeypatch)
+        assert pair_edge_count(ring, left, right) == expected
+        assert calls == ([] if split else [len(left)])
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_pair_edge_count_prices_narrow_rows(d):
+def test_pair_edge_count_prices_narrow_rows(d, monkeypatch):
     # 400 x 300 rows of width 1 or 2 cost more pairwise than a split's base,
     # so they are priced; a row of width 1 has no split and goes pairwise
     ring = parse_ring("z:5:2")
     rng = np.random.default_rng(d)
     left, right = _pooled_rows(ring, rng, 400, d), _pooled_rows(ring, rng, 300, d)
     assert len(left) * len(right) * (d + 1) > graph_module._SPLIT_BASE
-    assert (graph_module._split_choice(ring, left, right) is None) == (d == 1)
+    calls = _counting_pairwise(monkeypatch)
     assert pair_edge_count(ring, left, right) == Oracle("z:5:2").zero_dots(left, right)
+    assert calls == ([400] if d == 1 else [])
 
 
 def test_pair_edge_count_fallback_row_blocks(monkeypatch):
