@@ -65,6 +65,8 @@ def parse_set(ring: Ring, text: str) -> ElementSet:
             size, seed = int(parts[1]), int(parts[2])
         except ValueError:
             raise ParseError(f"set literal {text!r} has non-integer fields") from None
+        if not 0 <= seed < 2**64:  # random.Random would seed a negative one with |seed|
+            raise ParseError(f"set literal {text!r} has a seed outside 64 bits")
         return sample_unit_subset(ring, size, seed)
     try:
         indices = [int(tok) for tok in text.split(",")]

@@ -45,9 +45,11 @@ prefix of d-s coordinates and a suffix of s.  A left row is scaled by the
 inverse of its suffix's first unit coordinate, which keeps its neighbours
 and sends the suffixes to few unit-scaling classes; right rows are grouped
 by prefix, and each left row looks its count up in int32 tables of suffix
-products, one per class and right group.  The split is s = d // 2: its
-groups are formed once and priced from their exact counts, and small
-calls, or calls the split does not undercut, test the pairs one by one.
+products, one per class and right group.  The split is s = d // 2, and
+its groups are formed once.  It is taken when its table products,
+gathered dots and table cells, counted from the exact numbers of classes
+and groups, are fewer than the pairs' coordinate products; small calls,
+and calls the split does not undercut, test the pairs one by one.
 The dense graph serves its spectrum and id-based counts on its own
 vertices.
 
@@ -101,12 +103,8 @@ __all__ = [
     "embed_energy_sets",
 ]
 
-# pair_edge_count's prices (see its docstring), in units of one coordinate
-# of one pairwise dot product on a one-digit ring
+# pair_edge_count counts pair by pair while |U|*|V|*(d+1) is within this
 _SPLIT_BASE = 60_000
-_CELL_PRICE = 6
-_ROW_PRICE = 50
-_GATHER_COORD_PRICE = 2
 # _zero_dot_count works in row blocks of about this many cells, so its
 # temporaries stay in cache and are reused rather than held
 _BLOCK_CELLS = 2**16
@@ -422,23 +420,19 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     empty side counts 0.
 
     One split kernel, :func:`_split_count`, counts over the unit-scaling
-    classes of the left rows' suffixes at s = d // 2.  A call whose pairwise
-    price is within _SPLIT_BASE, or of width 1, is tested pair by pair, a
-    row block of _BLOCK_CELLS cells at a time; any other call groups its
-    rows once (:func:`_split_groups`) and prices the split from the exact
-    class and group counts n_cls and n_gr, then counts with those groups,
-    or pair by pair where the split does not undercut the pairs.  Prices
-    are in units of one coordinate of one pairwise dot product on a
-    one-digit ring (about 1 ns on a 2-core x86_64 host); a coordinate costs
-    _GATHER_COORD_PRICE where ``ring.dot_gathers`` holds, since
-    ``dot_many`` then gathers twice per coordinate, and 1 on every other
-    ring (untimed above the table cap, where no workload calls).  Pairwise,
-    |U|*|V| cells cost coord*d + 1 each.  A split costs _SPLIT_BASE, plus
-    coord*s + _CELL_PRICE per table product (n_cls*|V| of them),
-    coord*(d-s) + _CELL_PRICE per gathered cell (|U|*n_gr), 1 per table
-    cell (n_cls*n_gr*size) and _ROW_PRICE per row.  The prices were fitted
-    to in-process timings of the calls that the verify workloads make at
-    seeds 1 and 2.
+    classes of the left rows' suffixes at s = d // 2.  A call of width 1,
+    or whose |U|*|V|*(d+1) is within _SPLIT_BASE, is tested pair by pair,
+    a row block of _BLOCK_CELLS cells at a time.  Any other call groups its
+    rows once (:func:`_split_groups`) into n_cls classes and n_gr right
+    groups, and splits iff
+
+        s*n_cls*|V| + (d-s)*|U|*n_gr + n_cls*n_gr*size < d*|U|*|V|,
+
+    table products, gathered dots and table cells against the pairs'
+    coordinate products; else it counts pair by pair.  The groups come
+    before the choice because a table holds ``size`` cells per class and
+    group, so only the exact counts tell the split's cost: on a large ring
+    its cells can outnumber the pairs many times over.
 
     Tables are int32 and hold counts of at most |V| <= MAX_PAIR_COUNT <
     2**31.  A table position is below one chunk's table, at most
@@ -455,21 +449,13 @@ def pair_edge_count(ring: Ring, left_rows: np.ndarray, right_rows: np.ndarray) -
     if nl * nr > MAX_PAIR_COUNT:
         raise TooLarge(f"{nl * nr} pairs exceed cap {MAX_PAIR_COUNT}")
     d = left.shape[1]
-    coord = _GATHER_COORD_PRICE if ring.dot_gathers else 1
-    pairwise = nl * nr * (coord * d + 1)
-    if pairwise > _SPLIT_BASE and d >= 2:
+    if nl * nr * (d + 1) > _SPLIT_BASE and d >= 2:
         s = d // 2
         groups = _split_groups(ring, left, right, s)
         _, classes, _, (_, _, r_start) = groups
         n_cls, n_gr = len(classes), len(r_start) - 1
-        split = (
-            _SPLIT_BASE
-            + n_cls * nr * (coord * s + _CELL_PRICE)
-            + nl * n_gr * (coord * (d - s) + _CELL_PRICE)
-            + n_cls * n_gr * ring.size
-            + _ROW_PRICE * (nl + nr)
-        )
-        if split < pairwise:
+        split = s * n_cls * nr + (d - s) * nl * n_gr + n_cls * n_gr * ring.size
+        if split < d * nl * nr:
             return _split_count(ring, left, right, s, groups)
     return _zero_dot_count(ring, left, right)
 

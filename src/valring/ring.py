@@ -439,7 +439,7 @@ class Ring:
         return tables.mul[a, b]
 
     @property
-    def dot_gathers(self) -> bool:
+    def _dot_gathers(self) -> bool:
         """Whether :meth:`dot_many` gathers from the Cayley tables (built
         here if need be): a multi-digit ring within ``_TABLE_MAX_SIZE``."""
         return self.n > 1 and self._cayley() is not None
@@ -448,14 +448,14 @@ class Ring:
         """Integer matrix of the dot products left_i . right_j of two (N, d)
         index arrays.
 
-        Where :attr:`dot_gathers` holds (e.g. F_9[t]/(t^2)), per coordinate,
+        Where :attr:`_dot_gathers` holds (e.g. F_9[t]/(t^2)), per coordinate,
         one int64 gather of the products from the flat mul table at
         left_k*size + right_k and one of the running sums from the flat add
         table at acc*size + prod, below size**2 <= 125**2.  Every other ring
         runs :meth:`_dot` over the coordinate axis; the gather stays out of
         :meth:`_dot`, which builds the mul table.
         """
-        if not self.dot_gathers:
+        if not self._dot_gathers:
             return self._dot(left.T[:, :, None], right.T[:, None, :])
         size, tables = self.size, self._cayley_tables
         add, mul = tables.add.reshape(-1), tables.mul.reshape(-1)

@@ -66,7 +66,10 @@ def test_parse_set_literals(z9):
     assert rnd == parse_set(z9, "random:3:7")
 
 
-@pytest.mark.parametrize("text", ["random:3", "random:x:1", "1,a", "", "1,,2", "1,2,"])
+@pytest.mark.parametrize(
+    "text",
+    ["random:3", "random:x:1", "1,a", "", "1,,2", "1,2,", "random:3:-7", "random:3:18446744073709551616"],
+)
 def test_parse_set_rejects(text, z9):
     with pytest.raises(ParseError):
         parse_set(z9, text)
@@ -514,7 +517,7 @@ def _fuzz_argv(draw):
     if group == "graph":
         argv += ["--d", draw(_INT), "--seed", draw(_INT)]
     if group in ("classify", "verify"):
-        argv += ["--set", draw(st.sampled_from(["units", "1,2", "0,3", "0", "random:2:1"]))]
+        argv += ["--set", draw(st.sampled_from(["units", "1,2", "0,3", "0", "random:2:1", "random:2:-1"]))]
     if group == "verify":
         # n = 4 is left out: its direct routes over f:9:1 count ~10^7 pairs
         argv += ["--n", str(draw(st.integers(-3, 3)))]

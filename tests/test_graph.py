@@ -475,10 +475,10 @@ def test_pair_edge_count_grouped_skips_pairwise(monkeypatch):
 @pytest.mark.parametrize("cells", [1, 7, 100])
 def test_pair_edge_count_chunk_boundaries(monkeypatch, cells):
     # small enough for one-cell chunks: the f:9:2 energy embedding of
-    # {1, 2, 3, 4} (108 x 108 rows, split at s = 2) and a z:5:2 solution
-    # embedding (175 x 150 rows, split at s = 1)
+    # {1, ..., 7} (252 x 252 rows, split at s = 2 into 9 classes and 9
+    # groups) and a z:5:2 solution embedding (175 x 150 rows, split at s = 1)
     f92, z25 = parse_ring("f:9:2"), parse_ring("z:5:2")
-    f = fold_sets(ElementSet.from_indices(f92, [1, 2, 3, 4]), 2)
+    f = fold_sets(ElementSet.from_indices(f92, range(1, 8)), 2)
     g = fold_sets(sample_unit_subset(z25, 10, 9), 2)
     cases = [
         (f92, embed_energy_sets(f), form_energy(f)),
@@ -531,36 +531,40 @@ def test_pair_edge_count_large_field_falls_back(monkeypatch):
     assert calls == [120]
 
 
-def _weighted_window_cases():
-    """(ring, left, right, expected, splits, splits_at_weight_1): whether
-    pair_edge_count splits, with a pairwise coordinate weighed twice on a
-    multi-digit ring with Cayley tables, and with it weighed once."""
-    f92 = parse_ring("f:9:2")
-    f = fold_sets(ElementSet.from_indices(f92, [1, 2, 3, 4]), 2)
-    emb = embed_energy_sets(f)  # 108 x 108 rows of width 4
-    yield f92, emb.u_rows, emb.v_rows, form_energy(f), True, False
-    z81 = parse_ring("z:3:4")  # the same rows on a one-digit ring of 81 elements
-    expected = Oracle("z:3:4").zero_dots(emb.u_rows, emb.v_rows)
-    yield z81, emb.u_rows, emb.v_rows, expected, False, False
-    # 160 x 160 rows over 10 prefixes and one left last coordinate on f:13:2,
-    # above the table cap, where a coordinate weighs 1 either way
+def _unit_weight_cases():
+    """(ring, left, right, expected, splits): whether pair_edge_count splits
+    at s = d // 2 once it has grouped the rows, by the unit-weight rule."""
+    # 160 x 160 rows of width 2 on f:13:2 over 10 right prefixes and one left
+    # suffix: a split of 3450 against 51 200 pairwise products
     f132 = parse_ring("f:13:2")
     rng = np.random.default_rng(13)
-    pool = rng.integers(0, f132.size, size=(10, 2))
+    pool = rng.integers(0, f132.size, size=10)
     left = np.column_stack([pool[np.arange(160) % 10], np.full(160, 5)])
     right = np.column_stack([pool[np.arange(160) % 10], rng.integers(0, f132.size, 160)])
-    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), True, True
+    yield f132, left, right, Oracle("f:13:2").zero_dots(left, right), True
+    # f:9:2 energy rows of width 4: 160 x 160 of 48 classes and 32 groups,
+    # 150 016 against 102 400; 375 x 375 of 81 classes and 50 groups,
+    # 426 300 against 562 500
+    f92 = parse_ring("f:9:2")
+    for members, splits in (([6, 19, 30, 79], False), ([13, 32, 48, 65, 78], True)):
+        f = fold_sets(ElementSet.from_indices(f92, members), 2)
+        emb = embed_energy_sets(f)
+        yield f92, emb.u_rows, emb.v_rows, form_energy(f), splits
 
 
 @pytest.mark.parametrize("case", range(3))
-def test_pair_edge_count_weighs_tabulated_pairs_twice(case, monkeypatch):
-    ring, left, right, expected, *splits = list(_weighted_window_cases())[case]
-    for weight, split in zip((2, 1), splits):
-        monkeypatch.setattr(graph_module, "_GATHER_COORD_PRICE", weight)
-        calls = _counting_pairwise(monkeypatch)
-        assert pair_edge_count(ring, left, right) == expected
-        assert calls == ([] if split else [len(left)])
-        monkeypatch.undo()
+def test_pair_edge_count_counts_unit_weights(case, monkeypatch):
+    ring, left, right, expected, splits = list(_unit_weight_cases())[case]
+    assert len(left) * len(right) * (left.shape[1] + 1) > graph_module._SPLIT_BASE
+    grouped = []
+    split_groups = graph_module._split_groups
+    monkeypatch.setattr(
+        graph_module, "_split_groups", lambda *args: grouped.append(args[3]) or split_groups(*args)
+    )
+    calls = _counting_pairwise(monkeypatch)
+    assert pair_edge_count(ring, left, right) == expected
+    assert grouped == [left.shape[1] // 2]
+    assert calls == ([] if splits else [len(left)])
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -227,7 +227,7 @@ _TABULATED_MULTI_DIGIT = {
 def test_dot_many_gather_matches_the_contraction(monkeypatch, params):
     # the flat-table gather against the contraction on a copy held at cap 0
     tabled, digits = _table_and_digit_rings(monkeypatch, *params)
-    assert tabled.dot_gathers and not digits.dot_gathers
+    assert tabled._dot_gathers and not digits._dot_gathers
     rng = np.random.default_rng(tabled.size)
     for d in range(1, 7):
         left, right = (rng.integers(0, tabled.size, size=(k, d)) for k in (6, 7))
@@ -239,11 +239,11 @@ def test_dot_many_gather_matches_the_contraction(monkeypatch, params):
 
 def test_dot_gathers_only_on_tabulated_multi_digit_rings(monkeypatch):
     assert len(_TABULATED_MULTI_DIGIT) == 15
-    assert make_ring(3, 2, 2, "fqtr").dot_gathers  # f:9:2
-    assert not make_ring(3, 1, 4, "zpr").dot_gathers  # z:3:4: 81 elements, one digit
-    assert not make_ring(13, 1, 2, "fqtr").dot_gathers  # f:13:2: above the cap
+    assert make_ring(3, 2, 2, "fqtr")._dot_gathers  # f:9:2
+    assert not make_ring(3, 1, 4, "zpr")._dot_gathers  # z:3:4: 81 elements, one digit
+    assert not make_ring(13, 1, 2, "fqtr")._dot_gathers  # f:13:2: above the cap
     digits = _table_and_digit_rings(monkeypatch, 3, 2, 2, "fqtr")[1]  # f:9:2 at cap 0
-    assert not digits.dot_gathers
+    assert not digits._dot_gathers
 
 
 @pytest.mark.parametrize("params", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
