@@ -116,8 +116,7 @@ def _handle_graph_build(ns: argparse.Namespace, ring: Ring):
         "biregular": True,
     }
     if ns.format == "csv":
-        edges = np.argwhere(g.biadjacency)
-        payload["edges"] = [[int(i), int(j)] for i, j in edges]
+        payload["edges"] = g.biadjacency
     return payload, True
 
 
@@ -297,10 +296,13 @@ def _to_csv(payload: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if payload.get("kind") == "graph" and "edges" in payload:
-        writer.writerow(["left", "right"])
-        for i, j in payload["edges"]:
-            writer.writerow([i, j])
-        return buf.getvalue()
+        # csv.writer's rows from the biadjacency, one join per left vertex (each
+        # has degree >= 1, audited by build_graph), with no object per edge
+        labels = np.array([str(j) for j in range(payload["edges"].shape[1])], dtype=object)
+        return "left,right\n" + "".join(
+            f"{i}," + f"\n{i},".join(labels[np.flatnonzero(row)]) + "\n"
+            for i, row in enumerate(payload["edges"])
+        )
     if payload.get("kind") == "ratio_scan":
         cols = ["size", "theorem", "trials", "lhs_min", "lhs_max",
                 "ratio_min", "ratio_median", "ratio_max",

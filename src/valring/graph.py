@@ -17,7 +17,8 @@ degree, d = dimension):
 
 The second singular value bound feeds the bipartite expander mixing
 inequality |e(X, Y) - deg*|X|*|Y|/n| <= sigma_2 * sqrt(|X|*|Y|), which
-is what the verification pipelines ultimately lean on.
+the verification pipelines lean on: :func:`edge_route` picks a replay's
+route, counts its e(U, V) and prices that bound, all in this module.
 
 Two embeddings turn counting statistics of the quadratic form fold into
 edge counts between vertex subsets, in the style of Vinh (Eur. J.
@@ -183,18 +184,6 @@ def _graph_classes(ring: Ring, d: int) -> Optional[int]:
         if count <= MAX_GRAPH_CLASSES:
             return count
     return None
-
-
-def edge_route(ring: Ring, d: int, u_count: int, v_count: int) -> str:
-    """The replay's route for e(U, V), from closed forms alone: "bound-only"
-    past MAX_EMBED_SIZE on a side (no rows are built) or past MAX_PAIR_COUNT
-    on |U|*|V| (pair_edge_count refuses), else "graph" where the classes fit
-    MAX_GRAPH_CLASSES, else "direct".  U and V are distinct classes, so a
-    graph that fits has |U|*|V| <= MAX_GRAPH_CLASSES**2 <= MAX_PAIR_COUNT:
-    the count never refuses where the graph fits."""
-    if max(u_count, v_count) > MAX_EMBED_SIZE or u_count * v_count > MAX_PAIR_COUNT:
-        return "bound-only"
-    return "direct" if _graph_classes(ring, d) is None else "graph"
 
 
 def enumerate_classes(ring: Ring, d: int) -> np.ndarray:
@@ -623,3 +612,35 @@ def embed_energy_sets(f: FoldSets) -> EmbeddedSets:
     return _embed_blocks(
         f, [plus] * m + [a] * m + [sq], [a] * m + [plus] * m + [sq], [1] * m + [-1] * m
     )
+
+
+def edge_route(ring: Ring, d: int, emb: EmbeddedSets) -> dict:
+    """A replay's e(U, V) and mixing bound.  The mode, from closed forms
+    alone: "bound-only" (no count) past MAX_EMBED_SIZE on a side or past
+    MAX_PAIR_COUNT on |U|*|V|, else "graph" where the classes fit
+    MAX_GRAPH_CLASSES, else "direct".  A graph that fits has |U|*|V| <=
+    MAX_GRAPH_CLASSES**2 <= MAX_PAIR_COUNT, so its count never refuses.
+    sigma_2 is the dense graph's on "graph" ("computed"), else the closed
+    form ("theoretical")."""
+    u_count, v_count = emb.u_count, emb.v_count
+    if max(u_count, v_count) > MAX_EMBED_SIZE or u_count * v_count > MAX_PAIR_COUNT:
+        mode = "bound-only"
+    else:
+        mode = "direct" if _graph_classes(ring, d) is None else "graph"
+    n_cls = class_count(ring, d)
+    deg = class_degree(ring, d)
+    edges = None if mode == "bound-only" else pair_edge_count(ring, emb.u_rows, emb.v_rows)
+    lam, kind = lambda3_bound(ring, d), "theoretical"
+    if mode == "graph":
+        lam, kind = float(spectrum(build_graph(ring, d))[1]), "computed"
+    main = deg * u_count * v_count / n_cls
+    return {
+        "classes_per_side": n_cls,
+        "degree": deg,
+        "edges": edges,
+        "mode": mode,
+        "lambda3": lam,
+        "lambda3_kind": kind,
+        "main_term": main,
+        "edge_bound": main + lam * math.sqrt(u_count * v_count),
+    }

@@ -101,43 +101,31 @@ class RingFamily(enum.Enum):
     FQTR = "fqtr"
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division.
-
-    make_ring checks the ring size cap (2**16) first, so candidates are
-    small and trial division is instant.
-    """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _least_factor(n: int) -> int:
+    """The least factor f >= 2 of n >= 2 (n itself iff n is prime), by trial
+    division: make_ring checks the size cap (2**16) first, so n is small."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            return f
+        f += 1
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test: n >= 2 is its own least factor."""
+    return n >= 2 and _least_factor(n) == n
 
 
 def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q as p**s with p prime, or raise NotPrimePower."""
-    if q < 2:
-        raise NotPrimePower(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q, 1  # q itself is prime: no factor up to sqrt
-        if q % p:
-            continue
-        s = 0
-        m = q
-        while m % p == 0:
-            m //= p
+    """Write q as p**s with p prime, or raise NotPrimePower: p is q's least
+    factor, and q is a prime power iff some power of p equals it."""
+    if q >= 2:
+        p, s = _least_factor(q), 1
+        while p**s < q:
             s += 1
-        if m != 1:
-            raise NotPrimePower(f"{q} is not a prime power")
-        return p, s
+        if p**s == q:
+            return p, s
     raise NotPrimePower(f"{q} is not a prime power")
 
 

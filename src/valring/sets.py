@@ -177,14 +177,9 @@ def _pair_counts(ring: Ring, x: np.ndarray, y: np.ndarray, op, wx=None, wy=None)
 
 
 def _pair_support(a: ElementSet, b: ElementSet, op) -> ElementSet:
-    """The set of op(x, y) over x in a, y in b, marked CHUNK_CELLS cells at a time."""
+    """The set of op(x, y) over x in a, y in b: the support of their pair counts."""
     _same_ring(a, b)
-    x, y = a.indices(), b.indices()
-    seen = np.zeros(a.ring.size, dtype=bool)
-    step = max(1, CHUNK_CELLS // max(1, len(y)))
-    for lo in range(0, len(x), step):
-        seen[op(x[lo : lo + step, None], y[None, :])] = True
-    return ElementSet(a.ring, seen)
+    return ElementSet(a.ring, _pair_counts(a.ring, a.indices(), b.indices(), op) > 0)
 
 
 def sumset(a: ElementSet, b: ElementSet) -> ElementSet:
@@ -196,12 +191,8 @@ def productset(a: ElementSet, b: ElementSet) -> ElementSet:
 
 
 def square_set(a: ElementSet) -> ElementSet:
-    ring = a.ring
     idx = a.indices()
-    seen = np.zeros(ring.size, dtype=bool)
-    if len(idx):
-        seen[ring.mul_many(idx, idx)] = True
-    return ElementSet(ring, seen)
+    return ElementSet.from_indices(a.ring, a.ring.mul_many(idx, idx))
 
 
 def iterated_sumset(a: ElementSet, n: int) -> ElementSet:

@@ -24,19 +24,11 @@ from itertools import combinations
 from statistics import median
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .config import MAX_FOLD_CELLS, SPECTRAL_TOL, check_count, derive_seed
 from .errors import BadSize, NotUnits, TooLarge, ValringError
-from .graph import (
-    build_graph,
-    class_count,
-    class_degree,
-    edge_route,
-    embed_energy_sets,
-    embed_solution_sets,
-    lambda3_bound,
-    pair_edge_count,
-    spectrum,
-)
+from .graph import edge_route, embed_energy_sets, embed_solution_sets
 from .ring import Ring
 from .sets import (
     ElementSet,
@@ -128,29 +120,6 @@ def _prepare(a: ElementSet, warnings: list) -> ElementSet:
     return restricted
 
 
-def _edge_route(ring: Ring, d: int, emb) -> dict:
-    """Count e(U, V) off bound-only and price the mixing bound on ``edge_route``'s route."""
-    n_cls = class_count(ring, d)
-    deg = class_degree(ring, d)
-    mode = edge_route(ring, d, emb.u_count, emb.v_count)
-    edges = None if mode == "bound-only" else pair_edge_count(ring, emb.u_rows, emb.v_rows)
-    lam, kind = lambda3_bound(ring, d), "theoretical"
-    if mode == "graph":
-        lam, kind = float(spectrum(build_graph(ring, d))[1]), "computed"
-    pair_geom = math.sqrt(emb.u_count * emb.v_count)
-    main = deg * emb.u_count * emb.v_count / n_cls
-    return {
-        "classes_per_side": n_cls,
-        "degree": deg,
-        "edges": edges,
-        "mode": mode,
-        "lambda3": lam,
-        "lambda3_kind": kind,
-        "main_term": main,
-        "edge_bound": main + lam * pair_geom,
-    }
-
-
 def _step(passed: Optional[bool], mode: str, detail: str) -> dict:
     return {"passed": passed, "mode": mode, "detail": detail}
 
@@ -160,13 +129,14 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
 
     thm1 bounds the solution count N in dimension n + 1; thm2 bounds the
     collision energy E in dimension 2n and adds Cauchy-Schwarz.  Either
-    statistic is embedded as e(U, V) in the orthogonality graph, which
-    is priced by the best available route and held against the mixing
-    bound.  The sets A+A, A^2 and nA^2 are built once, after n is
-    checked, and shared by the fold and the embedding.  The embedding
-    and counting functions are looked up when the replay runs, not bound
-    when the module loads, so a wrapper installed on the module
-    attribute sees every call.
+    statistic is embedded as e(U, V) in the orthogonality graph, and
+    ``graph.edge_route`` counts it on the best available route and prices
+    the mixing bound it is held against.  The sets A+A, A^2 and nA^2 are
+    built once, after n is checked, and shared by the fold and the
+    embedding.  The embeddings are looked up in this module and the
+    counting functions in graph.py when the replay runs, not bound when
+    the modules load, so a wrapper installed on a module attribute sees
+    every call.
     """
     ring = a_in.ring
     q, r = ring.q, ring.r
@@ -213,7 +183,7 @@ def _replay(kind: str, a_in: ElementSet, n: int) -> PipelineReport:
     }
 
     emb = embed(f)
-    route = _edge_route(ring, d, emb)
+    route = edge_route(ring, d, emb)
     edges, bound = route["edges"], route["edge_bound"]
     if edges is not None:
         steps[f"{name}_le_edges"] = _step(
@@ -300,14 +270,14 @@ def check_square_halving(
     top = min(exhaustive_limit, len(unit_idx))
     _check_halving_visits(len(unit_idx), top, samples)
     units = unit_idx.tolist()
-    sq_of = dict(zip(units, ring.mul_many(unit_idx, unit_idx).tolist()))
-    fibers: dict = {}
-    for u in units:
-        fibers.setdefault(sq_of[u], set()).add(u)
-    fiber_ok = all(
-        fib == {y, ring.neg(y)} and len(fib) == 2
-        for v, fib in fibers.items()
-        for y in [next(iter(fib))]
+    squares = ring.mul_many(unit_idx, unit_idx)
+    sq_of = dict(zip(units, squares.tolist()))
+    # each u^2 has two unit roots, and -u is a unit root of u^2 other than u
+    neg = ring.neg_many(unit_idx)
+    fiber_ok = bool(
+        (np.bincount(squares, minlength=ring.size)[squares] == 2).all()
+        and ring.is_unit_many(neg).all() and (neg != unit_idx).all()
+        and (ring.mul_many(neg, neg) == squares).all()
     )
 
     violations = []

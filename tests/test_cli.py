@@ -5,6 +5,7 @@ import io
 import json
 import pathlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,6 +259,18 @@ def test_run_csv_projections(capsys):
     run(["ring", "info", "--ring", "z:3:2", "--format", "csv"])
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "key,value"
+
+
+@pytest.mark.parametrize("spec,d", [("z:3:1", 2), ("z:3:2", 3)])
+def test_run_csv_edges_match_csv_writer_rows(spec, d, capsys):
+    run(["graph", "build", "--ring", spec, "--d", str(d), "--format", "csv"])
+    out = capsys.readouterr().out
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["left", "right"])
+    for i, j in np.argwhere(build_graph(parse_ring(spec), d).biadjacency):
+        writer.writerow([int(i), int(j)])
+    assert out == buf.getvalue()
 
 
 def _leaves(prefix, obj):

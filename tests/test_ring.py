@@ -14,13 +14,14 @@ from valring import (
     EvenPrime,
     NotAUnit,
     NonPrime,
+    NotPrimePower,
     Ring,
     RingFamily,
     TooLarge,
     make_ring,
 )
 from valring.cli import parse_ring
-from valring.ring import is_prime, smallest_irreducible
+from valring.ring import factor_prime_power, is_prime, smallest_irreducible
 
 import oracle
 from oracle import Oracle
@@ -85,6 +86,23 @@ def test_descriptor_and_name(z9, f9t2):
 def test_is_prime_small():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+def test_primes_and_prime_powers_match_a_sieve():
+    top = 2**16
+    sieve = [False, False] + [True] * (top - 1)
+    for f in range(2, math.isqrt(top) + 1):
+        if sieve[f]:
+            sieve[f * f :: f] = [False] * len(sieve[f * f :: f])
+    powers = {p**s: (p, s) for p in range(2, top + 1) if sieve[p]
+              for s in range(1, top.bit_length()) if p**s <= top}
+    for n in range(-2, top + 1):
+        assert is_prime(n) == (n >= 0 and sieve[n]), n
+        if n in powers:
+            assert factor_prime_power(n) == powers[n], n
+        else:
+            with pytest.raises(NotPrimePower):
+                factor_prime_power(n)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from valring import (
     BadSize,
     ElementSet,
     NotUnits,
+    Ring,
     TooLarge,
     ValringError,
     bound_ratio_scan,
@@ -43,6 +44,14 @@ def test_square_halving_exhaustive_z9(z9):
     assert rep["passed"] and rep["fiber_ok"]
     assert rep["checked_exhaustive"] == 63  # all nonempty unit subsets
     assert rep["checked_sampled"] == 0
+    assert rep["violations"] == []
+
+
+def test_square_halving_fails_when_negation_fixes_every_unit(z9, monkeypatch):
+    # a negation that returns its input offers no second root -u != u
+    monkeypatch.setattr(Ring, "neg_many", lambda self, a: a)
+    rep = check_square_halving(z9, exhaustive_limit=2)
+    assert rep["fiber_ok"] is False and rep["passed"] is False
     assert rep["violations"] == []
 
 
@@ -166,21 +175,36 @@ def test_each_route_follows_its_one_cap(z9, monkeypatch):
 
 
 def test_edge_route_at_each_cap(z9, monkeypatch):
-    route = graph_module.edge_route
+    # the rows are never built here: the stub stands in for every count
+    monkeypatch.setattr(graph_module, "pair_edge_count", lambda ring, u_rows, v_rows: 7)
+
+    def route(d, u_count, v_count):
+        emb = graph_module.EmbeddedSets(d, None, None, u_count, v_count)
+        got = graph_module.edge_route(z9, d, emb)
+        mode = got["mode"]
+        assert got["edges"] == (None if mode == "bound-only" else 7)
+        if mode == "graph":
+            assert got["lambda3_kind"] == "computed"
+            assert got["lambda3"] == float(spectrum(build_graph(z9, d))[1])
+        else:
+            assert got["lambda3_kind"] == "theoretical"
+            assert got["lambda3"] == lambda3_bound(z9, d)
+        return mode
+
     side, pairs = graph_module.MAX_EMBED_SIZE, graph_module.MAX_PAIR_COUNT
     # MAX_EMBED_SIZE on one side
-    assert route(z9, 3, side, 1) == route(z9, 3, 1, side) == "graph"
-    assert route(z9, 3, side + 1, 1) == route(z9, 3, 1, side + 1) == "bound-only"
+    assert route(3, side, 1) == route(3, 1, side) == "graph"
+    assert route(3, side + 1, 1) == route(3, 1, side + 1) == "bound-only"
     # MAX_PAIR_COUNT on |U|*|V|
-    assert route(z9, 3, 6000, 5000) == "graph" and 6000 * 5000 == pairs
+    assert route(3, 6000, 5000) == "graph" and 6000 * 5000 == pairs
     with monkeypatch.context() as m:
         m.setattr(graph_module, "MAX_EMBED_SIZE", pairs + 1)  # only the pair cap binds
-        assert route(z9, 3, pairs, 1) == "graph"
-        assert route(z9, 3, pairs + 1, 1) == "bound-only"
+        assert route(3, pairs, 1) == "graph"
+        assert route(3, pairs + 1, 1) == "bound-only"
     # MAX_GRAPH_CLASSES on the class count
-    assert graph_module.class_count(z9, 4) == 1080 and route(z9, 4, 10, 10) == "graph"
-    assert graph_module.class_count(z9, 5) == 9801 and route(z9, 5, 10, 10) == "direct"
-    assert route(z9, 5, pairs, 2) == "bound-only"
+    assert graph_module.class_count(z9, 4) == 1080 and route(4, 10, 10) == "graph"
+    assert graph_module.class_count(z9, 5) == 9801 and route(5, 10, 10) == "direct"
+    assert route(5, pairs, 2) == "bound-only"
 
 
 def test_every_graph_that_fits_has_a_pair_count():
